@@ -5,37 +5,87 @@ A compiled twin (``_kernels_c``) provides the same four entry points; the
 active backend is chosen in ``_dispatch``.  Everything here works with
 native Python integers, so results are exact at any size.
 
-All functions are pure: each call builds its own tables, so concurrent use
-from multiple threads is safe by construction.
+Two dynamic programs serve all four entry points:
+
+* ``_part_rows``, the 2-D table indexed by (parts used, weight).  It is
+  updated one whole row per slice statement instead of one cell per
+  interpreter step.  ``box_count`` and ``box_table`` conjugate their box
+  first, so the table has ``min(a, b) + 1`` rows.
+* ``_accumulate``, the 1-D table indexed by weight, for counts with no
+  bound on the number of parts: ``partition_table``, and ``box_count``
+  once clamping to the weight shows one of its two bounds to be inert.
+
+Every path only adds native integers along an exact recurrence, and
+conjugation and the inert bound are identities of partition counts, so the
+results equal those of the plain cell-by-cell loops at any size.  All
+functions are pure: each call builds its own tables and no module state is
+ever mutated, so concurrent use from multiple threads is safe by
+construction.
 """
+
+from operator import add
 
 BACKEND = "python"
 
+# Part size from which ``_accumulate`` updates a block of ``v`` weights per
+# slice statement instead of one weight per interpreter step.  Measured on
+# CPython 3.11 (x86-64): a slice statement has a fixed cost of about 1 us,
+# and the two loops break even at blocks of roughly 50-100 weights.
+BLOCK_CUT = 64
 
-def _box_dp(a: int, b: int, top: int) -> list:
-    """Flat (b+1) x (top+1) table of f(a, parts, w) = partitions of w into
-    at most ``parts`` parts, each <= a.
 
-    Bottom-up form of the recurrence that splits on whether a part of the
-    current maximum size occurs:
+def _part_rows(parts, rows: int, width: int, at_most: bool) -> list:
+    """Rows 0..rows of the counts of partitions with parts from ``parts``,
+    indexed [number of parts][weight] for weights below ``width``.
+
+    With ``at_most`` the row for p counts partitions into at most p parts
+    (the first column is all ones); without it, into exactly p parts (only
+    the empty partition in row 0).  ``parts`` must be ascending.
+
+    Adding part v splits on whether v occurs:
 
         f(v, p, w) = f(v-1, p, w) + f(v, p-1, w-v)
 
-    with f(0, p, w) = f(v, 0, w) = [w == 0].  Updating in place with p
-    ascending makes the second term read the already-updated row, which is
-    exactly f(v, p-1, .).
+    Rows are taken with p ascending, so the row below already holds
+    f(v, p-1, .) when row p reads it, and the whole row is one slice
+    statement that adds ``below[:width - v]`` to ``row[v:]`` element by
+    element.
     """
-    width = top + 1
-    table = [0] * ((b + 1) * width)
-    for row in range(b + 1):
-        table[row * width] = 1
-    for v in range(1, a + 1):
-        for p in range(1, b + 1):
-            base = p * width
-            below = base - width
-            for w in range(v, width):
-                table[base + w] += table[below + w - v]
+    zeros = [0] * (width - 1)
+    first = [1 if at_most else 0]
+    table = [[1, *zeros]]
+    table += [first + zeros for _ in range(rows)]
+    for v in parts:
+        if v >= width:
+            break
+        below = table[0]
+        for row in table[1:]:
+            # map stops at the end of row[v:], so it reads below[:width - v]
+            row[v:] = map(add, row[v:], below)
+            below = row
     return table
+
+
+def _accumulate(dp: list, parts) -> list:
+    """Add parts ``parts`` with unlimited multiplicity and no bound on their
+    number to the counts ``dp`` (indexed by weight), in place.
+
+    Each part v runs ``dp[w] += dp[w - v]`` over w ascending, so dp[w - v]
+    already counts the partitions using v.  Below ``BLOCK_CUT`` this is a
+    scalar loop.  From it on, weights go in blocks of v, one slice
+    statement each: every block reads only the block before it, which is
+    finished for part v.
+    """
+    size = len(dp)
+    for v in parts:
+        if v < BLOCK_CUT:
+            for w in range(v, size):
+                dp[w] += dp[w - v]
+        else:
+            for lo in range(v, size, v):
+                hi = min(lo + v, size)
+                dp[lo:hi] = map(add, dp[lo:hi], dp[lo - v : hi - v])
+    return dp
 
 
 def box_count(a: int, b: int, c: int) -> int:
@@ -47,17 +97,22 @@ def box_count(a: int, b: int, c: int) -> int:
     b = min(b, c)
     if a == 0 or b == 0 or c > a * b:
         return 0
-    table = _box_dp(a, b, c)
-    return table[b * (c + 1) + c]
+    # Conjugation maps the a-by-b box onto the b-by-a one, so order the
+    # bounds: the table below then has min(a, b) + 1 rows.
+    if a > b:
+        a, b = b, a
+    if b == c:
+        # At most c parts is no bound at all: partitions of c into parts <= a.
+        return _accumulate([1] + [0] * c, range(1, a + 1))[c]
+    return _part_rows(range(1, b + 1), a, c + 1, True)[a][c]
 
 
 def box_table(a: int, b: int) -> list:
     """Partition counts in an a-by-b box, one entry per weight 0..a*b."""
     if a < 0 or b < 0:
         raise ValueError("box dimensions must be nonnegative")
-    top = a * b
-    table = _box_dp(a, b, top)
-    return table[b * (top + 1) :]
+    lo, hi = min(a, b), max(a, b)  # conjugate: the box fits either way
+    return _part_rows(range(1, hi + 1), lo, a * b + 1, True)[lo]
 
 
 def set_exact_counts(parts: tuple, b: int, c: int) -> list:
@@ -65,25 +120,10 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
     for every s in 0..b (a list of length b+1).
 
     ``parts`` must be a strictly ascending tuple of positive integers.
-    State is (index into the part set, parts used, remaining weight); the
-    in-place update over ascending s allows unlimited multiplicity.
     """
     smax = min(b, c)  # parts are >= 1, so more than c of them never fit
-    width = c + 1
-    table = [0] * ((smax + 1) * width)
-    table[0] = 1
-    for v in parts:
-        if v > c:
-            break
-        for used in range(1, smax + 1):
-            base = used * width
-            below = base - width
-            for w in range(v, width):
-                table[base + w] += table[below + w - v]
-    out = [table[s * width + c] for s in range(smax + 1)]
-    if b > smax:
-        out.extend([0] * (b - smax))
-    return out
+    table = _part_rows(parts, smax, c + 1, False)
+    return [row[c] for row in table] + [0] * (b - smax)
 
 
 def partition_table(n: int) -> list:
@@ -94,9 +134,4 @@ def partition_table(n: int) -> list:
     """
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    dp = [0] * (n + 1)
-    dp[0] = 1
-    for v in range(1, n + 1):
-        for w in range(v, n + 1):
-            dp[w] += dp[w - v]
-    return dp
+    return _accumulate([1] + [0] * n, range(1, n + 1))

@@ -84,7 +84,8 @@ class PartsSet:
     @classmethod
     def interval(cls, lo, hi):
         """The consecutive run {lo, lo+1, .., hi}."""
-        if not isinstance(lo, int) or not isinstance(hi, int) or lo < 1 or hi < lo:
+        ints = all(isinstance(x, int) and not isinstance(x, bool) for x in (lo, hi))
+        if not ints or lo < 1 or hi < lo:
             raise ValueError(f"need 1 <= lo <= hi, got lo={lo!r}, hi={hi!r}")
         return cls(range(lo, hi + 1))
 

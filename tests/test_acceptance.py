@@ -6,10 +6,11 @@ the lines always reach the terminal) and asserts the same condition.
 
 import time
 from math import comb
+from operator import add
 
 import pytest
 
-from charrank import _dispatch
+from charrank import _dispatch, _kernels_py
 from charrank.bounds import UNBOUNDED, BundleProfile, betti_upper_bound
 from charrank.cli import main as cli_main
 from charrank.grassmannian import gaussian_binomial, poincare
@@ -237,6 +238,62 @@ def _mutant_partition_table(n):
     return dp
 
 
+def _mutant_box_count_inert(a, b, c):
+    # the inert-bound 1-D branch of the pure kernel drops the largest part
+    if c == 0:
+        return 1
+    a, b = min(a, c), min(b, c)
+    if a == 0 or b == 0 or c > a * b:
+        return 0
+    if a > b:
+        a, b = b, a
+    if b == c:
+        # should be range(1, a + 1)
+        return _kernels_py._accumulate([1] + [0] * c, range(1, a))[c]
+    return _kernels_py._part_rows(range(1, b + 1), a, c + 1, True)[a][c]
+
+
+def _mutant_accumulate_scalar(dp, parts):
+    size = len(dp)
+    for v in parts:
+        if v < _kernels_py.BLOCK_CUT:
+            for w in range(v + 1, size):  # should start at v
+                dp[w] += dp[w - v]
+        else:
+            for lo in range(v, size, v):
+                hi = min(lo + v, size)
+                dp[lo:hi] = map(add, dp[lo:hi], dp[lo - v : hi - v])
+    return dp
+
+
+def _mutant_accumulate_block(dp, parts):
+    size = len(dp)
+    for v in parts:
+        if v < _kernels_py.BLOCK_CUT:
+            for w in range(v, size):
+                dp[w] += dp[w - v]
+        else:
+            for lo in range(v, size, v):
+                hi = min(lo + v, size)
+                # off by one in weight: should read dp[lo - v : hi - v]
+                dp[lo:hi] = map(add, dp[lo:hi], dp[lo - v + 1 : hi - v + 1])
+    return dp
+
+
+def _mutant_part_rows(parts, rows, width, at_most):
+    zeros = [0] * (width - 1)
+    table = [[1, *zeros]]
+    table += [[1 if at_most else 0] + zeros for _ in range(rows)]
+    for v in parts:
+        if v >= width:
+            break
+        below = table[0]
+        for row in table[1:]:
+            row[v + 1 :] = map(add, row[v + 1 :], below)  # should start at v
+            below = row
+    return table
+
+
 def test_criterion_9_cli_exit_codes_and_mutation(monkeypatch, capsys):
     clean = cli_main(["verify", "all"])
     capsys.readouterr()
@@ -246,17 +303,32 @@ def test_criterion_9_cli_exit_codes_and_mutation(monkeypatch, capsys):
         "set_exact_counts": _mutant_set_exact_counts,
         "partition_table": _mutant_partition_table,
     }
+    # Fast paths of the pure kernels. Every kernel is routed to them first,
+    # so the corruption is seen whichever backend _dispatch selected.
+    fast_path_mutants = {
+        "box_count inert 1-D branch": (_dispatch, "box_count", _mutant_box_count_inert),
+        "1-D scalar branch": (_kernels_py, "_accumulate", _mutant_accumulate_scalar),
+        "1-D block branch": (_kernels_py, "_accumulate", _mutant_accumulate_block),
+        "2-D row helper": (_kernels_py, "_part_rows", _mutant_part_rows),
+    }
     codes = {}
     for name, broken in mutants.items():
         with monkeypatch.context() as patch:
             patch.setattr(_dispatch, name, broken)
             codes[name] = cli_main(["verify", "all"])
             capsys.readouterr()
+    for name, (module, attr, broken) in fast_path_mutants.items():
+        with monkeypatch.context() as patch:
+            for kernel in mutants:
+                patch.setattr(_dispatch, kernel, getattr(_kernels_py, kernel))
+            patch.setattr(module, attr, broken)
+            codes[name] = cli_main(["verify", "all"])
+            capsys.readouterr()
     ok = clean == 0 and all(code == 1 for code in codes.values())
     _conclude(
         9,
-        f"verify all exits 0 clean; each corrupted DP kernel exits 1 "
-        f"(exit codes: {codes})",
+        f"verify all exits 0 clean; each corrupted DP kernel or fast path "
+        f"exits 1 (exit codes: {codes})",
         ok,
         f"clean={clean}, mutants={codes}",
     )

@@ -62,6 +62,8 @@ class TestPartsSet:
         assert PartsSet.interval(2, 5).members == (2, 3, 4, 5)
         with pytest.raises(ValueError):
             PartsSet.interval(3, 2)
+        with pytest.raises(ValueError):
+            PartsSet.interval(True, 3)
 
     def test_gapless(self):
         assert PartsSet([2, 3, 4]).is_gapless()
