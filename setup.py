@@ -1,20 +1,9 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "charrank._kernels_c",
-                ["src/charrank/_kernels_c.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    # No Cython: install pure-Python only; the package falls back at import.
-    extensions = []
-
-setup(ext_modules=extensions)
+# optional: without a C compiler the package installs on the pure-Python
+# kernels, which ``_dispatch`` falls back to at import.
+setup(
+    ext_modules=[
+        Extension("charrank._kernels_c", ["src/charrank/_kernels_c.c"], optional=True)
+    ]
+)

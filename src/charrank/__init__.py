@@ -2,9 +2,8 @@
 real Grassmann manifolds, and characteristic-rank Betti-number bounds —
 with built-in machine verification of the identities tying them together.
 
-Counting kernels run compiled when the extension is available and fall
-back to pure Python otherwise (``backend_name`` says which; set
-``CHARRANK_PURE_PYTHON=1`` to force the fallback).
+Counting kernels run as a C extension when it was built and fall back to
+pure Python otherwise, with identical results; ``backend_name`` says which.
 """
 
 from charrank._dispatch import backend_name

@@ -1,25 +1,19 @@
 """Backend selection for the counting kernels.
 
-The compiled kernels are used when the extension built; otherwise the
-pure-Python twins take over with identical results.  Set
-``CHARRANK_PURE_PYTHON=1`` to force the fallback (useful for benchmarking
-and for debugging a suspect build).
+The compiled kernels (``_kernels_c``) serve when the extension was built;
+otherwise the pure-Python twins in ``_kernels_py`` take over with identical
+results.
 
 The module-level names ``box_count``, ``box_table``, ``set_exact_counts``
 and ``partition_table`` are rebindable on purpose: the verification tests
 swap in deliberately broken kernels to prove the checks can fail.
 """
 
-import os
-
 from charrank import _kernels_py
 
-if os.environ.get("CHARRANK_PURE_PYTHON", "").strip() in ("", "0"):
-    try:
-        from charrank import _kernels_c as _backend
-    except ImportError:
-        _backend = _kernels_py
-else:
+try:
+    from charrank import _kernels_c as _backend
+except ImportError:
     _backend = _kernels_py
 
 box_count = _backend.box_count
@@ -29,5 +23,5 @@ partition_table = _backend.partition_table
 
 
 def backend_name():
-    """Either "cython" or "python", whichever is serving the kernels."""
+    """Either "c" or "python", whichever is serving the kernels."""
     return _backend.BACKEND

@@ -12,7 +12,7 @@ with inverse "add lo to every part, then pad with parts equal to lo".
 checks the round trips and the cardinality transfer element by element.
 """
 
-from charrank.errors import PreconditionViolation
+from charrank.errors import PreconditionViolation, check_int
 from charrank.partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
@@ -22,17 +22,8 @@ from charrank.report import Identity, VerificationReport
 
 
 def _check_interval(min_part, max_part):
-    if not isinstance(min_part, int) or isinstance(min_part, bool) or min_part < 1:
-        raise PreconditionViolation(f"least part must be a positive integer, got {min_part!r}")
-    if not isinstance(max_part, int) or isinstance(max_part, bool) or max_part < min_part:
-        raise PreconditionViolation(
-            f"greatest part must be an integer >= {min_part}, got {max_part!r}"
-        )
-
-
-def _check_num_parts(num_parts):
-    if not isinstance(num_parts, int) or isinstance(num_parts, bool) or num_parts < 1:
-        raise PreconditionViolation(f"number of parts must be a positive integer, got {num_parts!r}")
+    check_int(PreconditionViolation, 1, "least part", min_part)
+    check_int(PreconditionViolation, min_part, "greatest part", max_part)
 
 
 def reduce(p, num_parts, min_part, max_part):
@@ -42,7 +33,12 @@ def reduce(p, num_parts, min_part, max_part):
     [min_part, max_part]; anything else raises PreconditionViolation.
     """
     _check_interval(min_part, max_part)
-    _check_num_parts(num_parts)
+    check_int(PreconditionViolation, 1, "number of parts", num_parts)
+    return _reduce(p, num_parts, min_part, max_part)
+
+
+def _reduce(p, num_parts, min_part, max_part):
+    """``reduce`` for integer arguments already checked."""
     if not isinstance(p, Partition):
         p = Partition(p)
     if len(p) != num_parts:
@@ -61,8 +57,13 @@ def expand(q, num_parts, min_part):
 
     ``q`` may have at most ``num_parts`` parts.
     """
-    _check_interval(min_part, min_part)
-    _check_num_parts(num_parts)
+    check_int(PreconditionViolation, 1, "least part", min_part)
+    check_int(PreconditionViolation, 1, "number of parts", num_parts)
+    return _expand(q, num_parts, min_part)
+
+
+def _expand(q, num_parts, min_part):
+    """``expand`` for integer arguments already checked."""
     if not isinstance(q, Partition):
         q = Partition(q)
     if len(q) > num_parts:
@@ -82,11 +83,13 @@ def verify_bijection(min_part, max_part, weight, num_parts, cap=DEFAULT_ENUMERAT
     original side, both round trips are identities, reduce preserves the
     shifted weight, and the two sides have equal cardinality.  Returns a
     VerificationReport with ``checked == 1``.
+
+    The integer arguments are checked once here, not again for every
+    partition that ``reduce`` and ``expand`` map.
     """
     _check_interval(min_part, max_part)
-    _check_num_parts(num_parts)
-    if not isinstance(weight, int) or isinstance(weight, bool) or weight < 0:
-        raise PreconditionViolation(f"weight must be a nonnegative integer, got {weight!r}")
+    check_int(PreconditionViolation, 1, "number of parts", num_parts)
+    check_int(PreconditionViolation, 0, "weight", weight)
 
     tag = (
         ("min_part", min_part),
@@ -114,21 +117,21 @@ def verify_bijection(min_part, max_part, weight, num_parts, cap=DEFAULT_ENUMERAT
     report.compare(tag + (("check", "cardinality"),), len(domain), len(codomain))
 
     for p in domain:
-        q = reduce(p, num_parts, min_part, max_part)
+        q = _reduce(p, num_parts, min_part, max_part)
         if q not in codomain_set:
             report.compare(tag + (("check", "image membership"),), repr(q), "reduced side")
             continue
         report.compare(tag + (("check", "shifted weight"), ("p", repr(p))), q.weight, residual)
-        back = expand(q, num_parts, min_part)
+        back = _expand(q, num_parts, min_part)
         report.compare(tag + (("check", "round trip"), ("p", repr(p))), repr(back), repr(p))
 
     domain_set = set(domain)
     for q in codomain:
-        p = expand(q, num_parts, min_part)
+        p = _expand(q, num_parts, min_part)
         if p not in domain_set:
             report.compare(tag + (("check", "preimage membership"), ("q", repr(q))), repr(p), "original side")
             continue
-        back = reduce(p, num_parts, min_part, max_part)
+        back = _reduce(p, num_parts, min_part, max_part)
         report.compare(tag + (("check", "round trip"), ("q", repr(q))), repr(back), repr(q))
 
     return report

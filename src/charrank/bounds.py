@@ -17,7 +17,7 @@ box-partition form available when the truncated degree set has no gaps.
 
 from dataclasses import dataclass
 
-from charrank.errors import DegreeOutOfRange, NotGapless, PreconditionViolation
+from charrank.errors import DegreeOutOfRange, NotGapless, PreconditionViolation, check_int
 from charrank.partitions import PartsSet, count_box, count_set_any, count_set_at_most
 
 #: Marker for "no known finite bound" (compares above every integer).
@@ -25,12 +25,8 @@ UNBOUNDED = float("inf")
 
 
 def _check_extent(name, value):
-    if value == UNBOUNDED:
-        return
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise PreconditionViolation(
-            f"{name} must be a positive integer or UNBOUNDED, got {value!r}"
-        )
+    if value != UNBOUNDED:
+        check_int(PreconditionViolation, 1, f"{name} (unless UNBOUNDED)", value)
 
 
 @dataclass(frozen=True)
@@ -57,8 +53,7 @@ class BundleProfile:
 
 
 def _check_degree(profile, degree):
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise DegreeOutOfRange(f"degree must be a positive integer, got {degree!r}")
+    check_int(DegreeOutOfRange, 1, "degree", degree)
     if degree > profile.t:
         raise DegreeOutOfRange(
             f"degree {degree} exceeds the verified generation range t={profile.t}"
@@ -101,6 +96,5 @@ def monomial_count(parts, degree):
     """Number of degree-``degree`` monomials in commuting generators whose
     degrees are the distinct values of ``parts`` (each generator usable any
     number of times)."""
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise ValueError(f"degree must be a positive integer, got {degree!r}")
+    check_int(ValueError, 1, "degree", degree)
     return count_set_any(parts, degree)

@@ -369,8 +369,12 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as sink:
-            sink.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as sink:
+                sink.write(rendered)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return _EXIT_USAGE
     else:
         sys.stdout.write(rendered)
     return code

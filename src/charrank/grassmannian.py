@@ -14,14 +14,13 @@ cross-check each other.
 from dataclasses import dataclass
 
 from charrank import _dispatch
-from charrank.errors import InvalidDimensions
-from charrank.partitions import _check_count
+from charrank.errors import InvalidDimensions, check_int
 
 
 def _check_dims(n, k):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidDimensions(f"ambient dimension must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= n:
+    check_int(InvalidDimensions, 1, "ambient dimension", n)
+    check_int(InvalidDimensions, 0, "plane dimension", k)
+    if k > n:
         raise InvalidDimensions(f"plane dimension must satisfy 0 <= k <= {n}, got {k!r}")
 
 
@@ -43,7 +42,7 @@ def betti(n, k, degree):
     """The mod-2 Betti number of the k-planes-in-R^n Grassmannian in the
     given degree (0 beyond the manifold dimension)."""
     _check_dims(n, k)
-    _check_count("degree", degree)
+    check_int(ValueError, 0, "degree", degree)
     return _dispatch.box_count(n - k, k, degree)
 
 

@@ -13,7 +13,7 @@ from math import comb
 
 from charrank.bounds import UNBOUNDED, BundleProfile, betti_upper_bound, betti_upper_bound_gapless
 from charrank.bijection import verify_bijection
-from charrank.errors import PreconditionViolation
+from charrank.errors import PreconditionViolation, check_int
 from charrank.grassmannian import gaussian_binomial, poincare
 from charrank.oracles import pentagonal_partition_table
 from charrank.partitions import (
@@ -40,11 +40,6 @@ _DEFAULT_RANGES = {
 }
 
 
-def _check_arg(name, value, minimum=1):
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 def _single_report(identity, params):
     return VerificationReport(
         identity_id=identity,
@@ -69,9 +64,9 @@ def verify_eq3(min_part, max_part, weight):
     """Check, for one (min_part, max_part, weight), that counting
     partitions with parts in the interval matches the transported box
     counts."""
-    _check_arg("min_part", min_part)
-    _check_arg("max_part", max_part, minimum=min_part)
-    _check_arg("weight", weight)
+    check_int(ValueError, 1, "min_part", min_part)
+    check_int(ValueError, min_part, "max_part", max_part)
+    check_int(ValueError, 1, "weight", weight)
     params = (("min_part", min_part), ("max_part", max_part), ("weight", weight))
     report = _single_report(Identity.EQ3, params)
     lhs, rhs = _eq3_sides(min_part, max_part, weight)
@@ -88,7 +83,7 @@ def _eq4_sides(weight):
 def verify_eq4(weight):
     """Check that p(weight) equals the sum over s of partitions of
     weight - s in an (weight-1) x s box."""
-    _check_arg("weight", weight)
+    check_int(ValueError, 1, "weight", weight)
     params = (("weight", weight),)
     report = _single_report(Identity.EQ4, params)
     lhs, rhs = _eq4_sides(weight)
@@ -109,11 +104,8 @@ def verify_eq5(num_degrees, weight):
     ``weight`` with parts at most ``num_degrees`` match the box counts
     summed from s = ceil(weight/num_degrees); additionally confirms the
     left side equals the any-number-of-parts count."""
-    _check_arg("num_degrees", num_degrees)
-    if not isinstance(weight, int) or isinstance(weight, bool) or weight <= num_degrees:
-        raise PreconditionViolation(
-            f"weight must be an integer exceeding num_degrees={num_degrees}, got {weight!r}"
-        )
+    check_int(ValueError, 1, "num_degrees", num_degrees)
+    check_int(PreconditionViolation, num_degrees + 1, "weight", weight)
     params = (("num_degrees", num_degrees), ("weight", weight))
     report = _single_report(Identity.EQ5, params)
     lhs, rhs = _eq5_sides(num_degrees, weight)
@@ -291,7 +283,9 @@ def verify_sweep(identity_id, ranges=None):
                 f"unknown range parameter(s) for {identity.value}: {', '.join(unknown)}"
             )
         for key, value in ranges.items():
-            _check_arg(key, value, minimum=0)
+            # k is a number of degrees, not a grid bound: the tail form
+            # divides by it
+            check_int(ValueError, 1 if key == "k" else 0, key, value)
         merged.update(ranges)
     report = VerificationReport(
         identity_id=identity,

@@ -9,17 +9,11 @@ share a bug with them.
 """
 
 from charrank import _dispatch
-from charrank.errors import CapExceeded
+from charrank.errors import CapExceeded, check_int
 
 #: Default bound on the effective search box (largest part x number of
 #: parts) accepted by the enumeration functions.
 DEFAULT_ENUMERATION_CAP = 64
-
-
-def _check_count(name, value):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    return value
 
 
 class Partition:
@@ -34,9 +28,7 @@ class Partition:
 
     def __init__(self, parts=()):
         collected = list(parts)
-        for p in collected:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-                raise ValueError(f"parts must be positive integers, got {p!r}")
+        check_int(ValueError, 1, "each part", *collected)
         self._parts = tuple(sorted(collected, reverse=True))
 
     @property
@@ -74,9 +66,7 @@ class PartsSet:
 
     def __init__(self, members):
         collected = list(members)
-        for m in collected:
-            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-                raise ValueError(f"part values must be positive integers, got {m!r}")
+        check_int(ValueError, 1, "each part value", *collected)
         if not collected:
             raise ValueError("a PartsSet needs at least one value")
         self._members = tuple(sorted(set(collected)))
@@ -84,9 +74,8 @@ class PartsSet:
     @classmethod
     def interval(cls, lo, hi):
         """The consecutive run {lo, lo+1, .., hi}."""
-        ints = all(isinstance(x, int) and not isinstance(x, bool) for x in (lo, hi))
-        if not ints or lo < 1 or hi < lo:
-            raise ValueError(f"need 1 <= lo <= hi, got lo={lo!r}, hi={hi!r}")
+        check_int(ValueError, 1, "lo", lo)
+        check_int(ValueError, lo, "hi", hi)
         return cls(range(lo, hi + 1))
 
     @property
@@ -136,9 +125,7 @@ def _as_members(parts):
     if isinstance(parts, PartsSet):
         return parts.members
     collected = list(parts)
-    for m in collected:
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError(f"part values must be positive integers, got {m!r}")
+    check_int(ValueError, 1, "each part value", *collected)
     return tuple(sorted(set(collected)))
 
 
@@ -146,9 +133,9 @@ def count_box(max_part, max_parts, weight):
     """Partitions of ``weight`` into at most ``max_parts`` parts, each at
     most ``max_part``.  Equivalently: partitions fitting in a
     max_part x max_parts box."""
-    _check_count("max_part", max_part)
-    _check_count("max_parts", max_parts)
-    _check_count("weight", weight)
+    check_int(ValueError, 0, "max_part", max_part)
+    check_int(ValueError, 0, "max_parts", max_parts)
+    check_int(ValueError, 0, "weight", weight)
     return _dispatch.box_count(max_part, max_parts, weight)
 
 
@@ -156,8 +143,8 @@ def count_set_exact(parts, num_parts, weight):
     """Partitions of ``weight`` into exactly ``num_parts`` parts, all drawn
     from ``parts`` (with repetition)."""
     members = _as_members(parts)
-    _check_count("num_parts", num_parts)
-    _check_count("weight", weight)
+    check_int(ValueError, 0, "num_parts", num_parts)
+    check_int(ValueError, 0, "weight", weight)
     if num_parts > weight:
         # every part is >= 1, so exactly num_parts of them weigh at least
         # num_parts; only the empty partition of 0 survives
@@ -171,8 +158,8 @@ def count_set_at_most(parts, max_parts, weight):
     """Partitions of ``weight`` into at most ``max_parts`` parts from
     ``parts``; the empty partition counts when ``weight`` is 0."""
     members = _as_members(parts)
-    _check_count("max_parts", max_parts)
-    _check_count("weight", weight)
+    check_int(ValueError, 0, "max_parts", max_parts)
+    check_int(ValueError, 0, "weight", weight)
     if not members:
         return 1 if weight == 0 else 0
     bound = min(max_parts, weight)
@@ -182,7 +169,7 @@ def count_set_at_most(parts, max_parts, weight):
 def count_set_any(parts, weight):
     """Partitions of ``weight`` into any number of parts from ``parts``."""
     members = _as_members(parts)
-    _check_count("weight", weight)
+    check_int(ValueError, 0, "weight", weight)
     if weight == 0:
         return 1
     if not members:
@@ -192,7 +179,7 @@ def count_set_any(parts, weight):
 
 def count_total(weight):
     """The unrestricted partition number p(weight)."""
-    _check_count("weight", weight)
+    check_int(ValueError, 0, "weight", weight)
     return _dispatch.partition_table(weight)[weight]
 
 
@@ -212,9 +199,9 @@ def enumerate_box(max_part, max_parts, weight, cap=DEFAULT_ENUMERATION_CAP):
     Refuses (``CapExceeded``) when the effective search box — largest part
     times number of parts, both clamped to ``weight`` — exceeds ``cap``.
     """
-    _check_count("max_part", max_part)
-    _check_count("max_parts", max_parts)
-    _check_count("weight", weight)
+    check_int(ValueError, 0, "max_part", max_part)
+    check_int(ValueError, 0, "max_parts", max_parts)
+    check_int(ValueError, 0, "weight", weight)
     _check_cap(max_part, max_parts, weight, cap)
     found = []
     acc = []
@@ -240,8 +227,8 @@ def enumerate_set_exact(parts, num_parts, weight, cap=DEFAULT_ENUMERATION_CAP):
     """All partitions counted by ``count_set_exact``, lexicographically
     decreasing.  Same cap policy as ``enumerate_box``."""
     members = _as_members(parts)
-    _check_count("num_parts", num_parts)
-    _check_count("weight", weight)
+    check_int(ValueError, 0, "num_parts", num_parts)
+    check_int(ValueError, 0, "weight", weight)
     if not members or num_parts == 0:
         keep = num_parts == 0 and weight == 0
         return [Partition([])] if keep else []

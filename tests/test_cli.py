@@ -191,6 +191,11 @@ class TestVerify:
         assert code == 2
         assert "empty parameter grid" in err
 
+    def test_eq5_zero_k_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "eq5", "--k", "0")
+        assert code == 2
+        assert "k must be an integer >= 1" in err
+
     def test_unknown_range_flag_for_identity(self, capsys):
         code, _, err = run_cli(capsys, "verify", "eq4", "--max-mu", "4")
         assert code == 2
@@ -230,6 +235,13 @@ class TestOutputHandling:
         assert capsys.readouterr().out == ""
         record = json.loads(target.read_text(encoding="utf-8"))
         assert record["results"]["value"] == "15"
+
+    def test_unwritable_output_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "record.txt"
+        code, out, err = run_cli(capsys, "count", "total", "5", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert not target.exists()
 
     def test_deterministic_output(self, capsys):
         first = run_cli(capsys, "verify", "eq3", "--max-mu", "4", "--max-j", "9", "--format", "json")

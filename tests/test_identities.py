@@ -112,6 +112,10 @@ class TestVerifySweep:
         with pytest.raises(ValueError, match="empty parameter grid"):
             verify_sweep(Identity.EQ4, {"max_j": 0})
 
+    def test_eq5_zero_degrees_is_an_error(self):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            verify_sweep(Identity.EQ5, {"k": 0})
+
     def test_unknown_range_key_is_an_error(self):
         with pytest.raises(ValueError, match="unknown range"):
             verify_sweep(Identity.EQ4, {"max_mu": 5})

@@ -1,35 +1,77 @@
-"""Both kernel backends must be indistinguishable, entry by entry."""
+"""Both kernel backends must be indistinguishable, entry by entry.
 
-import os
-import subprocess
+The compiled backend is built from ``src/charrank/_kernels_c.c`` into a
+temporary directory with the interpreter's own toolchain, so these tests
+exercise the current source whether or not the package was built, and
+never leave a build product in the source tree.
+"""
+
+import importlib
+import importlib.util
+import shutil
 import sys
+import sysconfig
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from setuptools import Distribution, Extension
+from setuptools.command.build_ext import build_ext
 
+import charrank
 from charrank import _dispatch, _kernels_py
 
-_kernels_c = pytest.importorskip(
-    "charrank._kernels_c", reason="compiled backend not built"
-)
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "charrank" / "_kernels_c.c"
+KERNELS = ("box_count", "box_table", "set_exact_counts", "partition_table")
 
 
-def test_backend_markers():
+def _build(directory):
+    """Compile ``SOURCE`` into ``directory`` and load it as
+    ``charrank._kernels_c``; skip when there is nothing to compile with."""
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    header = Path(sysconfig.get_paths()["include"], "Python.h")
+    if shutil.which(compiler) is None or not header.is_file():
+        pytest.skip(f"no C compiler ({compiler}) or no {header}")
+    dist = Distribution({"ext_modules": [Extension("charrank._kernels_c", [str(SOURCE)])]})
+    command = build_ext(dist)
+    command.build_lib = str(directory)
+    command.build_temp = str(directory / "temp")
+    command.ensure_finalized()
+    command.run()
+    path = command.get_ext_fullpath("charrank._kernels_c")
+    spec = importlib.util.spec_from_file_location("charrank._kernels_c", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def kernels_c(tmp_path_factory):
+    """The freshly built compiled backend, importable as
+    ``charrank._kernels_c`` while this module's tests run."""
+    module = _build(tmp_path_factory.mktemp("kernels_c"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "charrank._kernels_c", module)
+        patch.delattr(charrank, "_kernels_c", raising=False)
+        yield module
+
+
+def test_backend_markers(kernels_c):
     assert _kernels_py.BACKEND == "python"
-    assert _kernels_c.BACKEND == "cython"
-    assert _dispatch.backend_name() in ("python", "cython")
+    assert kernels_c.BACKEND == "c"
+    assert _dispatch.backend_name() in ("python", "c")
 
 
 @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 80))
-def test_box_count_agrees(a, b, c):
-    assert _kernels_c.box_count(a, b, c) == _kernels_py.box_count(a, b, c)
+def test_box_count_agrees(kernels_c, a, b, c):
+    assert kernels_c.box_count(a, b, c) == _kernels_py.box_count(a, b, c)
 
 
 @given(st.integers(0, 12), st.integers(0, 12))
-def test_box_table_agrees(a, b):
-    assert _kernels_c.box_table(a, b) == _kernels_py.box_table(a, b)
+def test_box_table_agrees(kernels_c, a, b):
+    assert kernels_c.box_table(a, b) == _kernels_py.box_table(a, b)
 
 
 @given(
@@ -37,76 +79,64 @@ def test_box_table_agrees(a, b):
     st.integers(0, 10),
     st.integers(0, 60),
 )
-def test_set_exact_counts_agree(members, b, c):
+def test_set_exact_counts_agree(kernels_c, members, b, c):
     parts = tuple(sorted(members))
-    assert _kernels_c.set_exact_counts(parts, b, c) == _kernels_py.set_exact_counts(
+    assert kernels_c.set_exact_counts(parts, b, c) == _kernels_py.set_exact_counts(
         parts, b, c
     )
 
 
 @given(st.integers(0, 120))
-def test_partition_table_agrees(n):
-    assert _kernels_c.partition_table(n) == _kernels_py.partition_table(n)
+def test_partition_table_agrees(kernels_c, n):
+    assert kernels_c.partition_table(n) == _kernels_py.partition_table(n)
 
 
 @settings(deadline=None, max_examples=10)
 @given(st.integers(410, 424))
-def test_partition_table_agrees_across_word_size_boundary(n):
+def test_partition_table_agrees_across_word_size_boundary(kernels_c, n):
     # weights 417+ leave the compiled uint64 fast path for the shared
     # big-integer route; the seam must be invisible
-    assert _kernels_c.partition_table(n) == _kernels_py.partition_table(n)
+    assert kernels_c.partition_table(n) == _kernels_py.partition_table(n)
 
 
-def test_box_count_beyond_fast_path_is_exact():
+def test_box_count_beyond_fast_path_is_exact(kernels_c):
     # weight above 416 forces the compiled backend to delegate; the result
     # is a big integer either way
     a, b, c = 30, 30, 450
-    assert _kernels_c.box_count(a, b, c) == _kernels_py.box_count(a, b, c)
+    assert kernels_c.box_count(a, b, c) == _kernels_py.box_count(a, b, c)
 
 
-def test_huge_bounds_are_clamped_not_overflowed():
+def test_huge_bounds_are_clamped_not_overflowed(kernels_c):
     # nominal bounds far beyond any C integer must not trip the compiled
     # backend; only the weight matters once bounds exceed it
     big = 10**30
-    assert _kernels_c.box_count(big, big, 40) == _kernels_py.box_count(40, 40, 40)
+    assert kernels_c.box_count(big, big, 40) == _kernels_py.box_count(40, 40, 40)
 
 
-def test_table_row_zero_weight():
-    assert _kernels_c.box_table(0, 7) == [1]
-    assert _kernels_c.box_table(7, 0) == [1]
-    assert _kernels_c.set_exact_counts((2, 3), 0, 0) == [1]
+def test_table_row_zero_weight(kernels_c):
+    assert kernels_c.box_table(0, 7) == [1]
+    assert kernels_c.box_table(7, 0) == [1]
+    assert kernels_c.set_exact_counts((2, 3), 0, 0) == [1]
 
 
-def test_concurrent_calls_are_consistent():
+def test_concurrent_calls_are_consistent(kernels_c):
     expected = _kernels_py.box_count(10, 10, 50)
 
     def job(_):
-        return _kernels_c.box_count(10, 10, 50)
+        return kernels_c.box_count(10, 10, 50)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(job, range(64)))
     assert all(r == expected for r in results)
 
 
-def test_pure_python_env_var_forces_fallback():
-    env = dict(os.environ, CHARRANK_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import charrank; print(charrank.backend_name())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-def test_default_env_prefers_compiled():
-    env = {k: v for k, v in os.environ.items() if k != "CHARRANK_PURE_PYTHON"}
-    out = subprocess.run(
-        [sys.executable, "-c", "import charrank; print(charrank.backend_name())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "cython"
+def test_dispatch_serves_compiled_when_it_imports(kernels_c, monkeypatch):
+    for name in ("_backend",) + KERNELS:  # put back after the reloads below
+        monkeypatch.setattr(_dispatch, name, getattr(_dispatch, name))
+    importlib.reload(_dispatch)
+    assert _dispatch.backend_name() == "c"
+    assert all(getattr(_dispatch, k) is getattr(kernels_c, k) for k in KERNELS)
+    monkeypatch.setitem(sys.modules, "charrank._kernels_c", None)  # import fails
+    importlib.reload(_dispatch)
+    assert _dispatch.backend_name() == "python"
+    assert all(getattr(_dispatch, k) is getattr(_kernels_py, k) for k in KERNELS)
