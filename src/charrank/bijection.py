@@ -48,7 +48,7 @@ def _reduce(p, num_parts, min_part, max_part):
             raise PreconditionViolation(
                 f"part {v} falls outside [{min_part}, {max_part}]"
             )
-    return Partition([v - min_part for v in p if v > min_part])
+    return Partition._canonical(tuple([v - min_part for v in p if v > min_part]))
 
 
 def expand(q, num_parts, min_part):
@@ -72,7 +72,7 @@ def _expand(q, num_parts, min_part):
         )
     grown = [v + min_part for v in q]
     grown.extend([min_part] * (num_parts - len(q)))
-    return Partition(grown)
+    return Partition._canonical(tuple(grown))
 
 
 def verify_bijection(min_part, max_part, weight, num_parts, cap=DEFAULT_ENUMERATION_CAP):
@@ -85,7 +85,9 @@ def verify_bijection(min_part, max_part, weight, num_parts, cap=DEFAULT_ENUMERAT
     VerificationReport with ``checked == 1``.
 
     The integer arguments are checked once here, not again for every
-    partition that ``reduce`` and ``expand`` map.
+    partition that ``reduce`` and ``expand`` map.  An enumerated partition
+    that they refuse (wrong number of parts, or a part outside the
+    interval) is recorded as a failure, not raised.
     """
     _check_interval(min_part, max_part)
     check_int(PreconditionViolation, 1, "number of parts", num_parts)
@@ -116,22 +118,32 @@ def verify_bijection(min_part, max_part, weight, num_parts, cap=DEFAULT_ENUMERAT
 
     report.compare(tag + (("check", "cardinality"),), len(domain), len(codomain))
 
+    # Partitions go into comparisons and tags as objects, not reprs: a
+    # rendered failure shows their str, which is their repr.
     for p in domain:
-        q = _reduce(p, num_parts, min_part, max_part)
-        if q not in codomain_set:
-            report.compare(tag + (("check", "image membership"),), repr(q), "reduced side")
+        try:
+            q = _reduce(p, num_parts, min_part, max_part)
+        except PreconditionViolation as exc:
+            report.compare(tag + (("check", "precondition"), ("p", p)), str(exc), "satisfied")
             continue
-        report.compare(tag + (("check", "shifted weight"), ("p", repr(p))), q.weight, residual)
+        if q not in codomain_set:
+            report.compare(tag + (("check", "image membership"),), q, "reduced side")
+            continue
+        report.compare(tag + (("check", "shifted weight"), ("p", p)), q.weight, residual)
         back = _expand(q, num_parts, min_part)
-        report.compare(tag + (("check", "round trip"), ("p", repr(p))), repr(back), repr(p))
+        report.compare(tag + (("check", "round trip"), ("p", p)), back, p)
 
     domain_set = set(domain)
     for q in codomain:
-        p = _expand(q, num_parts, min_part)
-        if p not in domain_set:
-            report.compare(tag + (("check", "preimage membership"), ("q", repr(q))), repr(p), "original side")
+        try:
+            p = _expand(q, num_parts, min_part)
+            if p not in domain_set:
+                report.compare(tag + (("check", "preimage membership"), ("q", q)), p, "original side")
+                continue
+            back = _reduce(p, num_parts, min_part, max_part)
+        except PreconditionViolation as exc:
+            report.compare(tag + (("check", "precondition"), ("q", q)), str(exc), "satisfied")
             continue
-        back = _reduce(p, num_parts, min_part, max_part)
-        report.compare(tag + (("check", "round trip"), ("q", repr(q))), repr(back), repr(q))
+        report.compare(tag + (("check", "round trip"), ("q", q)), back, q)
 
     return report

@@ -6,7 +6,9 @@ Subcommands:
 * ``betti N K [DEGREE]`` — one Betti number or the whole table
 * ``bound --set .. --dim .. --charrank .. --degree .. [--gapless]``
 * ``verify IDENTITY [range flags]`` — identity sweeps; ``all`` runs every
-  sweep at its default grid
+  sweep at its default grid.  The identities and the range flags are
+  derived from ``identities.SWEEP_ORDER`` and ``identities.RANGE_KEYS``
+  (``max_mu`` becomes ``--max-mu``), so a new sweep needs no edit here.
 
 Every subcommand takes ``--format text|json|csv`` (default text) and
 ``--output PATH`` to write the rendered record to a file instead of
@@ -24,7 +26,7 @@ import sys
 from charrank.bounds import UNBOUNDED, BundleProfile, betti_upper_bound, betti_upper_bound_gapless
 from charrank.errors import CharrankError
 from charrank.grassmannian import betti, poincare
-from charrank.identities import run_all, verify_sweep
+from charrank.identities import RANGE_KEYS, SWEEP_ORDER, run_all, verify_sweep
 from charrank.partitions import (
     PartsSet,
     count_box,
@@ -40,31 +42,7 @@ _EXIT_USAGE = 2
 #: Failures listed per report in text output before truncating.
 _MAX_LISTED_FAILURES = 20
 
-_VERIFY_CHOICES = (
-    "eq3",
-    "eq4",
-    "eq5",
-    "bijection",
-    "oracle",
-    "grassmannian-tables",
-    "sharpness",
-    "partition-function",
-    "all",
-)
-
-# verify range flags, as (flag, dest) pairs; each identity accepts its own
-# subset and verify_sweep rejects the rest.
-_RANGE_FLAGS = (
-    ("--max-mu", "max_mu"),
-    ("--max-j", "max_j"),
-    ("--max-k", "max_k"),
-    ("--k", "k"),
-    ("--max-x", "max_x"),
-    ("--max-n", "max_n"),
-    ("--max-part", "max_part"),
-    ("--max-parts", "max_parts"),
-    ("--max-weight", "max_weight"),
-)
+_VERIFY_CHOICES = tuple(identity.value for identity in SWEEP_ORDER) + ("all",)
 
 
 def _nonneg_int(text):
@@ -103,8 +81,20 @@ def _extent(text):
         raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {text!r}")
 
 
-def _extent_str(value):
+def _text(value):
+    """A parameter as records show it: a list as ``1,2``, UNBOUNDED as
+    ``inf``, a bool as ``true``/``false``."""
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    if isinstance(value, bool):
+        return str(value).lower()
     return "inf" if value == UNBOUNDED else str(value)
+
+
+def _params(args):
+    """The record params of a ``count`` or ``bound`` command: the fields
+    that its subparser names, rendered by ``_text``."""
+    return {field: _text(getattr(args, field)) for field in args.fields}
 
 
 def _json_dump(record):
@@ -175,32 +165,9 @@ def _record(command, params, results, status="ok"):
 
 
 def _cmd_count(args):
-    if args.subject == "box":
-        params = {
-            "subject": "box",
-            "max_part": str(args.max_part),
-            "max_parts": str(args.max_parts),
-            "weight": str(args.weight),
-        }
-        value = count_box(args.max_part, args.max_parts, args.weight)
-    elif args.subject == "set-exact":
-        params = {
-            "subject": "set-exact",
-            "parts": ",".join(map(str, args.parts)),
-            "num_parts": str(args.num_parts),
-            "weight": str(args.weight),
-        }
-        value = count_set_exact(args.parts, args.num_parts, args.weight)
-    elif args.subject == "set-any":
-        params = {
-            "subject": "set-any",
-            "parts": ",".join(map(str, args.parts)),
-            "weight": str(args.weight),
-        }
-        value = count_set_any(args.parts, args.weight)
-    else:
-        params = {"subject": "total", "weight": str(args.weight)}
-        value = count_total(args.weight)
+    # the fields are the counting function's arguments, in order
+    value = args.count(*(getattr(args, field) for field in args.fields))
+    params = {"subject": args.subject, **_params(args)}
     return _record("count", params, {"value": str(value)}), "scalar", _EXIT_OK
 
 
@@ -221,14 +188,7 @@ def _cmd_bound(args):
         value = betti_upper_bound_gapless(profile, args.degree)
     else:
         value = betti_upper_bound(profile, args.degree)
-    params = {
-        "set": ",".join(map(str, args.set)),
-        "dim": _extent_str(args.dim),
-        "charrank": _extent_str(args.charrank),
-        "degree": str(args.degree),
-        "gapless": "true" if args.gapless else "false",
-    }
-    return _record("bound", params, {"value": str(value)}), "scalar", _EXIT_OK
+    return _record("bound", _params(args), {"value": str(value)}), "scalar", _EXIT_OK
 
 
 def _report_payload(report):
@@ -249,11 +209,7 @@ def _report_payload(report):
 
 
 def _cmd_verify(args):
-    ranges = {}
-    for _, dest in _RANGE_FLAGS:
-        value = getattr(args, dest)
-        if value is not None:
-            ranges[dest] = value
+    ranges = {key: getattr(args, key) for key in RANGE_KEYS if getattr(args, key) is not None}
     params = {"identity": args.identity}
     params.update({k.replace("_", "-"): str(v) for k, v in sorted(ranges.items())})
     if args.identity == "all":
@@ -299,7 +255,9 @@ def _build_parser():
     box.add_argument("max_part", type=_nonneg_int, metavar="MAX_PART")
     box.add_argument("max_parts", type=_nonneg_int, metavar="MAX_PARTS")
     box.add_argument("weight", type=_nonneg_int, metavar="WEIGHT")
-    box.set_defaults(handler=_cmd_count)
+    box.set_defaults(
+        handler=_cmd_count, count=count_box, fields=("max_part", "max_parts", "weight")
+    )
 
     set_exact = count_subs.add_parser(
         "set-exact", parents=[common], help="exactly NUM_PARTS parts from --parts"
@@ -307,20 +265,22 @@ def _build_parser():
     set_exact.add_argument("--parts", type=_parts_csv, required=True, metavar="P1,P2,..")
     set_exact.add_argument("num_parts", type=_nonneg_int, metavar="NUM_PARTS")
     set_exact.add_argument("weight", type=_nonneg_int, metavar="WEIGHT")
-    set_exact.set_defaults(handler=_cmd_count)
+    set_exact.set_defaults(
+        handler=_cmd_count, count=count_set_exact, fields=("parts", "num_parts", "weight")
+    )
 
     set_any = count_subs.add_parser(
         "set-any", parents=[common], help="any number of parts from --parts"
     )
     set_any.add_argument("--parts", type=_parts_csv, required=True, metavar="P1,P2,..")
     set_any.add_argument("weight", type=_nonneg_int, metavar="WEIGHT")
-    set_any.set_defaults(handler=_cmd_count)
+    set_any.set_defaults(handler=_cmd_count, count=count_set_any, fields=("parts", "weight"))
 
     total = count_subs.add_parser(
         "total", parents=[common], help="unrestricted partition number"
     )
     total.add_argument("weight", type=_nonneg_int, metavar="WEIGHT")
-    total.set_defaults(handler=_cmd_count)
+    total.set_defaults(handler=_cmd_count, count=count_total, fields=("weight",))
 
     betti_cmd = subs.add_parser(
         "betti", parents=[common], help="Betti numbers of the k-planes-in-R^n Grassmannian"
@@ -342,15 +302,17 @@ def _build_parser():
     bound.add_argument("--degree", type=_nonneg_int, required=True, metavar="DEGREE")
     bound.add_argument("--gapless", action="store_true",
                        help="evaluate through the box-count form (requires a gapless set)")
-    bound.set_defaults(handler=_cmd_bound)
+    bound.set_defaults(
+        handler=_cmd_bound, fields=("set", "dim", "charrank", "degree", "gapless")
+    )
 
     verify = subs.add_parser(
         "verify", parents=[common], help="sweep an identity over a parameter grid"
     )
     verify.add_argument("identity", choices=_VERIFY_CHOICES, metavar="IDENTITY",
                         help="one of: " + ", ".join(_VERIFY_CHOICES))
-    for flag, dest in _RANGE_FLAGS:
-        verify.add_argument(flag, dest=dest, type=_nonneg_int, default=None)
+    for key in RANGE_KEYS:
+        verify.add_argument("--" + key.replace("_", "-"), type=_nonneg_int, default=None)
     verify.set_defaults(handler=_cmd_verify)
 
     return parser

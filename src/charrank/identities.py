@@ -1,11 +1,16 @@
 """Machine checks for the partition identities this package rests on.
 
-Each ``verify_*`` function checks one parameter tuple and returns a
-VerificationReport; ``verify_sweep`` drives a whole grid for one identity,
-and ``run_all`` runs every sweep at its default ranges (what the CLI's
-``verify all`` does).  All checks go through the public counting API, so a
-defect in either kernel backend surfaces as a failed report rather than a
-wrong answer quietly propagating.
+This module is the one place that knows which identities exist, which
+grid each sweeps and how one instance of each is checked.  Each
+``verify_*`` function checks one parameter tuple and returns a
+VerificationReport; a sweep loops over its grid and absorbs those reports.
+``verify_sweep`` runs one identity's sweep, and ``run_all`` runs every
+sweep at its default ranges (what the CLI's ``verify all`` does).
+``SWEEP_ORDER`` and ``RANGE_KEYS`` name the identities and the range
+parameters; the CLI builds its ``verify`` choices and flags from them.
+All checks go through the public counting API, so a defect in either
+kernel backend surfaces as a failed report rather than a wrong answer
+quietly propagating.
 """
 
 from itertools import combinations
@@ -28,17 +33,6 @@ from charrank.partitions import (
 )
 from charrank.report import Identity, VerificationReport
 
-_DEFAULT_RANGES = {
-    Identity.EQ3: {"max_mu": 10, "max_j": 30},
-    Identity.EQ4: {"max_j": 30},
-    Identity.EQ5: {"k": None, "max_k": 8, "max_j": 30},
-    Identity.BIJECTION_ROUND_TRIP: {"max_mu": 8, "max_x": 8, "max_j": 32},
-    Identity.ORACLE_EQUIVALENCE: {"max_part": 6, "max_parts": 6, "max_weight": 36},
-    Identity.GRASSMANNIAN_TABLES: {"max_n": 24},
-    Identity.BOUND_SHARPNESS: {"max_k": 8, "max_j": 30},
-    Identity.PARTITION_FUNCTION_CROSSCHECK: {"max_weight": 200},
-}
-
 
 def _single_report(identity, params):
     return VerificationReport(
@@ -48,36 +42,22 @@ def _single_report(identity, params):
     )
 
 
-def _eq3_sides(min_part, max_part, weight):
-    """Both sides of the interval-transport identity: partitions of
-    ``weight`` with parts in {min_part..max_part} (any number of parts)
-    against box counts of the reduced weights."""
-    smax = weight // min_part
-    interval = range(min_part, max_part + 1)
-    lhs = count_set_at_most(interval, smax, weight)  # s = 0 contributes nothing for weight >= 1
-    gap = max_part - min_part
-    rhs = sum(count_box(gap, s, weight - min_part * s) for s in range(1, smax + 1))
-    return lhs, rhs
-
-
 def verify_eq3(min_part, max_part, weight):
-    """Check, for one (min_part, max_part, weight), that counting
-    partitions with parts in the interval matches the transported box
-    counts."""
+    """Check, for one (min_part, max_part, weight), that partitions of
+    ``weight`` with parts in {min_part..max_part} (any number of parts)
+    match the box counts of the reduced weights."""
     check_int(ValueError, 1, "min_part", min_part)
     check_int(ValueError, min_part, "max_part", max_part)
     check_int(ValueError, 1, "weight", weight)
     params = (("min_part", min_part), ("max_part", max_part), ("weight", weight))
     report = _single_report(Identity.EQ3, params)
-    lhs, rhs = _eq3_sides(min_part, max_part, weight)
+    smax = weight // min_part
+    interval = range(min_part, max_part + 1)
+    lhs = count_set_at_most(interval, smax, weight)  # s = 0 contributes nothing for weight >= 1
+    gap = max_part - min_part
+    rhs = sum(count_box(gap, s, weight - min_part * s) for s in range(1, smax + 1))
     report.compare(params, lhs, rhs)
     return report
-
-
-def _eq4_sides(weight):
-    lhs = count_total(weight)
-    rhs = sum(count_box(weight - 1, s, weight - s) for s in range(1, weight + 1))
-    return lhs, rhs
 
 
 def verify_eq4(weight):
@@ -86,17 +66,17 @@ def verify_eq4(weight):
     check_int(ValueError, 1, "weight", weight)
     params = (("weight", weight),)
     report = _single_report(Identity.EQ4, params)
-    lhs, rhs = _eq4_sides(weight)
-    report.compare(params, lhs, rhs)
+    rhs = sum(count_box(weight - 1, s, weight - s) for s in range(1, weight + 1))
+    report.compare(params, count_total(weight), rhs)
     return report
 
 
-def _eq5_sides(num_degrees, weight):
-    interval = range(1, num_degrees + 1)
-    lhs = count_set_at_most(interval, weight, weight)
+def _tail(num_degrees, weight):
+    """The box-count tail: the sum over s >= ceil(weight/num_degrees) of
+    partitions of weight - s into at most s parts, each at most
+    num_degrees - 1."""
     first = -(-weight // num_degrees)
-    rhs = sum(count_box(num_degrees - 1, s, weight - s) for s in range(first, weight + 1))
-    return lhs, rhs
+    return sum(count_box(num_degrees - 1, s, weight - s) for s in range(first, weight + 1))
 
 
 def verify_eq5(num_degrees, weight):
@@ -108,13 +88,10 @@ def verify_eq5(num_degrees, weight):
     check_int(PreconditionViolation, num_degrees + 1, "weight", weight)
     params = (("num_degrees", num_degrees), ("weight", weight))
     report = _single_report(Identity.EQ5, params)
-    lhs, rhs = _eq5_sides(num_degrees, weight)
-    report.compare(params + (("check", "tail form"),), lhs, rhs)
-    report.compare(
-        params + (("check", "any-parts form"),),
-        lhs,
-        count_set_any(range(1, num_degrees + 1), weight),
-    )
+    interval = range(1, num_degrees + 1)
+    lhs = count_set_at_most(interval, weight, weight)
+    report.compare(params + (("check", "tail form"),), lhs, _tail(num_degrees, weight))
+    report.compare(params + (("check", "any-parts form"),), lhs, count_set_any(interval, weight))
     return report
 
 
@@ -122,36 +99,19 @@ def _sweep_eq3(report, max_mu, max_j):
     for mu in range(1, max_mu + 1):
         for nu in range(1, mu + 1):
             for j in range(nu, max_j + 1):
-                report.checked += 1
-                lhs, rhs = _eq3_sides(nu, mu, j)
-                report.compare(
-                    (("min_part", nu), ("max_part", mu), ("weight", j)), lhs, rhs
-                )
+                report.absorb(verify_eq3(nu, mu, j))
 
 
 def _sweep_eq4(report, max_j):
     for j in range(1, max_j + 1):
-        report.checked += 1
-        lhs, rhs = _eq4_sides(j)
-        report.compare((("weight", j),), lhs, rhs)
+        report.absorb(verify_eq4(j))
 
 
 def _sweep_eq5(report, max_k, max_j, k=None):
     fixed = [k] if k is not None else range(1, max_k + 1)
     for num_degrees in fixed:
         for j in range(num_degrees + 1, max_j + 1):
-            report.checked += 1
-            lhs, rhs = _eq5_sides(num_degrees, j)
-            report.compare(
-                (("num_degrees", num_degrees), ("weight", j), ("check", "tail form")),
-                lhs,
-                rhs,
-            )
-            report.compare(
-                (("num_degrees", num_degrees), ("weight", j), ("check", "any-parts form")),
-                lhs,
-                count_set_any(range(1, num_degrees + 1), j),
-            )
+            report.absorb(verify_eq5(num_degrees, j))
 
 
 def _sweep_bijection(report, max_mu, max_x, max_j):
@@ -226,9 +186,7 @@ def _sweep_sharpness(report, max_k, max_j):
                     count_total(j),
                 )
             else:
-                first = -(-j // k)
-                tail = sum(count_box(k - 1, s, j - s) for s in range(first, j + 1))
-                report.compare(params + (("check", "tail form"),), bound, tail)
+                report.compare(params + (("check", "tail form"),), bound, _tail(k, j))
             report.compare(
                 params + (("check", "gapless form"),),
                 bound,
@@ -243,28 +201,24 @@ def _sweep_partition_crosscheck(report, max_weight):
         report.compare((("weight", w),), count_total(w), expected[w])
 
 
-_SWEEPERS = {
-    Identity.EQ3: _sweep_eq3,
-    Identity.EQ4: _sweep_eq4,
-    Identity.EQ5: _sweep_eq5,
-    Identity.BIJECTION_ROUND_TRIP: _sweep_bijection,
-    Identity.ORACLE_EQUIVALENCE: _sweep_oracle,
-    Identity.GRASSMANNIAN_TABLES: _sweep_grassmannian,
-    Identity.BOUND_SHARPNESS: _sweep_sharpness,
-    Identity.PARTITION_FUNCTION_CROSSCHECK: _sweep_partition_crosscheck,
+#: Every identity with its sweep and default grid, in the order ``run_all``
+#: (and the CLI's ``verify all``) runs them.  A grid key whose default is
+#: None fixes one value instead of bounding the grid.
+_SWEEPS = {
+    Identity.EQ3: (_sweep_eq3, {"max_mu": 10, "max_j": 30}),
+    Identity.EQ4: (_sweep_eq4, {"max_j": 30}),
+    Identity.EQ5: (_sweep_eq5, {"max_k": 8, "k": None, "max_j": 30}),
+    Identity.BIJECTION_ROUND_TRIP: (_sweep_bijection, {"max_mu": 8, "max_x": 8, "max_j": 32}),
+    Identity.ORACLE_EQUIVALENCE: (_sweep_oracle, {"max_part": 6, "max_parts": 6, "max_weight": 36}),
+    Identity.GRASSMANNIAN_TABLES: (_sweep_grassmannian, {"max_n": 24}),
+    Identity.BOUND_SHARPNESS: (_sweep_sharpness, {"max_k": 8, "max_j": 30}),
+    Identity.PARTITION_FUNCTION_CROSSCHECK: (_sweep_partition_crosscheck, {"max_weight": 200}),
 }
 
-#: Order the sweeps run in under ``run_all`` (and the CLI's ``verify all``).
-SWEEP_ORDER = (
-    Identity.EQ3,
-    Identity.EQ4,
-    Identity.EQ5,
-    Identity.BIJECTION_ROUND_TRIP,
-    Identity.ORACLE_EQUIVALENCE,
-    Identity.GRASSMANNIAN_TABLES,
-    Identity.BOUND_SHARPNESS,
-    Identity.PARTITION_FUNCTION_CROSSCHECK,
-)
+SWEEP_ORDER = tuple(_SWEEPS)
+
+#: Every range parameter some sweep accepts, in order of first appearance.
+RANGE_KEYS = tuple(dict.fromkeys(key for _, grid in _SWEEPS.values() for key in grid))
 
 
 def verify_sweep(identity_id, ranges=None):
@@ -274,8 +228,9 @@ def verify_sweep(identity_id, ranges=None):
     override any of that identity's default range parameters (unknown keys
     are rejected).  A grid with no instances raises ValueError.
     """
-    identity = identity_id if isinstance(identity_id, Identity) else Identity(identity_id)
-    merged = dict(_DEFAULT_RANGES[identity])
+    identity = Identity(identity_id)
+    sweep, grid = _SWEEPS[identity]
+    merged = dict(grid)
     if ranges:
         unknown = sorted(set(ranges) - set(merged))
         if unknown:
@@ -283,22 +238,26 @@ def verify_sweep(identity_id, ranges=None):
                 f"unknown range parameter(s) for {identity.value}: {', '.join(unknown)}"
             )
         for key, value in ranges.items():
-            # k is a number of degrees, not a grid bound: the tail form
-            # divides by it
-            check_int(ValueError, 1 if key == "k" else 0, key, value)
+            # a key without a default fixes a number of degrees, which the
+            # tail form divides by; a grid bound may be 0
+            check_int(ValueError, 1 if grid[key] is None else 0, key, value)
         merged.update(ranges)
     report = VerificationReport(
         identity_id=identity,
         swept_ranges={k: str(v) for k, v in sorted(merged.items()) if v is not None},
     )
-    _SWEEPERS[identity](report, **merged)
+    sweep(report, **merged)
     if report.checked == 0:
         raise ValueError(f"empty parameter grid for {identity.value}: {merged}")
     return report
 
 
 def run_all(overrides=None):
-    """Run every sweep at its default ranges (optionally overridden per
-    identity) and return the reports in SWEEP_ORDER."""
-    overrides = overrides or {}
+    """Run every sweep at its default ranges and return the reports in
+    SWEEP_ORDER.
+
+    ``overrides`` maps an Identity or its string value to the ranges that
+    ``verify_sweep`` takes for it; an unknown identity raises ValueError.
+    """
+    overrides = {Identity(key): ranges for key, ranges in (overrides or {}).items()}
     return [verify_sweep(identity, overrides.get(identity)) for identity in SWEEP_ORDER]

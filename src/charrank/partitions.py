@@ -31,6 +31,14 @@ class Partition:
         check_int(ValueError, 1, "each part", *collected)
         self._parts = tuple(sorted(collected, reverse=True))
 
+    @classmethod
+    def _canonical(cls, parts):
+        """A Partition of ``parts``, a tuple of positive integers already in
+        non-increasing order, stored as it is without the check."""
+        partition = object.__new__(cls)
+        partition._parts = parts
+        return partition
+
     @property
     def parts(self):
         return self._parts
@@ -208,7 +216,7 @@ def enumerate_box(max_part, max_parts, weight, cap=DEFAULT_ENUMERATION_CAP):
 
     def descend(remaining, largest, slots):
         if remaining == 0:
-            found.append(Partition(acc))
+            found.append(Partition._canonical(tuple(acc)))
             return
         if slots == 0:
             return
@@ -243,7 +251,7 @@ def enumerate_set_exact(parts, num_parts, weight, cap=DEFAULT_ENUMERATION_CAP):
     def descend(remaining, start, slots):
         if slots == 0:
             if remaining == 0:
-                found.append(Partition(acc))
+                found.append(Partition._canonical(tuple(acc)))
             return
         for i in range(start, len(descending)):
             v = descending[i]

@@ -4,8 +4,11 @@ import sys
 
 import pytest
 
-from charrank import _dispatch
+from charrank import _dispatch, bijection, identities
 from charrank.cli import main
+from charrank.identities import RANGE_KEYS, verify_sweep
+from charrank.partitions import Partition
+from charrank.report import Identity
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +226,80 @@ class TestVerify:
         assert "eq3: fail" in out
         assert "!=" in out
         assert out.endswith("overall: fail\n")
+
+    def test_defective_enumeration_is_a_failure(self, capsys, monkeypatch):
+        true_enumerate = bijection.enumerate_set_exact
+
+        def defective(parts, num_parts, weight, cap):
+            found = true_enumerate(parts, num_parts, weight, cap=cap)
+            if (tuple(parts), num_parts, weight) == ((2, 3, 4), 3, 8):
+                found = found + [Partition([5, 2, 1])]
+            return found
+
+        monkeypatch.setattr(bijection, "enumerate_set_exact", defective)
+        code, out, _ = run_cli(
+            capsys, "verify", "bijection", "--max-mu", "4", "--max-x", "3", "--max-j", "8"
+        )
+        assert code == 1
+        assert "bijection: fail" in out
+        assert "p=Partition([5, 2, 1])] part 5 falls outside [2, 4]" in out
+
+    def test_help_lists_every_identity_and_range_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "400")  # keep the choices on one line
+        code, out, _ = run_cli(capsys, "verify", "--help")
+        assert code == 0
+        listed = out.split("one of: ")[1].splitlines()[0].split(", ")
+        assert listed == [identity.value for identity in Identity] + ["all"]
+        for key in RANGE_KEYS:
+            assert "--" + key.replace("_", "-") in out
+
+
+# A small value for every range parameter, each unlike its default, so a
+# flag that did not reach its sweep would change the count.
+TINY_RANGES = {
+    "max_mu": 3,
+    "max_j": 7,
+    "max_k": 3,
+    "k": 2,
+    "max_x": 2,
+    "max_part": 2,
+    "max_parts": 3,
+    "max_weight": 5,
+    "max_n": 4,
+}
+
+
+def _range_flag_cases():
+    """Per identity, its grid bounds; where it has a fixed value (eq5's
+    k), the bounds with that value too."""
+    cases = []
+    for identity, (_, grid) in identities._SWEEPS.items():
+        bounds = {key: TINY_RANGES[key] for key, default in grid.items() if default is not None}
+        cases.append(pytest.param(identity, bounds, id=identity.value))
+        fixed = {key: TINY_RANGES[key] for key, default in grid.items() if default is None}
+        if fixed:
+            cases.append(pytest.param(identity, {**bounds, **fixed}, id=identity.value + "-fixed"))
+    return cases
+
+
+def test_tiny_ranges_cover_every_range_key():
+    assert set(TINY_RANGES) == set(RANGE_KEYS)
+    for _, grid in identities._SWEEPS.values():
+        for key, default in grid.items():
+            assert TINY_RANGES[key] != default
+
+
+@pytest.mark.parametrize("identity,ranges", _range_flag_cases())
+def test_range_flags_reach_the_sweep(capsys, identity, ranges):
+    argv = ["verify", identity.value, "--format", "csv"]
+    for key, value in ranges.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    code, out, _ = run_cli(capsys, *argv)
+    checked = verify_sweep(identity, ranges).checked
+    assert (code, out) == (
+        0,
+        f"identity,checked,failures,status\n{identity.value},{checked},0,pass\n",
+    )
 
 
 class TestOutputHandling:

@@ -173,3 +173,24 @@ class TestRunAll:
         assert tuple(r.identity_id for r in reports) == SWEEP_ORDER
         assert all(r.passed for r in reports)
         assert all(r.checked >= 1 for r in reports)
+
+    def test_accepts_string_keys(self):
+        small = {
+            "eq3": {"max_mu": 2, "max_j": 3},
+            "eq4": {"max_j": 3},
+            "eq5": {"max_k": 2, "max_j": 4},
+            "bijection": {"max_mu": 2, "max_x": 2, "max_j": 4},
+            "oracle": {"max_part": 2, "max_parts": 2, "max_weight": 4},
+            "grassmannian-tables": {"max_n": 3},
+            "sharpness": {"max_k": 2, "max_j": 4},
+            "partition-function": {"max_weight": 10},
+        }
+        reports = run_all(small)
+        assert [r.checked for r in reports] == [
+            verify_sweep(identity, small[identity.value]).checked for identity in SWEEP_ORDER
+        ]
+        assert reports[0].checked == 8  # 1 <= nu <= mu <= 2, nu <= j <= 3
+
+    def test_unknown_key_is_an_error(self):
+        with pytest.raises(ValueError, match="bogus"):
+            run_all({"eq3": {"max_mu": 2, "max_j": 3}, "bogus": {}})
