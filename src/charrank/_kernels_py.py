@@ -5,15 +5,27 @@ A compiled twin (``_kernels_c``) provides the same four entry points; the
 active backend is chosen in ``_dispatch``.  Everything here works with
 native Python integers, so results are exact at any size.
 
-Two dynamic programs serve all four entry points:
+Two dynamic programs serve the four entry points:
 
-* ``_part_rows``, the 2-D table indexed by (parts used, weight).  It is
-  updated one whole row per slice statement instead of one cell per
-  interpreter step.  ``box_count`` and ``box_table`` conjugate their box
-  first, so the table has ``min(a, b) + 1`` rows.
-* ``_accumulate``, the 1-D table indexed by weight, for counts with no
-  bound on the number of parts: ``partition_table``, and ``box_count``
-  once clamping to the weight shows one of its two bounds to be inert.
+* ``_part_rows``, the 2-D table indexed by (parts used, weight), serves
+  ``box_table``, ``set_exact_counts`` and ``box_count``.  It is updated one
+  whole row per slice statement instead of one cell per interpreter step.
+  ``box_count`` and ``box_table`` conjugate their box first, so the table
+  has ``min(a, b) + 1`` rows.
+* ``_accumulate``, the 1-D table indexed by weight, counts with no bound
+  on the number of parts.  It serves ``box_count`` once clamping to the
+  weight shows one of its two bounds to be inert, and the small parts of
+  ``partition_table``.
+
+``partition_table`` splits the parts at m = isqrt(n) + 1, the standard
+split of Euler's product 1/(q;q)_inf into the parts below m times
+sum_k q^(mk)/(q;q)_k.  ``_accumulate`` counts the small parts, A(w).  The
+partitions into exactly k parts each >= m, E_k, satisfy
+E_k(w) = E_k(w-k) + E_(k-1)(w-m): either the smallest part is m, or 1 comes
+off every part.  Convolving with A commutes with both shifts, so
+G_k = A * E_k obeys the same recurrence and p(w) = sum_k G_k(w) over
+k <= n // m.  That is about 3 n^1.5 additions instead of n^2 / 2, and no
+pentagonal recurrence, which stays the independent oracle.
 
 Every path only adds native integers along an exact recurrence, and
 conjugation and the inert bound are identities of partition counts, so the
@@ -23,6 +35,8 @@ ever mutated, so concurrent use from multiple threads is safe by
 construction.
 """
 
+from itertools import accumulate
+from math import isqrt
 from operator import add
 
 BACKEND = "python"
@@ -127,11 +141,27 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
 
 
 def partition_table(n: int) -> list:
-    """Unrestricted partition numbers p(0..n) by the parts-accumulation DP.
+    """Unrestricted partition numbers p(0..n), split at m = isqrt(n) + 1.
+
+    The parts below m go through ``_accumulate``, which gives G_0.  Row
+    G_k counts partitions with exactly k parts >= m; it is zero below
+    weight k*m, so it is kept from there on.  G_k is G_(k-1) shifted up by
+    m, followed by prefix sums along each residue class mod k, which is
+    G_k(w) = G_k(w-k) + G_(k-1)(w-m); k*m is a multiple of k, so list
+    index and weight agree mod k.  One slice statement runs each class.
 
     Deliberately not the pentagonal-number recurrence: that one lives in
     ``oracles`` and serves as the independent cross-check.
     """
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    return _accumulate([1] + [0] * n, range(1, n + 1))
+    m = isqrt(n) + 1
+    total = _accumulate([1] + [0] * n, range(1, m))
+    row = total
+    for k in range(1, n // m + 1):
+        lo = k * m
+        row = row[: n + 1 - lo]  # a copy: G_(k-1) shifted up by m
+        for r in range(k):
+            row[r::k] = accumulate(row[r::k])
+        total[lo:] = map(add, total[lo:], row)
+    return total

@@ -8,7 +8,9 @@ Subcommands:
 * ``verify IDENTITY [range flags]`` — identity sweeps; ``all`` runs every
   sweep at its default grid.  The identities and the range flags are
   derived from ``identities.SWEEP_ORDER`` and ``identities.RANGE_KEYS``
-  (``max_mu`` becomes ``--max-mu``), so a new sweep needs no edit here.
+  (``max_mu`` becomes ``--max-mu``), and each flag's help names the
+  identities that take it with their ``default_grid`` values, so a new
+  sweep needs no edit here.
 
 Every subcommand takes ``--format text|json|csv`` (default text) and
 ``--output PATH`` to write the rendered record to a file instead of
@@ -26,7 +28,7 @@ import sys
 from charrank.bounds import UNBOUNDED, BundleProfile, betti_upper_bound, betti_upper_bound_gapless
 from charrank.errors import CharrankError
 from charrank.grassmannian import betti, poincare
-from charrank.identities import RANGE_KEYS, SWEEP_ORDER, run_all, verify_sweep
+from charrank.identities import RANGE_KEYS, SWEEP_ORDER, default_grid, run_all, verify_sweep
 from charrank.partitions import (
     PartsSet,
     count_box,
@@ -89,6 +91,18 @@ def _text(value):
     if isinstance(value, bool):
         return str(value).lower()
     return "inf" if value == UNBOUNDED else str(value)
+
+
+def _range_help(key):
+    """The help of a range flag: every identity that takes ``key``, each
+    with its default, e.g. ``bijection (default 8)``."""
+    takers = []
+    for identity in SWEEP_ORDER:
+        grid = default_grid(identity)
+        if key in grid:
+            default = "unset" if grid[key] is None else grid[key]
+            takers.append(f"{identity.value} (default {default})")
+    return ", ".join(takers)
 
 
 def _params(args):
@@ -312,7 +326,9 @@ def _build_parser():
     verify.add_argument("identity", choices=_VERIFY_CHOICES, metavar="IDENTITY",
                         help="one of: " + ", ".join(_VERIFY_CHOICES))
     for key in RANGE_KEYS:
-        verify.add_argument("--" + key.replace("_", "-"), type=_nonneg_int, default=None)
+        verify.add_argument(
+            "--" + key.replace("_", "-"), type=_nonneg_int, default=None, help=_range_help(key)
+        )
     verify.set_defaults(handler=_cmd_verify)
 
     return parser

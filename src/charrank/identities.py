@@ -7,7 +7,8 @@ VerificationReport; a sweep loops over its grid and absorbs those reports.
 ``verify_sweep`` runs one identity's sweep, and ``run_all`` runs every
 sweep at its default ranges (what the CLI's ``verify all`` does).
 ``SWEEP_ORDER`` and ``RANGE_KEYS`` name the identities and the range
-parameters; the CLI builds its ``verify`` choices and flags from them.
+parameters, and ``default_grid`` gives one identity's default ranges; the
+CLI builds its ``verify`` choices, flags and flag help from them.
 All checks go through the public counting API, so a defect in either
 kernel backend surfaces as a failed report rather than a wrong answer
 quietly propagating.
@@ -199,6 +200,14 @@ def _sweep_partition_crosscheck(report, max_weight):
     for w in range(max_weight + 1):
         report.checked += 1
         report.compare((("weight", w),), count_total(w), expected[w])
+    # The top weight once more through count_box's inert-bound route over
+    # parts 1..max_weight: at the default grid, the one check of verify all
+    # whose parts reach the block loop of the pure 1-D kernel.
+    report.compare(
+        (("weight", max_weight), ("check", "box")),
+        count_box(max_weight, max_weight, max_weight),
+        expected[max_weight],
+    )
 
 
 #: Every identity with its sweep and default grid, in the order ``run_all``
@@ -219,6 +228,15 @@ SWEEP_ORDER = tuple(_SWEEPS)
 
 #: Every range parameter some sweep accepts, in order of first appearance.
 RANGE_KEYS = tuple(dict.fromkeys(key for _, grid in _SWEEPS.values() for key in grid))
+
+
+def default_grid(identity_id):
+    """The default range parameters of one identity's sweep, as a new dict.
+
+    A key whose value is None fixes one value when given instead of
+    bounding the grid (eq5's ``k``).
+    """
+    return dict(_SWEEPS[Identity(identity_id)][1])
 
 
 def verify_sweep(identity_id, ranges=None):

@@ -5,7 +5,8 @@ the lines always reach the terminal) and asserts the same condition.
 """
 
 import time
-from math import comb
+from itertools import accumulate
+from math import comb, isqrt
 from operator import add
 
 import pytest
@@ -280,6 +281,20 @@ def _mutant_accumulate_block(dp, parts):
     return dp
 
 
+def _mutant_partition_table_large_rows(n):
+    # the rows of large parts of the pure kernel skip one residue class
+    m = isqrt(n) + 1
+    total = _kernels_py._accumulate([1] + [0] * n, range(1, m))
+    row = total
+    for k in range(1, n // m + 1):
+        lo = k * m
+        row = row[: n + 1 - lo]
+        for r in range(1, k):  # should be range(k)
+            row[r::k] = accumulate(row[r::k])
+        total[lo:] = map(add, total[lo:], row)
+    return total
+
+
 def _mutant_part_rows(parts, rows, width, at_most):
     zeros = [0] * (width - 1)
     table = [[1, *zeros]]
@@ -310,6 +325,7 @@ def test_criterion_9_cli_exit_codes_and_mutation(monkeypatch, capsys):
         "1-D scalar branch": (_kernels_py, "_accumulate", _mutant_accumulate_scalar),
         "1-D block branch": (_kernels_py, "_accumulate", _mutant_accumulate_block),
         "2-D row helper": (_kernels_py, "_part_rows", _mutant_part_rows),
+        "large-part rows": (_dispatch, "partition_table", _mutant_partition_table_large_rows),
     }
     codes = {}
     for name, broken in mutants.items():

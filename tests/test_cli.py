@@ -1,12 +1,13 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from charrank import _dispatch, bijection, identities
+from charrank import _dispatch, bijection
 from charrank.cli import main
-from charrank.identities import RANGE_KEYS, verify_sweep
+from charrank.identities import RANGE_KEYS, SWEEP_ORDER, default_grid, verify_sweep
 from charrank.partitions import Partition
 from charrank.report import Identity
 
@@ -253,6 +254,22 @@ class TestVerify:
         for key in RANGE_KEYS:
             assert "--" + key.replace("_", "-") in out
 
+    def test_help_names_the_identities_of_each_range_flag(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "--help")
+        # one entry per option: its line and the indented help lines below it
+        entries = re.split(r"\n(?=  -)", out.split("options:")[1])[1:]
+        entries = {entry.split()[0]: entry for entry in entries}
+        for key in RANGE_KEYS:
+            entry = entries["--" + key.replace("_", "-")]
+            named = re.findall(r"([\w-]+)\s+\(default\s+(\w+)\)", entry)
+            expected = [
+                (identity.value, str(default_grid(identity)[key]).replace("None", "unset"))
+                for identity in SWEEP_ORDER
+                if key in default_grid(identity)
+            ]
+            assert named == expected
+
+
 
 # A small value for every range parameter, each unlike its default, so a
 # flag that did not reach its sweep would change the count.
@@ -273,7 +290,8 @@ def _range_flag_cases():
     """Per identity, its grid bounds; where it has a fixed value (eq5's
     k), the bounds with that value too."""
     cases = []
-    for identity, (_, grid) in identities._SWEEPS.items():
+    for identity in SWEEP_ORDER:
+        grid = default_grid(identity)
         bounds = {key: TINY_RANGES[key] for key, default in grid.items() if default is not None}
         cases.append(pytest.param(identity, bounds, id=identity.value))
         fixed = {key: TINY_RANGES[key] for key, default in grid.items() if default is None}
@@ -284,8 +302,8 @@ def _range_flag_cases():
 
 def test_tiny_ranges_cover_every_range_key():
     assert set(TINY_RANGES) == set(RANGE_KEYS)
-    for _, grid in identities._SWEEPS.values():
-        for key, default in grid.items():
+    for identity in SWEEP_ORDER:
+        for key, default in default_grid(identity).items():
             assert TINY_RANGES[key] != default
 
 

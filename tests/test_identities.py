@@ -3,6 +3,7 @@ import pytest
 from charrank.errors import PreconditionViolation
 from charrank.identities import (
     SWEEP_ORDER,
+    default_grid,
     run_all,
     verify_eq3,
     verify_eq4,
@@ -150,6 +151,13 @@ class TestVerifySweep:
         report = verify_sweep(Identity.BOUND_SHARPNESS, {"max_k": 3, "max_j": 12})
         assert report.passed
         assert report.checked == 36
+
+    def test_default_grid_is_a_copy(self):
+        grid = default_grid("eq5")
+        assert grid == default_grid(Identity.EQ5) == {"max_k": 8, "k": None, "max_j": 30}
+        grid["max_j"] = 5
+        assert default_grid(Identity.EQ5)["max_j"] == 30
+        assert verify_sweep(Identity.EQ5).swept_ranges["max_j"] == "30"
 
     def test_small_partition_crosscheck(self):
         report = verify_sweep(Identity.PARTITION_FUNCTION_CROSSCHECK, {"max_weight": 40})

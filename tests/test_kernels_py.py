@@ -2,8 +2,9 @@
 
 These run whether or not the compiled backend is built.  They pin down each
 path of ``_kernels_py``: both orientations of the conjugated 2-D table, the
-1-D route for an inert bound, and both branches of the 1-D helper on either
-side of ``BLOCK_CUT``.
+1-D route for an inert bound, both branches of the 1-D helper on either
+side of ``BLOCK_CUT``, and the split of ``partition_table`` into small
+parts and rows of large parts on either side of each square.
 """
 
 import pytest
@@ -69,6 +70,22 @@ def test_set_exact_counts(parts, b, c):
 
 @pytest.mark.parametrize("n", [0, 1, CUT - 1, CUT, CUT + 1, 2 * CUT, 3 * CUT + 5])
 def test_partition_table_across_block_cut(n):
+    assert _kernels_py.partition_table(n) == pentagonal_partition_table(n)
+
+
+def test_partition_table_every_weight_to_300():
+    expected = pentagonal_partition_table(300)
+    for n in range(301):
+        assert _kernels_py.partition_table(n) == expected[: n + 1]
+
+
+# The split point isqrt(n) + 1 moves at each square.  At 4096 the small
+# parts first reach 64 = BLOCK_CUT, so the block branch of _accumulate.
+@pytest.mark.parametrize(
+    "n",
+    sorted({m * m + d for m in range(2, 21) for d in (-1, 0, 1)} | {3000, 4095, 4096, 5000}),
+)
+def test_partition_table_around_squares_and_large(n):
     assert _kernels_py.partition_table(n) == pentagonal_partition_table(n)
 
 

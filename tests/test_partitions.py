@@ -199,10 +199,11 @@ class TestCountTotal:
         assert count_total(5) == 7
         assert count_total(100) == 190569292
 
-    @pytest.mark.parametrize("n", [1, 50, 200, 415, 416, 417, 450])
+    @pytest.mark.parametrize("n", [1, 50, 200, 415, 416, 417, 450, 1000, 3000])
     def test_matches_sympy_across_word_size_boundary(self, n):
         # 416 is the largest weight whose counts fit in 64 bits; 417 is the
         # first that cannot, so this sweep crosses the fast-path boundary.
+        # 1000 and 3000 run the big-integer split far past it.
         assert count_total(n) == int(sympy_partition(n))
 
 
