@@ -8,6 +8,7 @@ discarding the zeros that appear) is a bijection
     partitions of w - lo*x into at most x parts, each at most hi - lo,
 
 with inverse "add lo to every part, then pad with parts equal to lo".
+The reduced side is the (hi - lo) x x box that ``enumerate_box`` lists.
 ``verify_bijection`` enumerates both sides for one parameter tuple and
 checks the round trips and the cardinality transfer element by element.
 """
@@ -16,6 +17,7 @@ from charrank.errors import PreconditionViolation, check_int
 from charrank.partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
+    enumerate_box,
     enumerate_set_exact,
 )
 from charrank.report import Identity, VerificationReport
@@ -77,7 +79,7 @@ def _expand(q, num_parts, min_part):
 
 def verify_bijection(min_part, max_part, weight, num_parts, cap=DEFAULT_ENUMERATION_CAP):
     """Check the transport bijection for one (min_part, max_part, weight,
-    num_parts) tuple by full enumeration of both sides.
+    num_parts) tuple: enumerate both sides, the reduced one by ``enumerate_box``.
 
     Verifies that reduce is into the reduced side, expand is into the
     original side, both round trips are identities, reduce preserves the
@@ -109,11 +111,9 @@ def verify_bijection(min_part, max_part, weight, num_parts, cap=DEFAULT_ENUMERAT
     domain = enumerate_set_exact(interval, num_parts, weight, cap=cap)
 
     residual = weight - min_part * num_parts
-    reduced_interval = range(1, max_part - min_part + 1)  # empty when max == min
-    codomain = []
-    if residual >= 0:
-        for used in range(num_parts + 1):
-            codomain.extend(enumerate_set_exact(reduced_interval, used, residual, cap=cap))
+    codomain = (
+        enumerate_box(max_part - min_part, num_parts, residual, cap=cap) if residual >= 0 else []
+    )
     codomain_set = set(codomain)
 
     report.compare(tag + (("check", "cardinality"),), len(domain), len(codomain))

@@ -18,7 +18,7 @@ box-partition form available when the truncated degree set has no gaps.
 from dataclasses import dataclass
 
 from charrank.errors import DegreeOutOfRange, NotGapless, PreconditionViolation, check_int
-from charrank.partitions import PartsSet, count_box, count_set_any, count_set_at_most
+from charrank.partitions import PartsSet, count_box, count_set_any
 
 #: Marker for "no known finite bound" (compares above every integer).
 UNBOUNDED = float("inf")
@@ -66,7 +66,7 @@ def betti_upper_bound(profile, degree):
     degree set (values above ``degree`` can never occur and are dropped)."""
     _check_degree(profile, degree)
     usable = profile.s_set.truncated(degree)
-    return count_set_at_most(usable, degree // profile.s_set.least, degree)
+    return count_set_any(usable, degree)
 
 
 def betti_upper_bound_gapless(profile, degree):

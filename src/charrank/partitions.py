@@ -154,9 +154,7 @@ def count_set_exact(parts, num_parts, weight):
     check_int(ValueError, 0, "num_parts", num_parts)
     check_int(ValueError, 0, "weight", weight)
     if num_parts > weight:
-        # every part is >= 1, so exactly num_parts of them weigh at least
-        # num_parts; only the empty partition of 0 survives
-        return 1 if weight == 0 and num_parts == 0 else 0
+        return 0  # num_parts >= 1 parts, each >= 1, outweigh weight: skip the kernel
     if not members:
         return 1 if weight == 0 and num_parts == 0 else 0
     return _dispatch.set_exact_counts(members, num_parts, weight)[num_parts]

@@ -245,6 +245,27 @@ class TestVerify:
         assert "bijection: fail" in out
         assert "p=Partition([5, 2, 1])] part 5 falls outside [2, 4]" in out
 
+    def test_defective_reduced_side_is_a_failure(self, capsys, monkeypatch):
+        true_enumerate = bijection.enumerate_box
+
+        def defective(max_part, max_parts, weight, cap):
+            found = true_enumerate(max_part, max_parts, weight, cap=cap)
+            if (max_part, max_parts, weight) == (2, 3, 2):
+                found = found + [Partition([9])]
+            return found
+
+        monkeypatch.setattr(bijection, "enumerate_box", defective)
+        report = bijection.verify_bijection(2, 4, 8, 3)
+        checks = [dict(failure.params)["check"] for failure in report.failures]
+        assert checks == ["cardinality", "preimage membership"]
+        assert (report.failures[0].lhs, report.failures[0].rhs) == (2, 3)
+        code, out, _ = run_cli(
+            capsys, "verify", "bijection", "--max-mu", "4", "--max-x", "3", "--max-j", "8"
+        )
+        assert code == 1
+        assert "bijection: fail" in out
+        assert "q=Partition([9])] Partition([11, 2, 2]) != original side" in out
+
     def test_help_lists_every_identity_and_range_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "400")  # keep the choices on one line
         code, out, _ = run_cli(capsys, "verify", "--help")

@@ -1,5 +1,6 @@
 import pytest
 
+from charrank import _dispatch
 from charrank.errors import PreconditionViolation
 from charrank.identities import (
     SWEEP_ORDER,
@@ -88,6 +89,18 @@ class TestEq5:
                 first = -(-j // k)
                 rhs = sum(count_box(k - 1, s, j - s) for s in range(first, j + 1))
                 assert rhs == monomial_count(PartsSet(range(1, k + 1)), j)
+
+    def test_any_parts_form_catches_a_defective_inert_route(self, monkeypatch):
+        true_box = _dispatch.box_count
+
+        def corrupted(a, b, c):
+            value = true_box(a, b, c)
+            return value + 1 if b == c else value
+
+        monkeypatch.setattr(_dispatch, "box_count", corrupted)
+        report = verify_sweep("eq5", {"max_k": 3, "max_j": 8})
+        checks = {dict(failure.params)["check"] for failure in report.failures}
+        assert "any-parts form" in checks
 
 
 class TestVerifySweep:
