@@ -14,8 +14,9 @@ Two dynamic programs serve the four entry points:
   has ``min(a, b) + 1`` rows.
 * ``_accumulate``, the 1-D table indexed by weight, counts with no bound
   on the number of parts.  It serves ``box_count`` once clamping to the
-  weight shows one of its two bounds to be inert, and the small parts of
-  ``partition_table``.
+  weight shows one of its two bounds to be inert, and both halves of
+  ``partition_table``.  It runs one slice statement per residue class, or
+  a scalar loop when the classes are short (``CLASS_CUT``).
 
 ``partition_table`` splits the parts at m = isqrt(n) + 1, the standard
 split of Euler's product 1/(q;q)_inf into the parts below m times
@@ -41,11 +42,11 @@ from operator import add
 
 BACKEND = "python"
 
-# Part size from which ``_accumulate`` updates a block of ``v`` weights per
-# slice statement instead of one weight per interpreter step.  Measured on
-# CPython 3.11 (x86-64): a slice statement has a fixed cost of about 1 us,
-# and the two loops break even at blocks of roughly 50-100 weights.
-BLOCK_CUT = 64
+# Shortest residue class that ``_accumulate`` runs as one slice statement.
+# Measured on CPython 3.11 (x86-64) by replaying the calls of ``charrank
+# verify all``: this cut is about even with a scalar loop for every part,
+# while the constant-free cut ``v * v <= len(dp)`` costs about 40 % more.
+CLASS_CUT = 16
 
 
 def _part_rows(parts, rows: int, width: int, at_most: bool) -> list:
@@ -85,20 +86,19 @@ def _accumulate(dp: list, parts) -> list:
     number to the counts ``dp`` (indexed by weight), in place.
 
     Each part v runs ``dp[w] += dp[w - v]`` over w ascending, so dp[w - v]
-    already counts the partitions using v.  Below ``BLOCK_CUT`` this is a
-    scalar loop.  From it on, weights go in blocks of v, one slice
-    statement each: every block reads only the block before it, which is
-    finished for part v.
+    already counts the partitions using v: a prefix sum along each residue
+    class mod v.  When every class holds at least ``CLASS_CUT`` weights,
+    each class is one ``accumulate`` slice statement; otherwise the scalar
+    loop runs the weights one by one.
     """
     size = len(dp)
     for v in parts:
-        if v < BLOCK_CUT:
+        if CLASS_CUT * v <= size:
+            for r in range(v):
+                dp[r::v] = accumulate(dp[r::v])
+        else:
             for w in range(v, size):
                 dp[w] += dp[w - v]
-        else:
-            for lo in range(v, size, v):
-                hi = min(lo + v, size)
-                dp[lo:hi] = map(add, dp[lo:hi], dp[lo - v : hi - v])
     return dp
 
 
@@ -146,9 +146,8 @@ def partition_table(n: int) -> list:
     The parts below m go through ``_accumulate``, which gives G_0.  Row
     G_k counts partitions with exactly k parts >= m; it is zero below
     weight k*m, so it is kept from there on.  G_k is G_(k-1) shifted up by
-    m, followed by prefix sums along each residue class mod k, which is
-    G_k(w) = G_k(w-k) + G_(k-1)(w-m); k*m is a multiple of k, so list
-    index and weight agree mod k.  One slice statement runs each class.
+    m, then accumulated with part k: G_k(w) = G_k(w-k) + G_(k-1)(w-m).
+    k*m is a multiple of k, so list index and weight agree mod k.
 
     Deliberately not the pentagonal-number recurrence: that one lives in
     ``oracles`` and serves as the independent cross-check.
@@ -160,8 +159,6 @@ def partition_table(n: int) -> list:
     row = total
     for k in range(1, n // m + 1):
         lo = k * m
-        row = row[: n + 1 - lo]  # a copy: G_(k-1) shifted up by m
-        for r in range(k):
-            row[r::k] = accumulate(row[r::k])
+        row = _accumulate(row[: n + 1 - lo], (k,))  # a copy, shifted up by m
         total[lo:] = map(add, total[lo:], row)
     return total

@@ -11,8 +11,9 @@ In any degree j <= t, every cohomology class is a polynomial in the
 nonzero Stiefel-Whitney classes, so the mod-2 Betti number b_j is at most
 the number of degree-j monomials in generators of those degrees — a
 restricted partition count.  ``betti_upper_bound`` evaluates that count
-directly; ``betti_upper_bound_gapless`` evaluates the equivalent
-box-partition form available when the truncated degree set has no gaps.
+directly; ``betti_upper_bound_gapless`` evaluates the equivalent sum of
+Betti numbers of real Grassmannians (``_box_sum``, which the identity
+checks share) when the truncated degree set has no gaps.
 """
 
 from dataclasses import dataclass
@@ -86,10 +87,16 @@ def betti_upper_bound_gapless(profile, degree):
         raise NotGapless(
             f"degrees {list(usable)} are not consecutive; use betti_upper_bound"
         )
-    total = 0
-    for used in range(-(-degree // hi), degree // lo + 1):
-        total += count_box(hi - lo, used, degree - lo * used)
-    return total
+    return _box_sum(lo, hi, degree)
+
+
+def _box_sum(lo, hi, weight):
+    """Partitions of ``weight`` with parts in {lo..hi}, as the paper's sum
+    over s of b_(weight - lo*s)(G_s(R^(hi - lo + s))): box partitions of
+    weight - lo*s in an (hi - lo) x s box, for s from ceil(weight/hi) to
+    floor(weight/lo), outside which the box holds none."""
+    first = -(-weight // hi)
+    return sum(count_box(hi - lo, s, weight - lo * s) for s in range(first, weight // lo + 1))
 
 
 def monomial_count(parts, degree):

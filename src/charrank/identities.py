@@ -17,7 +17,13 @@ quietly propagating.
 from itertools import combinations
 from math import comb
 
-from charrank.bounds import UNBOUNDED, BundleProfile, betti_upper_bound, betti_upper_bound_gapless
+from charrank.bounds import (
+    UNBOUNDED,
+    BundleProfile,
+    _box_sum,
+    betti_upper_bound,
+    betti_upper_bound_gapless,
+)
 from charrank.bijection import verify_bijection
 from charrank.errors import PreconditionViolation, check_int
 from charrank.grassmannian import gaussian_binomial, poincare
@@ -45,18 +51,15 @@ def _single_report(identity, params):
 def verify_eq3(min_part, max_part, weight):
     """Check, for one (min_part, max_part, weight), that partitions of
     ``weight`` with parts in {min_part..max_part} (any number of parts)
-    match the box counts of the reduced weights."""
+    match the box counts of the reduced weights, summed by
+    ``bounds._box_sum``."""
     check_int(ValueError, 1, "min_part", min_part)
     check_int(ValueError, min_part, "max_part", max_part)
     check_int(ValueError, 1, "weight", weight)
     params = (("min_part", min_part), ("max_part", max_part), ("weight", weight))
     report = _single_report(Identity.EQ3, params)
-    smax = weight // min_part
-    interval = range(min_part, max_part + 1)
-    lhs = count_set_at_most(interval, smax, weight)  # s = 0 contributes nothing for weight >= 1
-    gap = max_part - min_part
-    rhs = sum(count_box(gap, s, weight - min_part * s) for s in range(1, smax + 1))
-    report.compare(params, lhs, rhs)
+    lhs = count_set_at_most(range(min_part, max_part + 1), weight // min_part, weight)
+    report.compare(params, lhs, _box_sum(min_part, max_part, weight))
     return report
 
 
@@ -66,30 +69,23 @@ def verify_eq4(weight):
     check_int(ValueError, 1, "weight", weight)
     params = (("weight", weight),)
     report = _single_report(Identity.EQ4, params)
-    report.compare(params, count_total(weight), _tail(weight, weight))
+    report.compare(params, count_total(weight), _box_sum(1, weight, weight))
     return report
-
-
-def _tail(num_degrees, weight):
-    """The box-count tail: the sum over s >= ceil(weight/num_degrees) of
-    partitions of weight - s into at most s parts, each at most
-    num_degrees - 1."""
-    first = -(-weight // num_degrees)
-    return sum(count_box(num_degrees - 1, s, weight - s) for s in range(first, weight + 1))
 
 
 def verify_eq5(num_degrees, weight):
     """Check the tail form: for weight > num_degrees, partitions of
     ``weight`` with parts at most ``num_degrees`` match the box counts
-    summed from s = ceil(weight/num_degrees); additionally confirms the
-    left side equals ``count_box(num_degrees, weight, weight)``, whose
-    inert part-count route shares no table with the left side."""
+    summed from s = ceil(weight/num_degrees) by ``bounds._box_sum``;
+    additionally confirms the left side equals
+    ``count_box(num_degrees, weight, weight)``, whose inert part-count
+    route shares no table with the left side."""
     check_int(ValueError, 1, "num_degrees", num_degrees)
     check_int(PreconditionViolation, num_degrees + 1, "weight", weight)
     params = (("num_degrees", num_degrees), ("weight", weight))
     report = _single_report(Identity.EQ5, params)
     lhs = count_set_at_most(range(1, num_degrees + 1), weight, weight)
-    report.compare(params + (("check", "tail form"),), lhs, _tail(num_degrees, weight))
+    report.compare(params + (("check", "tail form"),), lhs, _box_sum(1, num_degrees, weight))
     report.compare(
         params + (("check", "any-parts form"),), lhs, count_box(num_degrees, weight, weight)
     )
@@ -186,8 +182,7 @@ def _sweep_sharpness(report, max_k, max_j):
                     bound,
                     count_total(j),
                 )
-            else:
-                report.compare(params + (("check", "tail form"),), bound, _tail(k, j))
+            # for j > k this is eq5's tail form, so it is not compared twice
             report.compare(
                 params + (("check", "gapless form"),),
                 bound,
@@ -201,8 +196,8 @@ def _sweep_partition_crosscheck(report, max_weight):
         report.checked += 1
         report.compare((("weight", w),), count_total(w), expected[w])
     # The top weight once more through count_box's inert-bound route over
-    # parts 1..max_weight: at the default grid, the one check of verify all
-    # whose parts reach the block loop of the pure 1-D kernel.
+    # parts 1..max_weight, which adds every part through the 1-D kernel
+    # instead of splitting off the parts above isqrt(max_weight).
     report.compare(
         (("weight", max_weight), ("check", "box")),
         count_box(max_weight, max_weight, max_weight),

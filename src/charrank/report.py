@@ -40,10 +40,6 @@ class CheckFailure:
     lhs: object
     rhs: object
 
-    def describe(self):
-        settings = ", ".join(f"{k}={v}" for k, v in self.params)
-        return f"[{settings}] {self.lhs} != {self.rhs}"
-
 
 @dataclass
 class VerificationReport:

@@ -254,43 +254,38 @@ def _mutant_box_count_inert(a, b, c):
     return _kernels_py._part_rows(range(1, b + 1), a, c + 1, True)[a][c]
 
 
-def _mutant_accumulate_scalar(dp, parts):
+def _mutant_accumulate_residue(dp, parts):
     size = len(dp)
     for v in parts:
-        if v < _kernels_py.BLOCK_CUT:
-            for w in range(v + 1, size):  # should start at v
-                dp[w] += dp[w - v]
+        if _kernels_py.CLASS_CUT * v <= size:
+            for r in range(1, v):  # should be range(v): skips residue class 0
+                dp[r::v] = accumulate(dp[r::v])
         else:
-            for lo in range(v, size, v):
-                hi = min(lo + v, size)
-                dp[lo:hi] = map(add, dp[lo:hi], dp[lo - v : hi - v])
+            for w in range(v, size):
+                dp[w] += dp[w - v]
     return dp
 
 
-def _mutant_accumulate_block(dp, parts):
+def _mutant_accumulate_scalar(dp, parts):
     size = len(dp)
     for v in parts:
-        if v < _kernels_py.BLOCK_CUT:
-            for w in range(v, size):
-                dp[w] += dp[w - v]
+        if _kernels_py.CLASS_CUT * v <= size:
+            for r in range(v):
+                dp[r::v] = accumulate(dp[r::v])
         else:
-            for lo in range(v, size, v):
-                hi = min(lo + v, size)
-                # off by one in weight: should read dp[lo - v : hi - v]
-                dp[lo:hi] = map(add, dp[lo:hi], dp[lo - v + 1 : hi - v + 1])
+            for w in range(v + 1, size):  # should start at v
+                dp[w] += dp[w - v]
     return dp
 
 
 def _mutant_partition_table_large_rows(n):
-    # the rows of large parts of the pure kernel skip one residue class
+    # the rows of large parts of the pure kernel add part k + 1, not k
     m = isqrt(n) + 1
     total = _kernels_py._accumulate([1] + [0] * n, range(1, m))
     row = total
     for k in range(1, n // m + 1):
         lo = k * m
-        row = row[: n + 1 - lo]
-        for r in range(1, k):  # should be range(k)
-            row[r::k] = accumulate(row[r::k])
+        row = _kernels_py._accumulate(row[: n + 1 - lo], (k + 1,))  # should be (k,)
         total[lo:] = map(add, total[lo:], row)
     return total
 
@@ -322,8 +317,8 @@ def test_criterion_9_cli_exit_codes_and_mutation(monkeypatch, capsys):
     # so the corruption is seen whichever backend _dispatch selected.
     fast_path_mutants = {
         "box_count inert 1-D branch": (_dispatch, "box_count", _mutant_box_count_inert),
+        "1-D residue branch": (_kernels_py, "_accumulate", _mutant_accumulate_residue),
         "1-D scalar branch": (_kernels_py, "_accumulate", _mutant_accumulate_scalar),
-        "1-D block branch": (_kernels_py, "_accumulate", _mutant_accumulate_block),
         "2-D row helper": (_kernels_py, "_part_rows", _mutant_part_rows),
         "large-part rows": (_dispatch, "partition_table", _mutant_partition_table_large_rows),
     }

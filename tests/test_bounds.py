@@ -10,6 +10,7 @@ from charrank.bounds import (
     monomial_count,
 )
 from charrank.errors import DegreeOutOfRange, NotGapless, PreconditionViolation
+from charrank.grassmannian import gaussian_binomial
 from charrank.partitions import PartsSet, count_set_any, count_total
 
 
@@ -105,6 +106,21 @@ class TestGaplessForm:
                     assert betti_upper_bound_gapless(profile, j) == betti_upper_bound(
                         profile, j
                     ), (nu, mu, j)
+
+    def test_is_the_sum_of_grassmannian_betti_numbers(self):
+        # the paper's sum over s of b_(d - lo*s)(G_s(R^(hi - lo + s))),
+        # read off the q-binomial oracle, which shares no code with
+        # count_box; s = 0 adds nothing at d >= 1
+        for lo in range(1, 9):
+            for hi in range(lo, 9):
+                profile = free_profile(range(lo, hi + 1))
+                for d in range(1, 41):
+                    expected = 0
+                    for s in range(1, d // lo + 1):
+                        betti = gaussian_binomial(hi - lo + s, s)
+                        if d - lo * s < len(betti):
+                            expected += betti[d - lo * s]
+                    assert betti_upper_bound_gapless(profile, d) == expected, (lo, hi, d)
 
     def test_singleton(self):
         profile = free_profile([4])

@@ -3,7 +3,7 @@
 These run whether or not the compiled backend is built.  They pin down each
 path of ``_kernels_py``: both orientations of the conjugated 2-D table, the
 1-D route for an inert bound, both branches of the 1-D helper on either
-side of ``BLOCK_CUT``, and the split of ``partition_table`` into small
+side of ``CLASS_CUT``, and the split of ``partition_table`` into small
 parts and rows of large parts on either side of each square.
 """
 
@@ -15,7 +15,7 @@ from charrank.oracles import pentagonal_partition_table
 
 from _brute import box as brute_box, set_exact as brute_set_exact
 
-CUT = _kernels_py.BLOCK_CUT
+CUT = _kernels_py.CLASS_CUT
 
 
 def q_box(a, b, c):
@@ -68,19 +68,23 @@ def test_set_exact_counts(parts, b, c):
     assert _kernels_py.set_exact_counts(parts, b, c) == expected
 
 
-@pytest.mark.parametrize("n", [0, 1, CUT - 1, CUT, CUT + 1, 2 * CUT, 3 * CUT + 5])
+# Small weights; from 63 up, each runs both branches of _accumulate in
+# the small parts and again in the rows of large parts.
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 197])
 def test_partition_table_across_block_cut(n):
     assert _kernels_py.partition_table(n) == pentagonal_partition_table(n)
 
 
+# The largest small part, isqrt(n), takes the residue classes when
+# CLASS_CUT * isqrt(n) <= n + 1: at n = 223 and 224, not from 225 to 238,
+# and again from 239 on.  So this sweep crosses the cut both ways.
 def test_partition_table_every_weight_to_300():
     expected = pentagonal_partition_table(300)
     for n in range(301):
         assert _kernels_py.partition_table(n) == expected[: n + 1]
 
 
-# The split point isqrt(n) + 1 moves at each square.  At 4096 the small
-# parts first reach 64 = BLOCK_CUT, so the block branch of _accumulate.
+# The split point isqrt(n) + 1 moves at each square.
 @pytest.mark.parametrize(
     "n",
     sorted({m * m + d for m in range(2, 21) for d in (-1, 0, 1)} | {3000, 4095, 4096, 5000}),
@@ -89,14 +93,26 @@ def test_partition_table_around_squares_and_large(n):
     assert _kernels_py.partition_table(n) == pentagonal_partition_table(n)
 
 
-@pytest.mark.parametrize("k", [CUT - 1, CUT, CUT + 1])
+@pytest.mark.parametrize("k", [63, 64, 65])
 def test_box_count_inert_across_block_cut(k):
-    # parts up to k: k = CUT - 1 uses only the scalar loop, the others
-    # reach the block loop as well
-    c = 3 * CUT + 8
+    # parts up to k at weight 200: parts up to 12 take the residue classes
+    # of the 201 weights, the larger ones the scalar loop
+    c = 200
     expected = q_box(k, c, c)
     assert _kernels_py.box_count(k, c, c) == expected
     assert _kernels_py.box_count(c, k, c) == expected
+
+
+@pytest.mark.parametrize("v", [1, 2, 7, 16])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_box_count_inert_across_class_cut(v, offset):
+    # parts 1..v into a table of CLASS_CUT * v + offset weights: the parts
+    # below v take the residue classes, and v itself takes them at offset 0
+    # and 1 but the scalar loop at offset -1
+    c = CUT * v + offset - 1
+    expected = q_box(v, c, c)
+    assert _kernels_py.box_count(v, c, c) == expected
+    assert _kernels_py.box_count(c, v, c) == expected
 
 
 def test_box_count_long_inert_box():
