@@ -1,43 +1,39 @@
 /* Compiled counting kernels: the same contract as ``_kernels_py``.
  *
- * Counts stay exact: the unsigned 64-bit path only runs when every table
- * entry provably fits.  Each entry counts partitions of weight at most the
+ * Counts stay exact: the unsigned 64-bit path only runs when every output
+ * provably fits, and uint64 arithmetic is exact mod 2**64, so intermediate
+ * entries may wrap.  Each output counts partitions of weight at most the
  * target weight, so it is at most p(weight), and p(416) < 2**64 <= p(417).
  * Every other call (a larger weight, a negative or non-int argument, a wrong
  * number of arguments) goes to the same-named function of ``_kernels_py``,
  * so big results and errors come from one place.
  *
- * As in ``_kernels_py``, the 2-D ``part_rows`` serves box and set-exact
- * counts and the 1-D ``accumulate`` serves p(n) and boxes whose part-count
- * bound is inert.  Each call owns its tables and touches no Python object
- * while it fills them, so it releases the GIL: threads run in parallel. */
+ * As in ``_kernels_py``, the 2-D ``part_rows`` serves only set-exact counts
+ * and the 1-D ``accumulate`` serves p(n) and every box (``box_row``).  Each
+ * call owns its tables and touches no Python object while it fills them, so
+ * it releases the GIL: threads run in parallel. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-#define U64_SAFE_WEIGHT 416 /* largest weight whose tables fit in uint64 */
+#define U64_SAFE_WEIGHT 416 /* largest weight whose counts fit in uint64 */
 
 static PyObject *kernels_py; /* charrank._kernels_py, set once at import */
 
 /* Fills rows 0..rows of a zeroed table of (rows + 1) * width entries with
- * the counts of partitions with parts from ``parts`` (the run 1..nparts when
- * NULL), indexed [number of parts][weight].  With ``at_most`` row p counts
- * partitions into at most p parts, without it into exactly p parts.
- * ``parts`` must be ascending.  Adding part v splits on whether v occurs:
+ * the counts of partitions into exactly p parts from ``parts``, indexed
+ * [p][weight].  ``parts`` must be ascending and below ``width``.  Adding
+ * part v splits on whether v occurs:
  *     f(v, p, w) = f(v-1, p, w) + f(v, p-1, w-v),
  * and rows go with p ascending, so row p - 1 already holds f(v, p-1, .). */
 static void
 part_rows(uint64_t *table, const long *parts, long nparts, long rows,
-          long width, int at_most)
+          long width)
 {
     table[0] = 1;
-    for (long p = 1; p <= rows; p++)
-        table[p * width] = at_most;
     for (long i = 0; i < nparts; i++) {
-        long v = parts ? parts[i] : i + 1;
-        if (v >= width)
-            break;
+        long v = parts[i];
         for (long p = 1; p <= rows; p++) {
             uint64_t *row = table + p * width, *below = row - width;
             for (long w = v; w < width; w++)
@@ -46,16 +42,31 @@ part_rows(uint64_t *table, const long *parts, long nparts, long rows,
     }
 }
 
-/* Fills a zeroed table of ``size`` entries with the counts of partitions of
- * each weight into parts 1..top, with no bound on their number.  Part v
- * runs dp[w] += dp[w - v] over w ascending, so dp[w - v] already uses v. */
+/* Adds parts 1..top, with no bound on their number, to the counts ``dp``
+ * of ``size`` weights.  Part v runs dp[w] += dp[w - v] over w ascending, so
+ * dp[w - v] already uses v. */
 static void
 accumulate(uint64_t *dp, long size, long top)
 {
-    dp[0] = 1;
     for (long v = 1; v <= top; v++)
         for (long w = v; w < size; w++)
             dp[w] += dp[w - v];
+}
+
+/* Fills a zeroed ``dp`` of ``width`` entries with the partition counts of
+ * an a-by-b box: with lo <= hi (conjugation), the coefficients of
+ * prod_{i=1..lo} (1 - q^(hi+i)) / (1 - q^i).  A numerator factor runs w
+ * descending, so dp[w - g] is still old; dividing by 1 - q^i adds part i. */
+static void
+box_row(uint64_t *dp, long a, long b, long width)
+{
+    long lo = a < b ? a : b, hi = a + b - lo;
+
+    dp[0] = 1;
+    for (long g = hi + 1; g <= a + b && g < width; g++)
+        for (long w = width - 1; w >= g; w--)
+            dp[w] -= dp[w - g];
+    accumulate(dp, width, lo);
 }
 
 /* ``o`` clamped to at most ``cap``; -1 if ``o`` is not a nonnegative int. */
@@ -108,8 +119,8 @@ to_list(uint64_t *table, long at, long step, long n, long len)
 static PyObject *
 box_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long a = -1, b = -1, c = -1, rows, t;
-    uint64_t *table, count;
+    long a = -1, b = -1, c = -1;
+    uint64_t *dp, count;
 
     if (nargs == 3) {
         c = clamp(args[2], U64_SAFE_WEIGHT + 1);
@@ -118,30 +129,24 @@ box_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     if (c < 0 || c > U64_SAFE_WEIGHT || a < 0 || b < 0)
         return delegate("box_count", args, nargs);
-    if (c == 0 || a == 0 || b == 0 || c > a * b)
-        return PyLong_FromLong(c == 0);
-    if (a > b) /* conjugate, so the 2-D table has min(a, b) + 1 rows */
-        t = a, a = b, b = t;
-    rows = b == c ? 0 : a; /* at most c parts is no bound: run the 1-D table */
-    table = calloc((size_t)(rows + 1) * (c + 1), sizeof *table);
-    if (table == NULL)
+    if (c > a * b)
+        return PyLong_FromLong(0);
+    dp = calloc((size_t)c + 1, sizeof *dp);
+    if (dp == NULL)
         return PyErr_NoMemory();
     Py_BEGIN_ALLOW_THREADS
-    if (rows == 0)
-        accumulate(table, c + 1, a);
-    else
-        part_rows(table, NULL, b, rows, c + 1, 1);
+    box_row(dp, a, b, c + 1);
     Py_END_ALLOW_THREADS
-    count = table[rows * (c + 1) + c];
-    free(table);
+    count = dp[c];
+    free(dp);
     return PyLong_FromUnsignedLongLong(count);
 }
 
 static PyObject *
 box_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long a = -1, b = -1, lo, width;
-    uint64_t *table;
+    long a = -1, b = -1, width;
+    uint64_t *dp;
 
     if (nargs == 2) {
         a = clamp(args[0], U64_SAFE_WEIGHT + 1);
@@ -149,15 +154,14 @@ box_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     if (a < 0 || b < 0 || a * b > U64_SAFE_WEIGHT)
         return delegate("box_table", args, nargs);
-    lo = a < b ? a : b; /* conjugate: the box fits either way */
     width = a * b + 1;
-    table = calloc((size_t)(lo + 1) * width, sizeof *table);
-    if (table == NULL)
+    dp = calloc((size_t)width, sizeof *dp);
+    if (dp == NULL)
         return PyErr_NoMemory();
     Py_BEGIN_ALLOW_THREADS
-    part_rows(table, NULL, a + b - lo, lo, width, 1);
+    box_row(dp, a, b, width);
     Py_END_ALLOW_THREADS
-    return to_list(table, lo * width, 1, width, width);
+    return to_list(dp, 0, 1, width, width);
 }
 
 static PyObject *
@@ -174,7 +178,7 @@ set_exact_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     if (b < 0 || b > U64_SAFE_WEIGHT || c < 0 || c > U64_SAFE_WEIGHT)
         return delegate("set_exact_counts", args, nargs);
-    /* part_rows stops at the first part above c; c at most come before */
+    /* parts above c never fit; at most c parts come before them */
     for (Py_ssize_t i = 0; i < size; i++) {
         v = clamp(PyTuple_GET_ITEM(args[0], i), c + 1);
         if (v > c)
@@ -188,7 +192,7 @@ set_exact_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (table == NULL)
         return PyErr_NoMemory();
     Py_BEGIN_ALLOW_THREADS
-    part_rows(table, parts, n, smax, c + 1, 0);
+    part_rows(table, parts, n, smax, c + 1);
     Py_END_ALLOW_THREADS
     return to_list(table, c, c + 1, smax + 1, b + 1);
 }
@@ -205,7 +209,7 @@ partition_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (dp == NULL)
         return PyErr_NoMemory();
     Py_BEGIN_ALLOW_THREADS
-    accumulate(dp, n + 1, n);
+    box_row(dp, n, n, n + 1); /* weights up to n fit in the n-by-n box */
     Py_END_ALLOW_THREADS
     return to_list(dp, 0, 1, n + 1, n + 1);
 }

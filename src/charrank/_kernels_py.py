@@ -8,15 +8,12 @@ native Python integers, so results are exact at any size.
 Two dynamic programs serve the four entry points:
 
 * ``_part_rows``, the 2-D table indexed by (parts used, weight), serves
-  ``box_table``, ``set_exact_counts`` and ``box_count``.  It is updated one
-  whole row per slice statement instead of one cell per interpreter step.
-  ``box_count`` and ``box_table`` conjugate their box first, so the table
-  has ``min(a, b) + 1`` rows.
-* ``_accumulate``, the 1-D table indexed by weight, counts with no bound
-  on the number of parts.  It serves ``box_count`` once clamping to the
-  weight shows one of its two bounds to be inert, and both halves of
-  ``partition_table``.  It runs one slice statement per residue class, or
-  a scalar loop when the classes are short (``CLASS_CUT``).
+  only ``set_exact_counts``.  It is updated one whole row per slice
+  statement instead of one cell per interpreter step.
+* ``_accumulate``, the 1-D table indexed by weight, adds parts with no
+  bound on their number.  It serves both halves of ``partition_table`` and
+  every box (``_box_row``).  It runs one slice statement per residue
+  class, or a scalar loop when the classes are short (``CLASS_CUT``).
 
 ``partition_table`` splits the parts at m = isqrt(n) + 1, the standard
 split of Euler's product 1/(q;q)_inf into the parts below m times
@@ -28,8 +25,8 @@ G_k = A * E_k obeys the same recurrence and p(w) = sum_k G_k(w) over
 k <= n // m.  That is about 3 n^1.5 additions instead of n^2 / 2, and no
 pentagonal recurrence, which stays the independent oracle.
 
-Every path only adds native integers along an exact recurrence, and
-conjugation and the inert bound are identities of partition counts, so the
+Every path adds and subtracts native integers along an exact recurrence,
+and conjugation and clamping are identities of partition counts, so the
 results equal those of the plain cell-by-cell loops at any size.  All
 functions are pure: each call builds its own tables and no module state is
 ever mutated, so concurrent use from multiple threads is safe by
@@ -38,7 +35,7 @@ construction.
 
 from itertools import accumulate
 from math import isqrt
-from operator import add
+from operator import add, sub
 
 BACKEND = "python"
 
@@ -49,13 +46,10 @@ BACKEND = "python"
 CLASS_CUT = 16
 
 
-def _part_rows(parts, rows: int, width: int, at_most: bool) -> list:
-    """Rows 0..rows of the counts of partitions with parts from ``parts``,
-    indexed [number of parts][weight] for weights below ``width``.
-
-    With ``at_most`` the row for p counts partitions into at most p parts
-    (the first column is all ones); without it, into exactly p parts (only
-    the empty partition in row 0).  ``parts`` must be ascending.
+def _part_rows(parts, rows: int, width: int) -> list:
+    """Rows 0..rows of the counts of partitions into exactly p parts from
+    ``parts``, indexed [p][weight] for weights below ``width``.  ``parts``
+    must be ascending.
 
     Adding part v splits on whether v occurs:
 
@@ -66,10 +60,8 @@ def _part_rows(parts, rows: int, width: int, at_most: bool) -> list:
     statement that adds ``below[:width - v]`` to ``row[v:]`` element by
     element.
     """
-    zeros = [0] * (width - 1)
-    first = [1 if at_most else 0]
-    table = [[1, *zeros]]
-    table += [first + zeros for _ in range(rows)]
+    table = [[0] * width for _ in range(rows + 1)]
+    table[0][0] = 1
     for v in parts:
         if v >= width:
             break
@@ -102,31 +94,30 @@ def _accumulate(dp: list, parts) -> list:
     return dp
 
 
+def _box_row(a: int, b: int, width: int) -> list:
+    """Counts of partitions in an a-by-b box for weights below ``width``:
+    with a <= b, the coefficients of prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i)
+    (Andrews, *The Theory of Partitions*, Thm 3.1).  Each numerator factor
+    below ``width`` is one slice subtraction; dividing by 1 - q^i adds part i.
+    """
+    a, b = min(a, b), max(a, b)
+    dp = [1] + [0] * (width - 1)
+    for g in range(b + 1, min(a + b, width - 1) + 1):
+        dp[g:] = map(sub, dp[g:], dp)  # reads dp[:width - g] before writing
+    return _accumulate(dp, range(1, a + 1))
+
+
 def box_count(a: int, b: int, c: int) -> int:
     """Number of partitions of c into at most b parts, each part <= a."""
-    if c == 0:
-        return 1
-    # Parts are >= 1, so neither bound beyond c changes the count.
-    a = min(a, c)
-    b = min(b, c)
-    if a == 0 or b == 0 or c > a * b:
-        return 0
-    # Conjugation maps the a-by-b box onto the b-by-a one, so order the
-    # bounds: the table below then has min(a, b) + 1 rows.
-    if a > b:
-        a, b = b, a
-    if b == c:
-        # At most c parts is no bound at all: partitions of c into parts <= a.
-        return _accumulate([1] + [0] * c, range(1, a + 1))[c]
-    return _part_rows(range(1, b + 1), a, c + 1, True)[a][c]
+    a, b = min(a, c), min(b, c)  # parts are >= 1: bounds beyond c are inert
+    return _box_row(a, b, c + 1)[c] if c <= a * b else 0
 
 
 def box_table(a: int, b: int) -> list:
     """Partition counts in an a-by-b box, one entry per weight 0..a*b."""
     if a < 0 or b < 0:
         raise ValueError("box dimensions must be nonnegative")
-    lo, hi = min(a, b), max(a, b)  # conjugate: the box fits either way
-    return _part_rows(range(1, hi + 1), lo, a * b + 1, True)[lo]
+    return _box_row(a, b, a * b + 1)
 
 
 def set_exact_counts(parts: tuple, b: int, c: int) -> list:
@@ -136,7 +127,7 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
     ``parts`` must be a strictly ascending tuple of positive integers.
     """
     smax = min(b, c)  # parts are >= 1, so more than c of them never fit
-    table = _part_rows(parts, smax, c + 1, False)
+    table = _part_rows(parts, smax, c + 1)
     return [row[c] for row in table] + [0] * (b - smax)
 
 

@@ -26,7 +26,7 @@ import json
 import sys
 
 from charrank.bounds import UNBOUNDED, BundleProfile, betti_upper_bound, betti_upper_bound_gapless
-from charrank.errors import CharrankError
+from charrank.errors import CapExceeded, CharrankError
 from charrank.grassmannian import betti, poincare
 from charrank.identities import RANGE_KEYS, SWEEP_ORDER, default_grid, run_all, verify_sweep
 from charrank.partitions import (
@@ -231,7 +231,10 @@ def _cmd_verify(args):
             raise ValueError("range flags are not accepted with 'all'")
         reports = run_all()
     else:
-        reports = [verify_sweep(args.identity, ranges or None)]
+        try:
+            reports = [verify_sweep(args.identity, ranges or None)]
+        except CapExceeded as exc:  # its remedy names `cap`, which is no flag
+            raise CapExceeded(str(exc).partition(";")[0] + "; lower the range flags")
     status = "pass" if all(r.passed for r in reports) else "fail"
     record = _record(
         "verify", params, {"reports": [_report_payload(r) for r in reports]}, status

@@ -5,10 +5,11 @@ one generator per partition of c into at most k parts each at most n-k, so
 the Betti number in degree c is exactly that box-partition count and the
 full table is symmetric of total dimension k(n-k).
 
-``gaussian_binomial`` recomputes the same table a second way — the
-q-binomial coefficient [n choose k]_q expanded by exact polynomial
-arithmetic — and is kept free of the counting kernels so the two can
-cross-check each other.
+``gaussian_binomial`` recomputes the same table from the product formula
+for [n choose k]_q by exact polynomial division.  It shares no code with
+the counting kernels, but their box counts rest on the same formula, so the
+sweeps that check those counts on other recurrences are ``oracle``
+(explicit enumeration) and ``eq3`` and ``eq5`` (the 2-D set-exact table).
 """
 
 from dataclasses import dataclass

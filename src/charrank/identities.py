@@ -78,8 +78,8 @@ def verify_eq5(num_degrees, weight):
     ``weight`` with parts at most ``num_degrees`` match the box counts
     summed from s = ceil(weight/num_degrees) by ``bounds._box_sum``;
     additionally confirms the left side equals
-    ``count_box(num_degrees, weight, weight)``, whose inert part-count
-    route shares no table with the left side."""
+    ``count_box(num_degrees, weight, weight)``, which counts on the 1-D
+    kernel and shares no table with the left side."""
     check_int(ValueError, 1, "num_degrees", num_degrees)
     check_int(PreconditionViolation, num_degrees + 1, "weight", weight)
     params = (("num_degrees", num_degrees), ("weight", weight))
@@ -195,9 +195,9 @@ def _sweep_partition_crosscheck(report, max_weight):
     for w in range(max_weight + 1):
         report.checked += 1
         report.compare((("weight", w),), count_total(w), expected[w])
-    # The top weight once more through count_box's inert-bound route over
-    # parts 1..max_weight, which adds every part through the 1-D kernel
-    # instead of splitting off the parts above isqrt(max_weight).
+    # The top weight once more through count_box, which adds parts
+    # 1..max_weight on the 1-D kernel instead of splitting off those above
+    # isqrt(max_weight).
     report.compare(
         (("weight", max_weight), ("check", "box")),
         count_box(max_weight, max_weight, max_weight),

@@ -7,7 +7,7 @@ the lines always reach the terminal) and asserts the same condition.
 import time
 from itertools import accumulate
 from math import comb, isqrt
-from operator import add
+from operator import add, sub
 
 import pytest
 
@@ -239,19 +239,20 @@ def _mutant_partition_table(n):
     return dp
 
 
-def _mutant_box_count_inert(a, b, c):
-    # the inert-bound 1-D branch of the pure kernel drops the largest part
-    if c == 0:
-        return 1
-    a, b = min(a, c), min(b, c)
-    if a == 0 or b == 0 or c > a * b:
-        return 0
-    if a > b:
-        a, b = b, a
-    if b == c:
-        # should be range(1, a + 1)
-        return _kernels_py._accumulate([1] + [0] * c, range(1, a))[c]
-    return _kernels_py._part_rows(range(1, b + 1), a, c + 1, True)[a][c]
+def _mutant_box_row_first(a, b, width):
+    a, b = min(a, b), max(a, b)
+    dp = [1] + [0] * (width - 1)
+    for g in range(b + 2, min(a + b, width - 1) + 1):  # should start at b + 1
+        dp[g:] = map(sub, dp[g:], dp)
+    return _kernels_py._accumulate(dp, range(1, a + 1))
+
+
+def _mutant_box_row_last(a, b, width):
+    a, b = min(a, b), max(a, b)
+    dp = [1] + [0] * (width - 1)
+    for g in range(b + 1, min(a + b, width - 1)):  # should run to min(..) + 1
+        dp[g:] = map(sub, dp[g:], dp)
+    return _kernels_py._accumulate(dp, range(1, a + 1))
 
 
 def _mutant_accumulate_residue(dp, parts):
@@ -290,10 +291,9 @@ def _mutant_partition_table_large_rows(n):
     return total
 
 
-def _mutant_part_rows(parts, rows, width, at_most):
-    zeros = [0] * (width - 1)
-    table = [[1, *zeros]]
-    table += [[1 if at_most else 0] + zeros for _ in range(rows)]
+def _mutant_part_rows(parts, rows, width):
+    table = [[0] * width for _ in range(rows + 1)]
+    table[0][0] = 1
     for v in parts:
         if v >= width:
             break
@@ -316,7 +316,8 @@ def test_criterion_9_cli_exit_codes_and_mutation(monkeypatch, capsys):
     # Fast paths of the pure kernels. Every kernel is routed to them first,
     # so the corruption is seen whichever backend _dispatch selected.
     fast_path_mutants = {
-        "box_count inert 1-D branch": (_dispatch, "box_count", _mutant_box_count_inert),
+        "numerator skips its first factor": (_kernels_py, "_box_row", _mutant_box_row_first),
+        "numerator skips its last factor": (_kernels_py, "_box_row", _mutant_box_row_last),
         "1-D residue branch": (_kernels_py, "_accumulate", _mutant_accumulate_residue),
         "1-D scalar branch": (_kernels_py, "_accumulate", _mutant_accumulate_scalar),
         "2-D row helper": (_kernels_py, "_part_rows", _mutant_part_rows),

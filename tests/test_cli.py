@@ -209,6 +209,20 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "eq9")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("bijection", "--max-mu", "9", "--max-x", "8", "--max-j", "10"),
+            ("oracle", "--max-part", "11", "--max-parts", "6", "--max-weight", "12"),
+        ],
+    )
+    def test_enumeration_cap_names_the_range_flags(self, capsys, flags):
+        # the library's remedy is its `cap` argument, which verify has no flag for
+        code, out, err = run_cli(capsys, "verify", *flags)
+        assert (code, out) == (2, "")
+        assert err.endswith("exceeds the cap of 64; lower the range flags\n")
+        assert "`cap`" not in err
+
     def test_all_rejects_range_flags(self, capsys):
         code, _, err = run_cli(capsys, "verify", "all", "--max-j", "5")
         assert code == 2

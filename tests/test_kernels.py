@@ -22,6 +22,7 @@ from setuptools.command.build_ext import build_ext
 
 import charrank
 from charrank import _dispatch, _kernels_py
+from charrank.grassmannian import gaussian_binomial
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "charrank" / "_kernels_c.c"
 KERNELS = ("box_count", "box_table", "set_exact_counts", "partition_table")
@@ -97,6 +98,25 @@ def test_partition_table_agrees_across_word_size_boundary(kernels_c, n):
     # weights 417+ leave the compiled uint64 fast path for the shared
     # big-integer route; the seam must be invisible
     assert kernels_c.partition_table(n) == _kernels_py.partition_table(n)
+
+
+@pytest.mark.parametrize(
+    "a, b", [(416, 416), (5, 100), (100, 5), (20, 30), (300, 300), (205, 400), (424, 3)]
+)
+def test_box_count_agrees_across_word_size_boundary(kernels_c, a, b):
+    # the compiled numerator entries wrap mod 2**64 up to weight 416, and
+    # from 417 on the call goes to the big-integer route
+    for c in range(410, 425):
+        assert kernels_c.box_count(a, b, c) == _kernels_py.box_count(a, b, c), c
+
+
+@pytest.mark.parametrize("size", range(410, 425))
+def test_box_table_agrees_across_word_size_boundary(kernels_c, size):
+    for a in range(1, size + 1):
+        if size % a == 0:
+            b = size // a
+            expected = list(gaussian_binomial(a + b, min(a, b)))
+            assert kernels_c.box_table(a, b) == _kernels_py.box_table(a, b) == expected
 
 
 def test_box_count_beyond_fast_path_is_exact(kernels_c):

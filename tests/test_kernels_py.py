@@ -1,10 +1,14 @@
 """The pure-Python kernels against the independent oracles.
 
 These run whether or not the compiled backend is built.  They pin down each
-path of ``_kernels_py``: both orientations of the conjugated 2-D table, the
-1-D route for an inert bound, both branches of the 1-D helper on either
-side of ``CLASS_CUT``, and the split of ``partition_table`` into small
-parts and rows of large parts on either side of each square.
+path of ``_kernels_py``.  Every box goes through ``_box_row``, which orders
+the box so that a <= b and multiplies in the numerator factors (1 - q^g),
+g = b+1..a+b, that fall below the table's width before ``_accumulate``
+adds parts 1..a.  So the box tests cover both orientations, an inert bound
+(no numerator factor), a numerator cut off by the width, and the whole
+numerator.  The rest covers both branches of ``_accumulate`` on either side
+of ``CLASS_CUT``, and the split of ``partition_table`` into small parts and
+rows of large parts on either side of each square.
 """
 
 import pytest
@@ -26,23 +30,36 @@ def q_box(a, b, c):
 
 @pytest.mark.parametrize("a, b", [(2, 7), (7, 2), (4, 9), (9, 4), (6, 6), (1, 5)])
 def test_box_count_both_orientations(a, b):
-    for c in range(a * b + 3):  # past a*b the box holds nothing
+    # up to max(a, b) no numerator factor reaches the table, above it the
+    # factors g <= c do, and past a*b the box holds nothing
+    for c in range(a * b + 3):
         assert _kernels_py.box_count(a, b, c) == brute_box(a, b, c) == q_box(a, b, c)
 
 
 @pytest.mark.parametrize("a, b", [(3, 8), (8, 3), (5, 5), (0, 4), (4, 0), (1, 1)])
 def test_box_table_both_orientations(a, b):
+    # once min(a, b) >= 2 every numerator factor g <= a + b <= a*b is applied
     assert _kernels_py.box_table(a, b) == list(gaussian_binomial(a + b, a))
 
 
 @pytest.mark.parametrize("c", [1, 2, 7, 12])
 def test_box_count_inert_bound(c):
+    # a bound clamped to c puts every numerator factor past the table, so
+    # these are _accumulate over parts 1..k alone
     for k in range(1, c + 1):
         expected = brute_box(k, c, c)
         assert _kernels_py.box_count(k, c, c) == expected  # b == c
         assert _kernels_py.box_count(c, k, c) == expected  # a == c
         assert _kernels_py.box_count(k, 10**30, c) == expected  # clamped to c
         assert _kernels_py.box_count(10**30, k, c) == expected
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (3, 2), (5, 8), (8, 5), (7, 7), (12, 40)])
+def test_box_count_truncated_numerator(a, b):
+    # max(a, b) < c < a + b: the numerator factors g = max(a, b)+1..c reach
+    # the table, the ones above c do not
+    for c in range(max(a, b) + 1, a + b):
+        assert _kernels_py.box_count(a, b, c) == q_box(a, b, c)
 
 
 def test_box_count_empty_cases():
@@ -95,8 +112,9 @@ def test_partition_table_around_squares_and_large(n):
 
 @pytest.mark.parametrize("k", [63, 64, 65])
 def test_box_count_inert_across_block_cut(k):
-    # parts up to k at weight 200: parts up to 12 take the residue classes
-    # of the 201 weights, the larger ones the scalar loop
+    # no numerator factor (the bound c is inert), then parts up to k at
+    # weight 200: parts up to 12 take the residue classes of the 201
+    # weights, the larger ones the scalar loop
     c = 200
     expected = q_box(k, c, c)
     assert _kernels_py.box_count(k, c, c) == expected
@@ -106,9 +124,10 @@ def test_box_count_inert_across_block_cut(k):
 @pytest.mark.parametrize("v", [1, 2, 7, 16])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_box_count_inert_across_class_cut(v, offset):
-    # parts 1..v into a table of CLASS_CUT * v + offset weights: the parts
-    # below v take the residue classes, and v itself takes them at offset 0
-    # and 1 but the scalar loop at offset -1
+    # no numerator factor (the bound c is inert), then parts 1..v into a
+    # table of CLASS_CUT * v + offset weights: the parts below v take the
+    # residue classes, and v itself takes them at offset 0 and 1 but the
+    # scalar loop at offset -1
     c = CUT * v + offset - 1
     expected = q_box(v, c, c)
     assert _kernels_py.box_count(v, c, c) == expected
@@ -116,4 +135,5 @@ def test_box_count_inert_across_class_cut(v, offset):
 
 
 def test_box_count_long_inert_box():
+    # no numerator factor: parts 1..3 over 2001 weights
     assert _kernels_py.box_count(3, 2000, 2000) == gaussian_binomial(2003, 3)[2000]
