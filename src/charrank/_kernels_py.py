@@ -109,6 +109,8 @@ def _box_row(a: int, b: int, width: int) -> list:
 
 def box_count(a: int, b: int, c: int) -> int:
     """Number of partitions of c into at most b parts, each part <= a."""
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError("box dimensions and weight must be nonnegative")
     a, b = min(a, c), min(b, c)  # parts are >= 1: bounds beyond c are inert
     return _box_row(a, b, c + 1)[c] if c <= a * b else 0
 
@@ -126,6 +128,8 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
 
     ``parts`` must be a strictly ascending tuple of positive integers.
     """
+    if b < 0 or c < 0:
+        raise ValueError("number of parts and weight must be nonnegative")
     smax = min(b, c)  # parts are >= 1, so more than c of them never fit
     table = _part_rows(parts, smax, c + 1)
     return [row[c] for row in table] + [0] * (b - smax)

@@ -8,17 +8,21 @@ discarding the zeros that appear) is a bijection
     partitions of w - lo*x into at most x parts, each at most hi - lo,
 
 with inverse "add lo to every part, then pad with parts equal to lo".
-The reduced side is the (hi - lo) x x box that ``enumerate_box`` lists.
-``verify_bijection`` enumerates both sides for one parameter tuple and
-checks the round trips and the cardinality transfer element by element.
+The reduced side is the (hi - lo) x x box.  ``_verify_weights`` checks the
+round trips and the cardinality transfer element by element for one
+(lo, hi, x) cell over a window of weights: it enumerates each side once,
+by one descent over the whole window, compares part tuples, and builds
+``Partition``s only for the failures it records.  ``verify_bijection`` is
+that check at a single weight.
 """
 
 from charrank.errors import PreconditionViolation, check_int
 from charrank.partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
-    enumerate_box,
-    enumerate_set_exact,
+    _box_parts,
+    _check_cap,
+    _set_exact_parts,
 )
 from charrank.report import Identity, VerificationReport
 
@@ -26,6 +30,11 @@ from charrank.report import Identity, VerificationReport
 def _check_interval(min_part, max_part):
     check_int(PreconditionViolation, 1, "least part", min_part)
     check_int(PreconditionViolation, min_part, "greatest part", max_part)
+
+
+def _parts(p):
+    """The part tuple of ``p``, a Partition or any iterable of parts."""
+    return (p if isinstance(p, Partition) else Partition(p)).parts
 
 
 def reduce(p, num_parts, min_part, max_part):
@@ -36,21 +45,19 @@ def reduce(p, num_parts, min_part, max_part):
     """
     _check_interval(min_part, max_part)
     check_int(PreconditionViolation, 1, "number of parts", num_parts)
-    return _reduce(p, num_parts, min_part, max_part)
+    return Partition._canonical(_reduce(_parts(p), num_parts, min_part, max_part))
 
 
-def _reduce(p, num_parts, min_part, max_part):
-    """``reduce`` for integer arguments already checked."""
-    if not isinstance(p, Partition):
-        p = Partition(p)
-    if len(p) != num_parts:
-        raise PreconditionViolation(f"expected exactly {num_parts} parts, got {len(p)}")
-    for v in p:
-        if not min_part <= v <= max_part:
-            raise PreconditionViolation(
-                f"part {v} falls outside [{min_part}, {max_part}]"
-            )
-    return Partition._canonical(tuple([v - min_part for v in p if v > min_part]))
+def _reduce(parts, num_parts, min_part, max_part):
+    """``reduce`` on a tuple of parts in non-increasing order, for integer
+    arguments already checked; returns the reduced part tuple."""
+    if len(parts) != num_parts:
+        raise PreconditionViolation(f"expected exactly {num_parts} parts, got {len(parts)}")
+    # every part lies between the last and the first
+    if not (min_part <= parts[-1] and parts[0] <= max_part):
+        v = next(v for v in parts if not min_part <= v <= max_part)
+        raise PreconditionViolation(f"part {v} falls outside [{min_part}, {max_part}]")
+    return tuple([v - min_part for v in parts if v > min_part])
 
 
 def expand(q, num_parts, min_part):
@@ -61,25 +68,102 @@ def expand(q, num_parts, min_part):
     """
     check_int(PreconditionViolation, 1, "least part", min_part)
     check_int(PreconditionViolation, 1, "number of parts", num_parts)
-    return _expand(q, num_parts, min_part)
+    return Partition._canonical(_expand(_parts(q), num_parts, min_part))
 
 
-def _expand(q, num_parts, min_part):
-    """``expand`` for integer arguments already checked."""
-    if not isinstance(q, Partition):
-        q = Partition(q)
-    if len(q) > num_parts:
+def _expand(parts, num_parts, min_part):
+    """``expand`` on a tuple of parts in non-increasing order, for integer
+    arguments already checked; returns the expanded part tuple."""
+    if len(parts) > num_parts:
         raise PreconditionViolation(
-            f"expected at most {num_parts} parts, got {len(q)}"
+            f"expected at most {num_parts} parts, got {len(parts)}"
         )
-    grown = [v + min_part for v in q]
-    grown.extend([min_part] * (num_parts - len(q)))
-    return Partition._canonical(tuple(grown))
+    return tuple([v + min_part for v in parts]) + (min_part,) * (num_parts - len(parts))
+
+
+def _verify_weights(report, min_part, max_part, num_parts, lo, hi, cap=DEFAULT_ENUMERATION_CAP):
+    """Check the transport bijection for one (min_part, max_part,
+    num_parts) cell at every weight lo..hi, into ``report``: one more
+    ``checked`` per weight, and the failures in weight order.
+
+    Each side is enumerated once for the whole window, bucketed by weight;
+    the reduced side is the (max_part - min_part) x num_parts box.  Before
+    either is enumerated, every weight passes the cap checks that
+    ``enumerate_set_exact`` and ``enumerate_box`` make, in weight order,
+    so a refused cell raises the same ``CapExceeded`` as the first refused
+    weight would.  An enumerated partition that ``reduce`` or ``expand``
+    refuses (wrong number of parts, or a part outside the interval) is
+    recorded as a failure, not raised.
+    """
+    shift = min_part * num_parts
+    for weight in range(lo, hi + 1):
+        if num_parts <= weight:
+            _check_cap(max_part, num_parts, weight, cap)
+        if weight >= shift:
+            _check_cap(max_part - min_part, num_parts, weight - shift, cap)
+    domains = _set_exact_parts(tuple(range(min_part, max_part + 1)), num_parts, lo, hi)
+    low = max(lo - shift, 0)  # the least residual weight of the window
+    codomains = []
+    if hi >= shift:
+        codomains = _box_parts(max_part - min_part, num_parts, low, hi - shift)
+
+    def fail(weight, check, lhs, rhs, key=None, parts=None):
+        # Part tuples are recorded as Partitions, objects rather than
+        # reprs: a rendered failure shows their str, which is their repr.
+        tag = (
+            ("min_part", min_part),
+            ("max_part", max_part),
+            ("weight", weight),
+            ("num_parts", num_parts),
+            ("check", check),
+        )
+        if key is not None:
+            tag += ((key, Partition._canonical(parts)),)
+        shown = [Partition._canonical(v) if isinstance(v, tuple) else v for v in (lhs, rhs)]
+        report.compare(tag, *shown)
+
+    for weight, domain in enumerate(domains, lo):
+        report.checked += 1
+        residual = weight - shift
+        codomain = codomains[residual - low] if residual >= 0 else []
+        if len(domain) != len(codomain):
+            fail(weight, "cardinality", len(domain), len(codomain))
+
+        codomain_set = set(codomain)
+        for p in domain:
+            try:
+                q = _reduce(p, num_parts, min_part, max_part)
+            except PreconditionViolation as exc:
+                fail(weight, "precondition", str(exc), "satisfied", "p", p)
+                continue
+            if q not in codomain_set:
+                fail(weight, "image membership", q, "reduced side")
+                continue
+            if sum(q) != residual:
+                fail(weight, "shifted weight", sum(q), residual, "p", p)
+            back = _expand(q, num_parts, min_part)
+            if back != p:
+                fail(weight, "round trip", back, p, "p", p)
+
+        domain_set = set(domain)
+        for q in codomain:
+            try:
+                p = _expand(q, num_parts, min_part)
+                if p not in domain_set:
+                    fail(weight, "preimage membership", p, "original side", "q", q)
+                    continue
+                back = _reduce(p, num_parts, min_part, max_part)
+            except PreconditionViolation as exc:
+                fail(weight, "precondition", str(exc), "satisfied", "q", q)
+                continue
+            if back != q:
+                fail(weight, "round trip", back, q, "q", q)
 
 
 def verify_bijection(min_part, max_part, weight, num_parts, cap=DEFAULT_ENUMERATION_CAP):
     """Check the transport bijection for one (min_part, max_part, weight,
-    num_parts) tuple: enumerate both sides, the reduced one by ``enumerate_box``.
+    num_parts) tuple: ``_verify_weights`` over the window of this one
+    weight.
 
     Verifies that reduce is into the reduced side, expand is into the
     original side, both round trips are identities, reduce preserves the
@@ -88,62 +172,19 @@ def verify_bijection(min_part, max_part, weight, num_parts, cap=DEFAULT_ENUMERAT
 
     The integer arguments are checked once here, not again for every
     partition that ``reduce`` and ``expand`` map.  An enumerated partition
-    that they refuse (wrong number of parts, or a part outside the
-    interval) is recorded as a failure, not raised.
+    that they refuse is recorded as a failure, not raised.
     """
     _check_interval(min_part, max_part)
     check_int(PreconditionViolation, 1, "number of parts", num_parts)
     check_int(PreconditionViolation, 0, "weight", weight)
-
-    tag = (
-        ("min_part", min_part),
-        ("max_part", max_part),
-        ("weight", weight),
-        ("num_parts", num_parts),
-    )
     report = VerificationReport(
         identity_id=Identity.BIJECTION_ROUND_TRIP,
-        swept_ranges={k: str(v) for k, v in tag},
-        checked=1,
+        swept_ranges={
+            "min_part": str(min_part),
+            "max_part": str(max_part),
+            "weight": str(weight),
+            "num_parts": str(num_parts),
+        },
     )
-
-    interval = range(min_part, max_part + 1)
-    domain = enumerate_set_exact(interval, num_parts, weight, cap=cap)
-
-    residual = weight - min_part * num_parts
-    codomain = (
-        enumerate_box(max_part - min_part, num_parts, residual, cap=cap) if residual >= 0 else []
-    )
-    codomain_set = set(codomain)
-
-    report.compare(tag + (("check", "cardinality"),), len(domain), len(codomain))
-
-    # Partitions go into comparisons and tags as objects, not reprs: a
-    # rendered failure shows their str, which is their repr.
-    for p in domain:
-        try:
-            q = _reduce(p, num_parts, min_part, max_part)
-        except PreconditionViolation as exc:
-            report.compare(tag + (("check", "precondition"), ("p", p)), str(exc), "satisfied")
-            continue
-        if q not in codomain_set:
-            report.compare(tag + (("check", "image membership"),), q, "reduced side")
-            continue
-        report.compare(tag + (("check", "shifted weight"), ("p", p)), q.weight, residual)
-        back = _expand(q, num_parts, min_part)
-        report.compare(tag + (("check", "round trip"), ("p", p)), back, p)
-
-    domain_set = set(domain)
-    for q in codomain:
-        try:
-            p = _expand(q, num_parts, min_part)
-            if p not in domain_set:
-                report.compare(tag + (("check", "preimage membership"), ("q", q)), p, "original side")
-                continue
-            back = _reduce(p, num_parts, min_part, max_part)
-        except PreconditionViolation as exc:
-            report.compare(tag + (("check", "precondition"), ("q", q)), str(exc), "satisfied")
-            continue
-        report.compare(tag + (("check", "round trip"), ("q", q)), back, q)
-
+    _verify_weights(report, min_part, max_part, num_parts, weight, weight, cap)
     return report

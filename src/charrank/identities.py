@@ -4,6 +4,9 @@ This module is the one place that knows which identities exist, which
 grid each sweeps and how one instance of each is checked.  Each
 ``verify_*`` function checks one parameter tuple and returns a
 VerificationReport; a sweep loops over its grid and absorbs those reports.
+The two sweeps that enumerate partitions, bijection and oracle, enumerate
+once per grid cell for all its weights instead, and check each weight's
+bucket as one instance.
 ``verify_sweep`` runs one identity's sweep, and ``run_all`` runs every
 sweep at its default ranges (what the CLI's ``verify all`` does).
 ``SWEEP_ORDER`` and ``RANGE_KEYS`` name the identities and the range
@@ -24,18 +27,20 @@ from charrank.bounds import (
     betti_upper_bound,
     betti_upper_bound_gapless,
 )
-from charrank.bijection import verify_bijection
+from charrank.bijection import _verify_weights
 from charrank.errors import PreconditionViolation, check_int
 from charrank.grassmannian import gaussian_binomial, poincare
 from charrank.oracles import pentagonal_partition_table
 from charrank.partitions import (
+    DEFAULT_ENUMERATION_CAP,
     PartsSet,
+    _box_parts,
+    _check_cap,
+    _set_exact_parts,
     count_box,
     count_set_at_most,
     count_set_exact,
     count_total,
-    enumerate_box,
-    enumerate_set_exact,
 )
 from charrank.report import Identity, VerificationReport
 
@@ -115,14 +120,21 @@ def _sweep_bijection(report, max_mu, max_x, max_j):
     for mu in range(1, max_mu + 1):
         for nu in range(1, mu + 1):
             for x in range(1, max_x + 1):
-                for j in range(max_j + 1):
-                    report.absorb(verify_bijection(nu, mu, j, x))
+                _verify_weights(report, nu, mu, x, 0, max_j)
 
 
 def _sweep_oracle(report, max_part, max_parts, max_weight):
+    # Each cell is enumerated once for weights 0..max_weight, after the cap
+    # checks that ``enumerate_box`` and ``enumerate_set_exact`` make at each
+    # weight, in the same order; each weight's bucket is then compared with
+    # one count.
+    weights = range(max_weight + 1)
     for a in range(max_part + 1):
         for b in range(max_parts + 1):
-            for c in range(max_weight + 1):
+            for c in weights:
+                _check_cap(a, b, c, DEFAULT_ENUMERATION_CAP)
+            found = _box_parts(a, b, 0, max_weight)
+            for c in weights:
                 report.checked += 1
                 params = (
                     ("subject", "box"),
@@ -130,12 +142,15 @@ def _sweep_oracle(report, max_part, max_parts, max_weight):
                     ("max_parts", b),
                     ("weight", c),
                 )
-                report.compare(params, count_box(a, b, c), len(enumerate_box(a, b, c)))
+                report.compare(params, count_box(a, b, c), len(found[c]))
     values = range(1, max_part + 1)
     for size in range(1, max_part + 1):
         for members in combinations(values, size):
             for b in range(max_parts + 1):
-                for c in range(max_weight + 1):
+                for c in range(b, max_weight + 1):  # none below b: b parts outweigh c
+                    _check_cap(members[-1], b, c, DEFAULT_ENUMERATION_CAP)
+                found = _set_exact_parts(members, b, 0, max_weight)
+                for c in weights:
                     report.checked += 1
                     params = (
                         ("subject", "set-exact"),
@@ -143,11 +158,7 @@ def _sweep_oracle(report, max_part, max_parts, max_weight):
                         ("num_parts", b),
                         ("weight", c),
                     )
-                    report.compare(
-                        params,
-                        count_set_exact(members, b, c),
-                        len(enumerate_set_exact(members, b, c)),
-                    )
+                    report.compare(params, count_set_exact(members, b, c), len(found[c]))
 
 
 def _sweep_grassmannian(report, max_n):

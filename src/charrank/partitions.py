@@ -3,9 +3,14 @@
 Counting here follows the usual conventions: the empty partition is the
 unique partition of 0, and "exactly zero parts" admits only weight 0.
 Counts are computed by dynamic programming (see ``_dispatch``); the
-enumeration functions recurse over parts in decreasing order and exist
-mainly so tests can cross-check the counts against something that cannot
-share a bug with them.
+enumeration functions exist mainly so tests and the verification sweeps
+can cross-check the counts against something that cannot share a bug with
+them.  Each kind of enumeration has one depth-first descent over parts in
+decreasing order, which lists a whole window of weights at once, bucketed
+by weight (``_box_parts``, ``_set_exact_parts``).  The sweeps run it once
+per grid cell on part tuples; ``enumerate_box`` and
+``enumerate_set_exact`` run it over the window of one weight and wrap each
+tuple in a ``Partition``.
 """
 
 from charrank import _dispatch
@@ -198,6 +203,61 @@ def _check_cap(largest, slots, weight, cap):
         )
 
 
+def _box_parts(max_part, max_parts, lo, hi):
+    """Part tuples of the partitions that fit in a max_part x max_parts
+    box, one list per weight lo..hi, each lexicographically decreasing.
+
+    One depth-first descent serves every weight of the window.  Parts are
+    tried largest first, and two partitions of one weight first differ at
+    a part that both have, so the descent reaches the larger one first.
+    """
+    buckets = [[] for _ in range(hi - lo + 1)]
+    acc = []
+
+    def descend(total, largest, slots):
+        if total >= lo:
+            buckets[total - lo].append(tuple(acc))
+        if slots == 0:
+            return
+        for v in range(min(largest, hi - total), 0, -1):
+            if v * slots < lo - total:
+                break  # v and everything smaller can no longer reach the window
+            acc.append(v)
+            descend(total + v, v, slots - 1)
+            acc.pop()
+
+    descend(0, max_part, max_parts)
+    return buckets
+
+
+def _set_exact_parts(members, num_parts, lo, hi):
+    """Part tuples of the partitions into exactly ``num_parts`` parts from
+    ``members`` (ascending and nonempty), one list per weight lo..hi, each
+    lexicographically decreasing.  One descent, as in ``_box_parts``."""
+    buckets = [[] for _ in range(hi - lo + 1)]
+    descending = members[::-1]
+    least = members[0]
+    acc = []
+
+    def descend(total, start, slots):
+        if slots == 0:
+            if total >= lo:
+                buckets[total - lo].append(tuple(acc))
+            return
+        for i in range(start, len(descending)):
+            v = descending[i]
+            if v * slots < lo - total:
+                break  # even all-v can't reach the window, nor can smaller values
+            if total + v + (slots - 1) * least > hi:
+                continue  # v is too large to leave the other slots viable
+            acc.append(v)
+            descend(total + v, i, slots - 1)
+            acc.pop()
+
+    descend(0, 0, num_parts)
+    return buckets
+
+
 def enumerate_box(max_part, max_parts, weight, cap=DEFAULT_ENUMERATION_CAP):
     """All partitions counted by ``count_box``, largest-part-first within
     each partition and lexicographically decreasing across the list.
@@ -209,24 +269,8 @@ def enumerate_box(max_part, max_parts, weight, cap=DEFAULT_ENUMERATION_CAP):
     check_int(ValueError, 0, "max_parts", max_parts)
     check_int(ValueError, 0, "weight", weight)
     _check_cap(max_part, max_parts, weight, cap)
-    found = []
-    acc = []
-
-    def descend(remaining, largest, slots):
-        if remaining == 0:
-            found.append(Partition._canonical(tuple(acc)))
-            return
-        if slots == 0:
-            return
-        for v in range(min(largest, remaining), 0, -1):
-            if v * slots < remaining:
-                break  # v and everything smaller can no longer reach the weight
-            acc.append(v)
-            descend(remaining - v, v, slots - 1)
-            acc.pop()
-
-    descend(weight, min(max_part, weight), min(max_parts, weight))
-    return found
+    (found,) = _box_parts(max_part, max_parts, weight, weight)
+    return [Partition._canonical(parts) for parts in found]
 
 
 def enumerate_set_exact(parts, num_parts, weight, cap=DEFAULT_ENUMERATION_CAP):
@@ -241,25 +285,5 @@ def enumerate_set_exact(parts, num_parts, weight, cap=DEFAULT_ENUMERATION_CAP):
     if num_parts > weight:
         return []
     _check_cap(members[-1], num_parts, weight, cap)
-    descending = members[::-1]
-    least = members[0]
-    found = []
-    acc = []
-
-    def descend(remaining, start, slots):
-        if slots == 0:
-            if remaining == 0:
-                found.append(Partition._canonical(tuple(acc)))
-            return
-        for i in range(start, len(descending)):
-            v = descending[i]
-            if v * slots < remaining:
-                break  # even all-v can't reach the weight, nor can smaller values
-            if remaining - v < (slots - 1) * least:
-                continue  # v is too large to leave the other slots viable
-            acc.append(v)
-            descend(remaining - v, i, slots - 1)
-            acc.pop()
-
-    descend(weight, 0, num_parts)
-    return found
+    (found,) = _set_exact_parts(members, num_parts, weight, weight)
+    return [Partition._canonical(parts) for parts in found]

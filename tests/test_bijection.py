@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from charrank import bijection
 from charrank.bijection import expand, reduce, verify_bijection
-from charrank.errors import PreconditionViolation
+from charrank.errors import CapExceeded, PreconditionViolation
+from charrank.identities import verify_sweep
 from charrank.partitions import (
     Partition,
     count_set_at_most,
@@ -132,3 +134,77 @@ def test_reduce_expand_other_direction():
             for q in enumerate_set_exact(range(1, mu - nu + 1), used, weight):
                 p = expand(q, x, nu)
                 assert reduce(p, x, nu, mu) == q
+
+
+def _instances(max_mu, max_x, max_j):
+    """The bijection sweep's (nu, mu, j, x) instances, in sweep order."""
+    for mu in range(1, max_mu + 1):
+        for nu in range(1, mu + 1):
+            for x in range(1, max_x + 1):
+                for j in range(max_j + 1):
+                    yield nu, mu, j, x
+
+
+def _inject_defects(monkeypatch):
+    """Add (5, 2, 1) to the parts {2, 3, 4}, 3 parts, weight 8, and (9,) to
+    the 2 x 3 box at weight 2."""
+    true_set_exact, true_box = bijection._set_exact_parts, bijection._box_parts
+
+    def set_exact(members, num_parts, lo, hi):
+        found = true_set_exact(members, num_parts, lo, hi)
+        if (members, num_parts) == ((2, 3, 4), 3) and lo <= 8 <= hi:
+            found[8 - lo].append((5, 2, 1))
+        return found
+
+    def box(max_part, max_parts, lo, hi):
+        found = true_box(max_part, max_parts, lo, hi)
+        if (max_part, max_parts) == (2, 3) and lo <= 2 <= hi:
+            found[2 - lo].append((9,))
+        return found
+
+    monkeypatch.setattr(bijection, "_set_exact_parts", set_exact)
+    monkeypatch.setattr(bijection, "_box_parts", box)
+
+
+@pytest.mark.parametrize("defective", [False, True])
+def test_single_weight_reports_match_the_sweep(monkeypatch, defective):
+    # the sweep checks each cell over a window of weights; verify_bijection
+    # checks one weight, and together they must say the same
+    if defective:
+        _inject_defects(monkeypatch)
+    grid = {"max_mu": 4, "max_x": 3, "max_j": 8}
+    sweep = verify_sweep("bijection", grid)
+    reports = [verify_bijection(*instance) for instance in _instances(**grid)]
+    assert [r.checked for r in reports] == [1] * 270
+    assert sweep.checked == 270
+    assert sweep.failures == [f for r in reports for f in r.failures]
+    checks = [dict(failure.params)["check"] for failure in sweep.failures]
+    # at {2, 3, 4} and weight 8 both sides gain one element, so the
+    # cardinalities agree there
+    expected = ["cardinality", "preimage membership", "precondition", "preimage membership"]
+    assert checks == (expected if defective else [])
+
+
+def test_sweep_cap_error_is_the_first_refused_instance(monkeypatch):
+    grid = {"max_mu": 9, "max_x": 8, "max_j": 10}
+    expected = None
+    for instance in _instances(**grid):
+        try:
+            verify_bijection(*instance)
+        except CapExceeded as exc:
+            expected = str(exc)
+            break
+    assert expected is not None
+    windows = []
+    true_set_exact = bijection._set_exact_parts
+
+    def recorded(members, num_parts, lo, hi):
+        windows.append((members[0], members[-1], num_parts))
+        return true_set_exact(members, num_parts, lo, hi)
+
+    monkeypatch.setattr(bijection, "_set_exact_parts", recorded)
+    with pytest.raises(CapExceeded) as caught:
+        verify_sweep("bijection", grid)
+    assert str(caught.value) == expected
+    # the refused cell, parts {1..9} with 8 of them, is never enumerated
+    assert windows and (1, 9, 8) not in windows

@@ -8,7 +8,6 @@ import pytest
 from charrank import _dispatch, bijection
 from charrank.cli import main
 from charrank.identities import RANGE_KEYS, SWEEP_ORDER, default_grid, verify_sweep
-from charrank.partitions import Partition
 from charrank.report import Identity
 
 
@@ -242,43 +241,105 @@ class TestVerify:
         assert "!=" in out
         assert out.endswith("overall: fail\n")
 
-    def test_defective_enumeration_is_a_failure(self, capsys, monkeypatch):
-        true_enumerate = bijection.enumerate_set_exact
+    # The full `verify bijection --max-mu 4 --max-x 3 --max-j 8` output
+    # under each injected defect, as the per-weight sweep printed it.
+    BIJECTION_FLAGS = ("verify", "bijection", "--max-mu", "4", "--max-x", "3", "--max-j", "8")
 
-        def defective(parts, num_parts, weight, cap):
-            found = true_enumerate(parts, num_parts, weight, cap=cap)
-            if (tuple(parts), num_parts, weight) == ((2, 3, 4), 3, 8):
-                found = found + [Partition([5, 2, 1])]
+    @staticmethod
+    def _bijection_failures(cells):
+        """(text lines, JSON failures) of one (min_part, max_part, weight,
+        check, element, lhs, rhs) row per failure, all with 3 parts."""
+        lines, records = [], []
+        for lo, hi, weight, check, element, lhs, rhs in cells:
+            params = {
+                "min_part": str(lo),
+                "max_part": str(hi),
+                "weight": str(weight),
+                "num_parts": "3",
+                "check": check,
+            }
+            if element:
+                params[element[0]] = element[1]
+            shown = ", ".join(f"{k}={v}" for k, v in params.items())
+            lines.append(f"  [{shown}] {lhs} != {rhs}\n")
+            records.append({"params": params, "lhs": lhs, "rhs": rhs})
+        return lines, records
+
+    def _assert_bijection_output(self, capsys, cells):
+        lines, records = self._bijection_failures(cells)
+        code, out, _ = run_cli(capsys, *self.BIJECTION_FLAGS)
+        assert code == 1
+        assert out == (
+            f"bijection: fail (checked=270, failures={len(lines)})\n"
+            + "".join(lines)
+            + "overall: fail\n"
+        )
+        code, out, _ = run_cli(capsys, *self.BIJECTION_FLAGS, "--format", "json")
+        ranges = {"max_j": "8", "max_mu": "4", "max_x": "3"}
+        record = {
+            "command": "verify",
+            "params": {"identity": "bijection", "max-j": "8", "max-mu": "4", "max-x": "3"},
+            "results": {
+                "reports": [
+                    {
+                        "identity": "bijection",
+                        "swept_ranges": ranges,
+                        "checked": "270",
+                        "failures": records,
+                        "status": "fail",
+                    }
+                ]
+            },
+            "status": "fail",
+        }
+        assert code == 1
+        assert out == json.dumps(record, indent=2) + "\n"
+
+    def test_defective_enumeration_is_a_failure(self, capsys, monkeypatch):
+        true_enumerate = bijection._set_exact_parts
+
+        def defective(members, num_parts, lo, hi):
+            found = true_enumerate(members, num_parts, lo, hi)
+            if (members, num_parts) == ((2, 3, 4), 3) and lo <= 8 <= hi:
+                found[8 - lo].append((5, 2, 1))
             return found
 
-        monkeypatch.setattr(bijection, "enumerate_set_exact", defective)
-        code, out, _ = run_cli(
-            capsys, "verify", "bijection", "--max-mu", "4", "--max-x", "3", "--max-j", "8"
-        )
+        monkeypatch.setattr(bijection, "_set_exact_parts", defective)
+        code, out, _ = run_cli(capsys, *self.BIJECTION_FLAGS)
         assert code == 1
         assert "bijection: fail" in out
         assert "p=Partition([5, 2, 1])] part 5 falls outside [2, 4]" in out
+        self._assert_bijection_output(capsys, [
+            (2, 4, 8, "cardinality", None, "3", "2"),
+            (2, 4, 8, "precondition", ("p", "Partition([5, 2, 1])"),
+             "part 5 falls outside [2, 4]", "satisfied"),
+        ])
 
     def test_defective_reduced_side_is_a_failure(self, capsys, monkeypatch):
-        true_enumerate = bijection.enumerate_box
+        true_enumerate = bijection._box_parts
 
-        def defective(max_part, max_parts, weight, cap):
-            found = true_enumerate(max_part, max_parts, weight, cap=cap)
-            if (max_part, max_parts, weight) == (2, 3, 2):
-                found = found + [Partition([9])]
+        def defective(max_part, max_parts, lo, hi):
+            found = true_enumerate(max_part, max_parts, lo, hi)
+            if (max_part, max_parts) == (2, 3) and lo <= 2 <= hi:
+                found[2 - lo].append((9,))
             return found
 
-        monkeypatch.setattr(bijection, "enumerate_box", defective)
+        monkeypatch.setattr(bijection, "_box_parts", defective)
         report = bijection.verify_bijection(2, 4, 8, 3)
         checks = [dict(failure.params)["check"] for failure in report.failures]
         assert checks == ["cardinality", "preimage membership"]
         assert (report.failures[0].lhs, report.failures[0].rhs) == (2, 3)
-        code, out, _ = run_cli(
-            capsys, "verify", "bijection", "--max-mu", "4", "--max-x", "3", "--max-j", "8"
-        )
+        code, out, _ = run_cli(capsys, *self.BIJECTION_FLAGS)
         assert code == 1
         assert "bijection: fail" in out
         assert "q=Partition([9])] Partition([11, 2, 2]) != original side" in out
+        nine = ("q", "Partition([9])")
+        self._assert_bijection_output(capsys, [
+            (1, 3, 5, "cardinality", None, "2", "3"),
+            (1, 3, 5, "preimage membership", nine, "Partition([10, 1, 1])", "original side"),
+            (2, 4, 8, "cardinality", None, "2", "3"),
+            (2, 4, 8, "preimage membership", nine, "Partition([11, 2, 2])", "original side"),
+        ])
 
     def test_help_lists_every_identity_and_range_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "400")  # keep the choices on one line

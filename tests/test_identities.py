@@ -1,7 +1,7 @@
 import pytest
 
 from charrank import _dispatch
-from charrank.errors import PreconditionViolation
+from charrank.errors import CapExceeded, PreconditionViolation
 from charrank.identities import (
     SWEEP_ORDER,
     default_grid,
@@ -11,7 +11,7 @@ from charrank.identities import (
     verify_eq5,
     verify_sweep,
 )
-from charrank.partitions import count_box, count_set_at_most, count_total
+from charrank.partitions import count_box, count_set_at_most, count_total, enumerate_box
 from charrank.bounds import monomial_count
 from charrank.report import Identity, VerificationReport
 
@@ -154,6 +154,25 @@ class TestVerifySweep:
         assert report.passed
         # 4*4*10 box instances plus 7 subsets * 4 * 10 set instances
         assert report.checked == 160 + 280
+
+    def test_oracle_cap_error_is_the_first_refused_instance(self):
+        # the sweep enumerates a whole (max_part, max_parts) cell at once,
+        # after the cap checks of every weight in the cell, in order
+        def first_refusal():
+            for a in range(12):
+                for b in range(7):
+                    for c in range(13):
+                        try:
+                            enumerate_box(a, b, c)
+                        except CapExceeded as exc:
+                            return str(exc)
+
+        grid = {"max_part": 11, "max_parts": 6, "max_weight": 12}
+        with pytest.raises(CapExceeded) as caught:
+            verify_sweep(Identity.ORACLE_EQUIVALENCE, grid)
+        assert str(caught.value) == first_refusal() == (
+            "enumeration box 11x6 exceeds the cap of 64; raise `cap` to insist"
+        )
 
     def test_small_grassmannian_sweep(self):
         report = verify_sweep(Identity.GRASSMANNIAN_TABLES, {"max_n": 8})

@@ -133,6 +133,28 @@ def test_huge_bounds_are_clamped_not_overflowed(kernels_c):
     assert kernels_c.box_count(big, big, 40) == _kernels_py.box_count(40, 40, 40)
 
 
+@pytest.mark.parametrize(
+    "kernel, args",
+    [
+        ("box_count", (3, 4, -1)),
+        ("box_count", (-1, 4, 3)),
+        ("box_count", (3, -1, 3)),
+        ("box_table", (-1, 3)),
+        ("set_exact_counts", ((1, 2), -1, 3)),
+        ("set_exact_counts", ((1, 2), 3, -1)),
+        ("partition_table", (-1,)),
+    ],
+)
+def test_negative_argument_raises_the_same_error(kernels_c, kernel, args):
+    # the compiled backend hands these to the pure one, so both raise alike
+    errors = []
+    for backend in (kernels_c, _kernels_py):
+        with pytest.raises(ValueError, match="must be nonnegative") as caught:
+            getattr(backend, kernel)(*args)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+
+
 def test_table_row_zero_weight(kernels_c):
     assert kernels_c.box_table(0, 7) == [1]
     assert kernels_c.box_table(7, 0) == [1]

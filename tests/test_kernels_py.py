@@ -71,6 +71,21 @@ def test_box_count_empty_cases():
 
 
 @pytest.mark.parametrize(
+    "kernel, args",
+    [
+        ("box_count", (3, 4, -1)),
+        ("box_count", (-1, 4, 3)),
+        ("box_count", (3, -1, 3)),
+        ("set_exact_counts", ((1, 2), -1, 3)),
+        ("set_exact_counts", ((1, 2), 3, -1)),
+    ],
+)
+def test_negative_argument_is_refused(kernel, args):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        getattr(_kernels_py, kernel)(*args)
+
+
+@pytest.mark.parametrize(
     "parts, b, c",
     [
         ((1, 2, 3), 10, 4),  # b > c

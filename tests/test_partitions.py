@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,8 @@ from charrank.partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
     PartsSet,
+    _box_parts,
+    _set_exact_parts,
     count_box,
     count_set_any,
     count_set_at_most,
@@ -248,6 +252,32 @@ class TestEnumeration:
         assert found == sorted(found, reverse=True)
         found = [p.parts for p in enumerate_set_exact({1, 2, 3}, 4, 9)]
         assert found == sorted(found, reverse=True)
+
+    # Weight windows, among them ones that start above 0: each bucket of a
+    # window lists what the per-weight enumerator lists, in the same order.
+    WINDOWS = ((0, 24), (5, 24), (9, 17))
+
+    def test_box_window_matches_per_weight(self):
+        for a in range(7):
+            for b in range(7):
+                for lo, hi in self.WINDOWS:
+                    expected = [
+                        [p.parts for p in enumerate_box(a, b, w)] for w in range(lo, hi + 1)
+                    ]
+                    assert _box_parts(a, b, lo, hi) == expected, (a, b, lo, hi)
+
+    def test_set_exact_window_matches_per_weight(self):
+        for size in range(1, 7):
+            for members in combinations(range(1, 7), size):
+                for b in range(7):
+                    for lo, hi in self.WINDOWS:
+                        expected = [
+                            [p.parts for p in enumerate_set_exact(members, b, w)]
+                            for w in range(lo, hi + 1)
+                        ]
+                        assert _set_exact_parts(members, b, lo, hi) == expected, (
+                            members, b, lo, hi,
+                        )
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
