@@ -12,8 +12,9 @@ The reduced side is the (hi - lo) x x box.  ``_verify_weights`` checks the
 round trips and the cardinality transfer element by element for one
 (lo, hi, x) cell over a window of weights: it enumerates each side once,
 by one descent over the whole window, compares part tuples, and builds
-``Partition``s only for the failures it records.  ``verify_bijection`` is
-that check at a single weight.
+``Partition``s only for the failures it records.  The window enumerators
+of ``partitions`` own the enumeration cap: each refuses its first weight
+past it.  ``verify_bijection`` is that check at a single weight.
 """
 
 from charrank.errors import PreconditionViolation, check_int
@@ -21,7 +22,6 @@ from charrank.partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
     _box_parts,
-    _check_cap,
     _set_exact_parts,
 )
 from charrank.report import Identity, VerificationReport
@@ -86,26 +86,18 @@ def _verify_weights(report, min_part, max_part, num_parts, lo, hi, cap=DEFAULT_E
     num_parts) cell at every weight lo..hi, into ``report``: one more
     ``checked`` per weight, and the failures in weight order.
 
-    Each side is enumerated once for the whole window, bucketed by weight;
-    the reduced side is the (max_part - min_part) x num_parts box.  Before
-    either is enumerated, every weight passes the cap checks that
-    ``enumerate_set_exact`` and ``enumerate_box`` make, in weight order,
-    so a refused cell raises the same ``CapExceeded`` as the first refused
-    weight would.  An enumerated partition that ``reduce`` or ``expand``
-    refuses (wrong number of parts, or a part outside the interval) is
-    recorded as a failure, not raised.
+    Each side is enumerated once for the whole window, bucketed by weight,
+    by a window enumerator that applies ``cap``; the reduced side is the
+    (max_part - min_part) x num_parts box.  An enumerated partition that
+    ``reduce`` or ``expand`` refuses (wrong number of parts, or a part
+    outside the interval) is recorded as a failure, not raised.
     """
     shift = min_part * num_parts
-    for weight in range(lo, hi + 1):
-        if num_parts <= weight:
-            _check_cap(max_part, num_parts, weight, cap)
-        if weight >= shift:
-            _check_cap(max_part - min_part, num_parts, weight - shift, cap)
-    domains = _set_exact_parts(tuple(range(min_part, max_part + 1)), num_parts, lo, hi)
+    domains = _set_exact_parts(tuple(range(min_part, max_part + 1)), num_parts, lo, hi, cap)
     low = max(lo - shift, 0)  # the least residual weight of the window
     codomains = []
     if hi >= shift:
-        codomains = _box_parts(max_part - min_part, num_parts, low, hi - shift)
+        codomains = _box_parts(max_part - min_part, num_parts, low, hi - shift, cap)
 
     def fail(weight, check, lhs, rhs, key=None, parts=None):
         # Part tuples are recorded as Partitions, objects rather than

@@ -32,10 +32,8 @@ from charrank.errors import PreconditionViolation, check_int
 from charrank.grassmannian import gaussian_binomial, poincare
 from charrank.oracles import pentagonal_partition_table
 from charrank.partitions import (
-    DEFAULT_ENUMERATION_CAP,
     PartsSet,
     _box_parts,
-    _check_cap,
     _set_exact_parts,
     count_box,
     count_set_at_most,
@@ -124,15 +122,9 @@ def _sweep_bijection(report, max_mu, max_x, max_j):
 
 
 def _sweep_oracle(report, max_part, max_parts, max_weight):
-    # Each cell is enumerated once for weights 0..max_weight, after the cap
-    # checks that ``enumerate_box`` and ``enumerate_set_exact`` make at each
-    # weight, in the same order; each weight's bucket is then compared with
-    # one count.
     weights = range(max_weight + 1)
     for a in range(max_part + 1):
         for b in range(max_parts + 1):
-            for c in weights:
-                _check_cap(a, b, c, DEFAULT_ENUMERATION_CAP)
             found = _box_parts(a, b, 0, max_weight)
             for c in weights:
                 report.checked += 1
@@ -147,8 +139,6 @@ def _sweep_oracle(report, max_part, max_parts, max_weight):
     for size in range(1, max_part + 1):
         for members in combinations(values, size):
             for b in range(max_parts + 1):
-                for c in range(b, max_weight + 1):  # none below b: b parts outweigh c
-                    _check_cap(members[-1], b, c, DEFAULT_ENUMERATION_CAP)
                 found = _set_exact_parts(members, b, 0, max_weight)
                 for c in weights:
                     report.checked += 1

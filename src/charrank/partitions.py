@@ -7,10 +7,12 @@ enumeration functions exist mainly so tests and the verification sweeps
 can cross-check the counts against something that cannot share a bug with
 them.  Each kind of enumeration has one depth-first descent over parts in
 decreasing order, which lists a whole window of weights at once, bucketed
-by weight (``_box_parts``, ``_set_exact_parts``).  The sweeps run it once
-per grid cell on part tuples; ``enumerate_box`` and
-``enumerate_set_exact`` run it over the window of one weight and wrap each
-tuple in a ``Partition``.
+by weight (``_box_parts``, ``_set_exact_parts``).  These two window
+enumerators own the enumeration cap and the empty cases: each checks
+every weight of its window against the cap before it descends.  The
+sweeps run them once per grid cell on part tuples; ``enumerate_box`` and
+``enumerate_set_exact`` run them over the window of one weight and wrap
+each tuple in a ``Partition``.
 """
 
 from charrank import _dispatch
@@ -194,23 +196,30 @@ def count_total(weight):
     return _dispatch.partition_table(weight)[weight]
 
 
-def _check_cap(largest, slots, weight, cap):
-    effective = min(largest, weight) * min(slots, weight)
-    if effective > cap:
-        raise CapExceeded(
-            f"enumeration box {min(largest, weight)}x{min(slots, weight)} "
-            f"exceeds the cap of {cap}; raise `cap` to insist"
-        )
+def _check_cap(largest, slots, weights, cap):
+    """Refuse (``CapExceeded``) the first weight in ``weights`` whose
+    effective search box, largest part times number of parts, both clamped
+    to the weight, exceeds ``cap``, a nonnegative integer."""
+    check_int(ValueError, 0, "cap", cap)
+    for weight in weights:
+        rows, cols = min(largest, weight), min(slots, weight)
+        if rows * cols > cap:
+            raise CapExceeded(
+                f"enumeration box {rows}x{cols} exceeds the cap of {cap}; "
+                "raise `cap` to insist"
+            )
 
 
-def _box_parts(max_part, max_parts, lo, hi):
+def _box_parts(max_part, max_parts, lo, hi, cap=DEFAULT_ENUMERATION_CAP):
     """Part tuples of the partitions that fit in a max_part x max_parts
     box, one list per weight lo..hi, each lexicographically decreasing.
 
-    One depth-first descent serves every weight of the window.  Parts are
-    tried largest first, and two partitions of one weight first differ at
-    a part that both have, so the descent reaches the larger one first.
+    Every weight of the window passes the cap check first, in weight order.
+    One depth-first descent then serves every weight of the window.  Parts
+    are tried largest first, and two partitions of one weight first differ
+    at a part that both have, so the descent reaches the larger one first.
     """
+    _check_cap(max_part, max_parts, range(lo, hi + 1), cap)
     buckets = [[] for _ in range(hi - lo + 1)]
     acc = []
 
@@ -230,13 +239,20 @@ def _box_parts(max_part, max_parts, lo, hi):
     return buckets
 
 
-def _set_exact_parts(members, num_parts, lo, hi):
+def _set_exact_parts(members, num_parts, lo, hi, cap=DEFAULT_ENUMERATION_CAP):
     """Part tuples of the partitions into exactly ``num_parts`` parts from
-    ``members`` (ascending and nonempty), one list per weight lo..hi, each
-    lexicographically decreasing.  One descent, as in ``_box_parts``."""
+    ``members`` (ascending, possibly empty), one list per weight lo..hi,
+    each lexicographically decreasing.
+
+    The weights that ``num_parts`` parts can reach pass the cap check
+    first, in weight order; then one descent runs, as in ``_box_parts``.
+    Empty ``members`` leave only the empty partition, at weight 0 with no
+    parts.
+    """
+    least, largest = (members[0], members[-1]) if members else (0, 0)
+    _check_cap(largest, num_parts, range(max(lo, num_parts), hi + 1), cap)
     buckets = [[] for _ in range(hi - lo + 1)]
     descending = members[::-1]
-    least = members[0]
     acc = []
 
     def descend(total, start, slots):
@@ -268,22 +284,16 @@ def enumerate_box(max_part, max_parts, weight, cap=DEFAULT_ENUMERATION_CAP):
     check_int(ValueError, 0, "max_part", max_part)
     check_int(ValueError, 0, "max_parts", max_parts)
     check_int(ValueError, 0, "weight", weight)
-    _check_cap(max_part, max_parts, weight, cap)
-    (found,) = _box_parts(max_part, max_parts, weight, weight)
+    (found,) = _box_parts(max_part, max_parts, weight, weight, cap)
     return [Partition._canonical(parts) for parts in found]
 
 
 def enumerate_set_exact(parts, num_parts, weight, cap=DEFAULT_ENUMERATION_CAP):
     """All partitions counted by ``count_set_exact``, lexicographically
-    decreasing.  Same cap policy as ``enumerate_box``."""
+    decreasing.  Same cap policy as ``enumerate_box``, applied only when
+    ``num_parts`` parts can reach ``weight``."""
     members = _as_members(parts)
     check_int(ValueError, 0, "num_parts", num_parts)
     check_int(ValueError, 0, "weight", weight)
-    if not members or num_parts == 0:
-        keep = num_parts == 0 and weight == 0
-        return [Partition([])] if keep else []
-    if num_parts > weight:
-        return []
-    _check_cap(members[-1], num_parts, weight, cap)
-    (found,) = _set_exact_parts(members, num_parts, weight, weight)
+    (found,) = _set_exact_parts(members, num_parts, weight, weight, cap)
     return [Partition._canonical(parts) for parts in found]

@@ -150,14 +150,14 @@ def _inject_defects(monkeypatch):
     the 2 x 3 box at weight 2."""
     true_set_exact, true_box = bijection._set_exact_parts, bijection._box_parts
 
-    def set_exact(members, num_parts, lo, hi):
-        found = true_set_exact(members, num_parts, lo, hi)
+    def set_exact(members, num_parts, lo, hi, cap):
+        found = true_set_exact(members, num_parts, lo, hi, cap)
         if (members, num_parts) == ((2, 3, 4), 3) and lo <= 8 <= hi:
             found[8 - lo].append((5, 2, 1))
         return found
 
-    def box(max_part, max_parts, lo, hi):
-        found = true_box(max_part, max_parts, lo, hi)
+    def box(max_part, max_parts, lo, hi, cap):
+        found = true_box(max_part, max_parts, lo, hi, cap)
         if (max_part, max_parts) == (2, 3) and lo <= 2 <= hi:
             found[2 - lo].append((9,))
         return found
@@ -198,13 +198,24 @@ def test_sweep_cap_error_is_the_first_refused_instance(monkeypatch):
     windows = []
     true_set_exact = bijection._set_exact_parts
 
-    def recorded(members, num_parts, lo, hi):
-        windows.append((members[0], members[-1], num_parts))
-        return true_set_exact(members, num_parts, lo, hi)
+    def recorded(members, num_parts, lo, hi, cap):
+        windows.append([(members[0], members[-1], num_parts), "returned"])
+        try:
+            return true_set_exact(members, num_parts, lo, hi, cap)
+        except CapExceeded:
+            windows[-1][1] = "raised"
+            raise
 
     monkeypatch.setattr(bijection, "_set_exact_parts", recorded)
     with pytest.raises(CapExceeded) as caught:
         verify_sweep("bijection", grid)
     assert str(caught.value) == expected
-    # the refused cell, parts {1..9} with 8 of them, is never enumerated
-    assert windows and (1, 9, 8) not in windows
+    # the refusal comes from the window of the refused cell, parts {1..9}
+    # with 8 of them, which checks the cap before it enumerates anything
+    assert windows[-1] == [(1, 9, 8), "raised"]
+
+
+@pytest.mark.parametrize("cap", [None, -1, True])
+def test_cap_must_be_a_nonnegative_int(cap):
+    with pytest.raises(ValueError, match="^cap must be an integer >= 0"):
+        verify_bijection(1, 2, 3, 1, cap=cap)

@@ -298,8 +298,8 @@ class TestVerify:
     def test_defective_enumeration_is_a_failure(self, capsys, monkeypatch):
         true_enumerate = bijection._set_exact_parts
 
-        def defective(members, num_parts, lo, hi):
-            found = true_enumerate(members, num_parts, lo, hi)
+        def defective(members, num_parts, lo, hi, cap):
+            found = true_enumerate(members, num_parts, lo, hi, cap)
             if (members, num_parts) == ((2, 3, 4), 3) and lo <= 8 <= hi:
                 found[8 - lo].append((5, 2, 1))
             return found
@@ -318,8 +318,8 @@ class TestVerify:
     def test_defective_reduced_side_is_a_failure(self, capsys, monkeypatch):
         true_enumerate = bijection._box_parts
 
-        def defective(max_part, max_parts, lo, hi):
-            found = true_enumerate(max_part, max_parts, lo, hi)
+        def defective(max_part, max_parts, lo, hi, cap):
+            found = true_enumerate(max_part, max_parts, lo, hi, cap)
             if (max_part, max_parts) == (2, 3) and lo <= 2 <= hi:
                 found[2 - lo].append((9,))
             return found

@@ -289,3 +289,41 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             enumerate_set_exact(range(1, 13), 8, 30)
         assert DEFAULT_ENUMERATION_CAP == 64
+
+    def test_set_exact_empty_cases(self):
+        assert enumerate_set_exact((), 0, 0) == [Partition([])]
+        assert enumerate_set_exact((), 2, 5) == []
+        # parts that outweigh the weight give nothing, and no cap check
+        assert enumerate_set_exact(range(1, 100), 200, 100) == []
+        with pytest.raises(CapExceeded, match=r"^enumeration box 99x50 exceeds the cap of 64"):
+            enumerate_set_exact(range(1, 100), 50, 100)
+
+    def test_window_refuses_its_first_capped_weight(self):
+        with pytest.raises(CapExceeded) as single:
+            enumerate_box(9, 9, 9)
+        with pytest.raises(CapExceeded, match="9x9") as window:
+            _box_parts(9, 9, 0, 40, 64)
+        assert str(window.value) == str(single.value)
+        with pytest.raises(CapExceeded) as single:
+            enumerate_set_exact(range(1, 13), 8, 9)
+        with pytest.raises(CapExceeded, match="9x8") as window:
+            _set_exact_parts(tuple(range(1, 13)), 8, 0, 30, 64)
+        assert str(window.value) == str(single.value)
+
+    @pytest.mark.parametrize("cap", [None, -1, True, 2.0, "64"])
+    def test_cap_must_be_a_nonnegative_int(self, cap):
+        for call in (
+            lambda: enumerate_box(2, 2, 2, cap=cap),
+            lambda: enumerate_box(3, 3, 0, cap=cap),
+            lambda: enumerate_set_exact({1, 2}, 2, 3, cap=cap),
+            lambda: enumerate_set_exact((), 0, 0, cap=cap),
+            lambda: enumerate_set_exact(range(1, 100), 200, 100, cap=cap),
+        ):
+            with pytest.raises(ValueError, match="^cap must be an integer >= 0"):
+                call()
+
+    def test_zero_cap_admits_only_empty_boxes(self):
+        assert enumerate_box(3, 3, 0, cap=0) == [Partition([])]
+        assert enumerate_set_exact((), 0, 0, cap=0) == [Partition([])]
+        with pytest.raises(CapExceeded, match="1x1 exceeds the cap of 0"):
+            enumerate_box(3, 3, 1, cap=0)
