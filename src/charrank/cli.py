@@ -15,8 +15,10 @@ Subcommands:
 Every subcommand takes ``--format text|json|csv`` (default text) and
 ``--output PATH`` to write the rendered record to a file instead of
 stdout.  Counts are always emitted as decimal strings, never floats.
-Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage error.
+Each handler returns ``(record, table, text)``: the JSON record, the
+``(header, rows)`` of the CSV output and the text output; ``main`` renders
+the one asked for.  Exit codes: 0 success, 1 when the record's status is
+``fail`` (a verification failure), 2 usage error.
 """
 
 import argparse
@@ -29,13 +31,7 @@ from charrank.bounds import UNBOUNDED, BundleProfile, betti_upper_bound, betti_u
 from charrank.errors import CapExceeded, CharrankError
 from charrank.grassmannian import betti, poincare
 from charrank.identities import RANGE_KEYS, SWEEP_ORDER, default_grid, run_all, verify_sweep
-from charrank.partitions import (
-    PartsSet,
-    count_box,
-    count_set_any,
-    count_set_exact,
-    count_total,
-)
+from charrank.partitions import PartsSet, count_box, count_set_any, count_set_exact, count_total
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAIL = 1
@@ -111,10 +107,6 @@ def _params(args):
     return {field: _text(getattr(args, field)) for field in args.fields}
 
 
-def _json_dump(record):
-    return json.dumps(record, indent=2) + "\n"
-
-
 def _csv_rows(header, rows):
     sink = io.StringIO()
     writer = csv.writer(sink, lineterminator="\n")
@@ -123,35 +115,11 @@ def _csv_rows(header, rows):
     return sink.getvalue()
 
 
-def _render_scalar(record, fmt):
-    if fmt == "json":
-        return _json_dump(record)
-    if fmt == "csv":
-        return _csv_rows(["value"], [[record["results"]["value"]]])
-    return record["results"]["value"] + "\n"
-
-
-def _render_table(record, fmt):
-    values = record["results"]["betti"]
-    if fmt == "json":
-        return _json_dump(record)
-    if fmt == "csv":
-        return _csv_rows(["degree", "value"], list(enumerate(values)))
-    return " ".join(values) + "\n"
-
-
-def _render_verify(record, fmt):
-    if fmt == "json":
-        return _json_dump(record)
-    reports = record["results"]["reports"]
-    if fmt == "csv":
-        rows = [
-            [rep["identity"], rep["checked"], str(len(rep["failures"])), rep["status"]]
-            for rep in reports
-        ]
-        return _csv_rows(["identity", "checked", "failures", "status"], rows)
+def _verify_text(payloads, status):
+    """The text output of ``verify``: a line per report, its first
+    failures, then the overall status."""
     lines = []
-    for rep in reports:
+    for rep in payloads:
         lines.append(
             f"{rep['identity']}: {rep['status']} "
             f"(checked={rep['checked']}, failures={len(rep['failures'])})"
@@ -163,46 +131,40 @@ def _render_verify(record, fmt):
         hidden = len(rep["failures"]) - len(listed)
         if hidden > 0:
             lines.append(f"  ... {hidden} more failures")
-    lines.append(f"overall: {record['status']}")
+    lines.append(f"overall: {status}")
     return "\n".join(lines) + "\n"
-
-
-_RENDERERS = {
-    "scalar": _render_scalar,
-    "table": _render_table,
-    "verify": _render_verify,
-}
 
 
 def _record(command, params, results, status="ok"):
     return {"command": command, "params": params, "results": results, "status": status}
 
 
+def _scalar(command, params, value):
+    """The record, CSV table and text of a one-value result."""
+    value = str(value)
+    return _record(command, params, {"value": value}), (["value"], [[value]]), value + "\n"
+
+
 def _cmd_count(args):
     # the fields are the counting function's arguments, in order
     value = args.count(*(getattr(args, field) for field in args.fields))
-    params = {"subject": args.subject, **_params(args)}
-    return _record("count", params, {"value": str(value)}), "scalar", _EXIT_OK
+    return _scalar("count", {"subject": args.subject, **_params(args)}, value)
 
 
 def _cmd_betti(args):
     params = {"n": str(args.n), "k": str(args.k)}
     if args.degree is not None:
         params["degree"] = str(args.degree)
-        value = betti(args.n, args.k, args.degree)
-        return _record("betti", params, {"value": str(value)}), "scalar", _EXIT_OK
-    table = poincare(args.n, args.k)
-    results = {"betti": [str(v) for v in table.betti]}
-    return _record("betti", params, results), "table", _EXIT_OK
+        return _scalar("betti", params, betti(args.n, args.k, args.degree))
+    values = [str(v) for v in poincare(args.n, args.k).betti]
+    table = (["degree", "value"], list(enumerate(values)))
+    return _record("betti", params, {"betti": values}), table, " ".join(values) + "\n"
 
 
 def _cmd_bound(args):
     profile = BundleProfile(dim_x=args.dim, s_set=PartsSet(args.set), t=args.charrank)
-    if args.gapless:
-        value = betti_upper_bound_gapless(profile, args.degree)
-    else:
-        value = betti_upper_bound(profile, args.degree)
-    return _record("bound", _params(args), {"value": str(value)}), "scalar", _EXIT_OK
+    bound = betti_upper_bound_gapless if args.gapless else betti_upper_bound
+    return _scalar("bound", _params(args), bound(profile, args.degree))
 
 
 def _report_payload(report):
@@ -236,11 +198,11 @@ def _cmd_verify(args):
         except CapExceeded as exc:  # its remedy names `cap`, which is no flag
             raise CapExceeded(str(exc).partition(";")[0] + "; lower the range flags")
     status = "pass" if all(r.passed for r in reports) else "fail"
-    record = _record(
-        "verify", params, {"reports": [_report_payload(r) for r in reports]}, status
-    )
-    code = _EXIT_OK if status == "pass" else _EXIT_VERIFY_FAIL
-    return record, "verify", code
+    payloads = [_report_payload(r) for r in reports]
+    rows = [[p["identity"], p["checked"], str(len(p["failures"])), p["status"]] for p in payloads]
+    table = (["identity", "checked", "failures", "status"], rows)
+    record = _record("verify", params, {"reports": payloads}, status)
+    return record, table, _verify_text(payloads, status)
 
 
 def _build_parser():
@@ -344,11 +306,16 @@ def main(argv=None):
     except SystemExit as exc:
         return _EXIT_OK if not exc.code else _EXIT_USAGE
     try:
-        record, kind, code = args.handler(args)
-        rendered = _RENDERERS[kind](record, args.format)
+        record, table, text = args.handler(args)
     except (CharrankError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    if args.format == "json":
+        rendered = json.dumps(record, indent=2) + "\n"
+    elif args.format == "csv":
+        rendered = _csv_rows(*table)
+    else:
+        rendered = text
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as sink:
@@ -358,7 +325,7 @@ def main(argv=None):
             return _EXIT_USAGE
     else:
         sys.stdout.write(rendered)
-    return code
+    return _EXIT_VERIFY_FAIL if record["status"] == "fail" else _EXIT_OK
 
 
 if __name__ == "__main__":

@@ -138,13 +138,14 @@ def _sweep_oracle(report, max_part, max_parts, max_weight):
     values = range(1, max_part + 1)
     for size in range(1, max_part + 1):
         for members in combinations(values, size):
+            label = ",".join(map(str, members))
             for b in range(max_parts + 1):
                 found = _set_exact_parts(members, b, 0, max_weight)
                 for c in weights:
                     report.checked += 1
                     params = (
                         ("subject", "set-exact"),
-                        ("parts", ",".join(map(str, members))),
+                        ("parts", label),
                         ("num_parts", b),
                         ("weight", c),
                     )

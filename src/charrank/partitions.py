@@ -80,11 +80,9 @@ class PartsSet:
     __slots__ = ("_members",)
 
     def __init__(self, members):
-        collected = list(members)
-        check_int(ValueError, 1, "each part value", *collected)
-        if not collected:
+        self._members = _as_members(members)
+        if not self._members:
             raise ValueError("a PartsSet needs at least one value")
-        self._members = tuple(sorted(set(collected)))
 
     @classmethod
     def interval(cls, lo, hi):
@@ -162,8 +160,6 @@ def count_set_exact(parts, num_parts, weight):
     check_int(ValueError, 0, "weight", weight)
     if num_parts > weight:
         return 0  # num_parts >= 1 parts, each >= 1, outweigh weight: skip the kernel
-    if not members:
-        return 1 if weight == 0 and num_parts == 0 else 0
     return _dispatch.set_exact_counts(members, num_parts, weight)[num_parts]
 
 
@@ -173,8 +169,6 @@ def count_set_at_most(parts, max_parts, weight):
     members = _as_members(parts)
     check_int(ValueError, 0, "max_parts", max_parts)
     check_int(ValueError, 0, "weight", weight)
-    if not members:
-        return 1 if weight == 0 else 0
     bound = min(max_parts, weight)
     return sum(_dispatch.set_exact_counts(members, bound, weight))
 

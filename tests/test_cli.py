@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import subprocess
@@ -15,6 +17,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _corrupt_box_count(monkeypatch):
+    """Make ``count_box(2, 2, 4)`` one too large, so eq3 fails."""
+    true_box = _dispatch.box_count
+
+    def corrupted(a, b, c):
+        value = true_box(a, b, c)
+        return value + 1 if (a, b, c) == (2, 2, 4) else value
+
+    monkeypatch.setattr(_dispatch, "box_count", corrupted)
 
 
 class TestCount:
@@ -228,13 +241,7 @@ class TestVerify:
         assert "error:" in err
 
     def test_failure_exits_one_and_lists_counterexamples(self, capsys, monkeypatch):
-        true_box = _dispatch.box_count
-
-        def corrupted(a, b, c):
-            value = true_box(a, b, c)
-            return value + 1 if (a, b, c) == (2, 2, 4) else value
-
-        monkeypatch.setattr(_dispatch, "box_count", corrupted)
+        _corrupt_box_count(monkeypatch)
         code, out, _ = run_cli(capsys, "verify", "eq3", "--max-mu", "5", "--max-j", "8")
         assert code == 1
         assert "eq3: fail" in out
@@ -365,6 +372,70 @@ class TestVerify:
             ]
             assert named == expected
 
+
+BOUND_ARGS = ("bound", "--dim", "inf", "--charrank", "9", "--degree", "4")
+VALUE_HEADER = ["value"]
+VERIFY_HEADER = ["identity", "checked", "failures", "status"]
+
+
+@pytest.mark.parametrize(
+    "argv,header,corrupt",
+    [
+        pytest.param(("count", "box", "3", "2", "5"), VALUE_HEADER, False, id="box"),
+        pytest.param(
+            ("count", "set-exact", "--parts", "1,2", "2", "3"), VALUE_HEADER, False,
+            id="set-exact",
+        ),
+        pytest.param(
+            ("count", "set-any", "--parts", "1,2", "4"), VALUE_HEADER, False, id="set-any"
+        ),
+        pytest.param(("count", "total", "9"), VALUE_HEADER, False, id="total"),
+        pytest.param(("betti", "6", "3", "4"), VALUE_HEADER, False, id="betti-degree"),
+        pytest.param(("betti", "5", "2"), ["degree", "value"], False, id="betti-table"),
+        pytest.param(BOUND_ARGS + ("--set", "1,2,4"), VALUE_HEADER, False, id="bound"),
+        pytest.param(
+            BOUND_ARGS + ("--set", "1,2", "--gapless"), VALUE_HEADER, False, id="bound-gapless"
+        ),
+        pytest.param(("verify", "eq4", "--max-j", "9"), VERIFY_HEADER, False, id="verify-pass"),
+        pytest.param(
+            ("verify", "eq3", "--max-mu", "5", "--max-j", "8"), VERIFY_HEADER, True,
+            id="verify-fail",
+        ),
+    ],
+)
+def test_every_format_carries_the_record(capsys, monkeypatch, argv, header, corrupt):
+    """Text, CSV and JSON show the same values, and the exit code is 1
+    exactly when the record's status is ``fail``."""
+    if corrupt:
+        _corrupt_box_count(monkeypatch)
+    runs = {fmt: run_cli(capsys, *argv, "--format", fmt) for fmt in ("text", "json", "csv")}
+    codes = {fmt: code for fmt, (code, _, _) in runs.items()}
+    record = json.loads(runs["json"][1])
+    assert codes == dict.fromkeys(runs, 1 if record["status"] == "fail" else 0)
+    assert record["status"] == ("fail" if corrupt else "pass" if argv[0] == "verify" else "ok")
+
+    results = record["results"]
+    if "reports" in results:
+        reports = results["reports"]
+        rows = [
+            [rep["identity"], rep["checked"], str(len(rep["failures"])), rep["status"]]
+            for rep in reports
+        ]
+        lines = runs["text"][1].splitlines()
+        for rep in reports:
+            assert (
+                f"{rep['identity']}: {rep['status']} "
+                f"(checked={rep['checked']}, failures={len(rep['failures'])})"
+            ) in lines
+        assert lines[-1] == f"overall: {record['status']}"
+    elif "betti" in results:
+        rows = [[str(degree), value] for degree, value in enumerate(results["betti"])]
+        assert runs["text"][1] == " ".join(results["betti"]) + "\n"
+    else:
+        rows = [[results["value"]]]
+        assert runs["text"][1] == results["value"] + "\n"
+    table = list(csv.reader(io.StringIO(runs["csv"][1])))
+    assert table == [header] + rows
 
 
 # A small value for every range parameter, each unlike its default, so a

@@ -184,6 +184,16 @@ class TestCountSet:
     def test_num_parts_beyond_weight(self):
         assert count_set_exact({1, 2}, 9, 5) == 0
 
+    def test_empty_part_set(self):
+        # no parts to draw from: only the empty partition, at weight 0
+        assert count_set_exact((), 0, 0) == 1
+        assert count_set_exact((), 0, 4) == 0
+        assert count_set_exact((), 1, 3) == 0
+        assert count_set_at_most((), 4, 0) == 1
+        assert count_set_at_most((), 4, 3) == 0
+        assert count_set_any((), 0) == 1
+        assert count_set_any((), 5) == 0
+
     def test_accepts_parts_set_and_iterables(self):
         expected = count_set_exact((2, 3), 2, 5)
         assert count_set_exact(PartsSet([3, 2]), 2, 5) == expected
