@@ -26,7 +26,10 @@ static PyObject *kernels_py; /* charrank._kernels_py, set once at import */
  * [p][weight].  ``parts`` must be ascending and below ``width``.  Adding
  * part v splits on whether v occurs:
  *     f(v, p, w) = f(v-1, p, w) + f(v, p-1, w-v),
- * and rows go with p ascending, so row p - 1 already holds f(v, p-1, .). */
+ * and rows go with p ascending, so row p - 1 already holds f(v, p-1, .).
+ * Once every part up to v is in, row p is zero outside [p * least, p * v],
+ * so part v changes row p only on [v + (p-1) * least, p * v], and no row
+ * past the first whose window starts at ``width`` or beyond. */
 static void
 part_rows(uint64_t *table, const long *parts, long nparts, long rows,
           long width)
@@ -34,9 +37,10 @@ part_rows(uint64_t *table, const long *parts, long nparts, long rows,
     table[0] = 1;
     for (long i = 0; i < nparts; i++) {
         long v = parts[i];
-        for (long p = 1; p <= rows; p++) {
+        for (long p = 1, lo = v; p <= rows && lo < width; p++, lo += parts[0]) {
             uint64_t *row = table + p * width, *below = row - width;
-            for (long w = v; w < width; w++)
+            long hi = p * v < width ? p * v : width - 1;
+            for (long w = lo; w <= hi; w++)
                 row[w] += below[w - v];
         }
     }
@@ -187,7 +191,8 @@ set_exact_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             return delegate("set_exact_counts", args, nargs);
         parts[n++] = v;
     }
-    smax = b < c ? b : c; /* parts are >= 1: more than c never fit */
+    /* more than c / least parts outweigh c; with no part only row 0 counts */
+    smax = n == 0 ? 0 : b < c / parts[0] ? b : c / parts[0];
     table = calloc((size_t)(smax + 1) * (c + 1), sizeof *table);
     if (table == NULL)
         return PyErr_NoMemory();

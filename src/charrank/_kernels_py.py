@@ -8,8 +8,10 @@ native Python integers, so results are exact at any size.
 Two dynamic programs serve the four entry points:
 
 * ``_part_rows``, the 2-D table indexed by (parts used, weight), serves
-  only ``set_exact_counts``.  It is updated one whole row per slice
-  statement instead of one cell per interpreter step.
+  only ``set_exact_counts``.  It is updated one row per slice statement
+  instead of one cell per interpreter step, and each slice covers only the
+  weights that row can reach: with parts added in ascending order, p parts
+  weigh at least p times the least part and at most p times the newest.
 * ``_accumulate``, the 1-D table indexed by weight, adds parts with no
   bound on their number.  It serves both halves of ``partition_table`` and
   every box (``_box_row``).  It runs one slice statement per residue
@@ -49,27 +51,30 @@ CLASS_CUT = 16
 def _part_rows(parts, rows: int, width: int) -> list:
     """Rows 0..rows of the counts of partitions into exactly p parts from
     ``parts``, indexed [p][weight] for weights below ``width``.  ``parts``
-    must be ascending.
+    must be an ascending sequence of positive integers.
 
     Adding part v splits on whether v occurs:
 
         f(v, p, w) = f(v-1, p, w) + f(v, p-1, w-v)
 
     Rows are taken with p ascending, so the row below already holds
-    f(v, p-1, .) when row p reads it, and the whole row is one slice
-    statement that adds ``below[:width - v]`` to ``row[v:]`` element by
-    element.
+    f(v, p-1, .) when row p reads it.  Once every part up to v is in, row
+    p is zero outside [p * least, p * v], so the pass for v changes row p
+    only on [v + (p-1) * least, p * v] and stops at the first row whose
+    window starts at ``width`` or past it.  Each window is one slice
+    statement.
     """
     table = [[0] * width for _ in range(rows + 1)]
     table[0][0] = 1
     for v in parts:
         if v >= width:
             break
-        below = table[0]
-        for row in table[1:]:
-            # map stops at the end of row[v:], so it reads below[:width - v]
-            row[v:] = map(add, row[v:], below)
-            below = row
+        lo, hi = v, v + 1  # row 1's window, end exclusive
+        for below, row in zip(table, table[1:]):
+            if lo >= width:
+                break
+            row[lo:hi] = map(add, row[lo:hi], below[lo - v : hi - v])
+            lo, hi = lo + parts[0], min(hi + v, width)
     return table
 
 
@@ -130,7 +135,8 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
     """
     if b < 0 or c < 0:
         raise ValueError("number of parts and weight must be nonnegative")
-    smax = min(b, c)  # parts are >= 1, so more than c of them never fit
+    # more than c // least parts outweigh c; with no part only row 0 counts
+    smax = min(b, c // parts[0]) if parts else 0
     table = _part_rows(parts, smax, c + 1)
     return [row[c] for row in table] + [0] * (b - smax)
 

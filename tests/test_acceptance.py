@@ -304,6 +304,21 @@ def _mutant_part_rows(parts, rows, width):
     return table
 
 
+def _mutant_part_rows_window(parts, rows, width):
+    table = [[0] * width for _ in range(rows + 1)]
+    table[0][0] = 1
+    for v in parts:
+        if v >= width:
+            break
+        lo, hi = v, v  # should be v + 1: each window stops one short of p * v
+        for below, row in zip(table, table[1:]):
+            if lo >= width:
+                break
+            row[lo:hi] = map(add, row[lo:hi], below[lo - v : hi - v])
+            lo, hi = lo + parts[0], min(hi + v, width)
+    return table
+
+
 def test_criterion_9_cli_exit_codes_and_mutation(monkeypatch, capsys):
     clean = cli_main(["verify", "all"])
     capsys.readouterr()
@@ -321,6 +336,7 @@ def test_criterion_9_cli_exit_codes_and_mutation(monkeypatch, capsys):
         "1-D residue branch": (_kernels_py, "_accumulate", _mutant_accumulate_residue),
         "1-D scalar branch": (_kernels_py, "_accumulate", _mutant_accumulate_scalar),
         "2-D row helper": (_kernels_py, "_part_rows", _mutant_part_rows),
+        "2-D row window": (_kernels_py, "_part_rows", _mutant_part_rows_window),
         "large-part rows": (_dispatch, "partition_table", _mutant_partition_table_large_rows),
     }
     codes = {}

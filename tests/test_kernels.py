@@ -119,6 +119,22 @@ def test_box_table_agrees_across_word_size_boundary(kernels_c, size):
             assert kernels_c.box_table(a, b) == _kernels_py.box_table(a, b) == expected
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@pytest.mark.parametrize("parts", [(1, 4, 9, 16), (3, 5, 8, 13, 21), PRIMES])
+@pytest.mark.parametrize("b", [60, 416])
+def test_set_exact_counts_agree_across_word_size_boundary(kernels_c, parts, b):
+    # b = 60 is below every c // least here, so it caps the rows, yet 60
+    # of the largest part outweigh c; b = 416, the largest the compiled
+    # path takes, is at or above every c // least up to weight 416.  From
+    # weight 417 on the compiled call goes to the big-integer route.
+    for c in range(410, 425):
+        assert kernels_c.set_exact_counts(parts, b, c) == _kernels_py.set_exact_counts(
+            parts, b, c
+        ), c
+
+
 def test_box_count_beyond_fast_path_is_exact(kernels_c):
     # weight above 416 forces the compiled backend to delegate; the result
     # is a big integer either way

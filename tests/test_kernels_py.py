@@ -7,11 +7,14 @@ g = b+1..a+b, that fall below the table's width before ``_accumulate``
 adds parts 1..a.  So the box tests cover both orientations, an inert bound
 (no numerator factor), a numerator cut off by the width, and the whole
 numerator.  The rest covers both branches of ``_accumulate`` on either side
-of ``CLASS_CUT``, and the split of ``partition_table`` into small parts and
-rows of large parts on either side of each square.
+of ``CLASS_CUT``, the split of ``partition_table`` into small parts and
+rows of large parts on either side of each square, and the reachable
+windows of ``_part_rows`` against the plain loop over whole rows.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from charrank import _kernels_py
 from charrank.grassmannian import gaussian_binomial
@@ -93,11 +96,41 @@ def test_negative_argument_is_refused(kernel, args):
         ((3, 7, 20), 6, 6),  # only the first part fits
         ((1, 4, 6), 5, 30),
         ((2,), 0, 0),
+        ((), 3, 0),  # no parts: only the empty partition
+        ((), 3, 5),
+        ((3, 5, 8), 2, 16),  # least > 1, b binding
+        ((3, 5, 8), 9, 16),  # b > c // least: rows past 5 hold nothing
+        ((4, 6), 12, 24),  # c // least parts exactly fill c
+        ((7, 9), 4, 6),  # the least part is above c
+        ((2, 3, 40, 41), 8, 12),  # parts >= width
     ],
 )
 def test_set_exact_counts(parts, b, c):
     expected = [brute_set_exact(parts, s, c) for s in range(b + 1)]
     assert _kernels_py.set_exact_counts(parts, b, c) == expected
+
+
+def plain_part_rows(parts, rows, width):
+    """``_part_rows`` without the windows: every pass adds the whole row
+    below, shifted by v, into each row."""
+    table = [[0] * width for _ in range(rows + 1)]
+    table[0][0] = 1
+    for v in parts:
+        for p in range(1, rows + 1):
+            for w in range(v, width):
+                table[p][w] += table[p - 1][w - v]
+    return table
+
+
+@given(
+    st.sets(st.integers(1, 30), max_size=6),
+    st.integers(0, 12),
+    st.integers(1, 60),
+)
+def test_part_rows_windows_match_plain_loop(members, rows, width):
+    parts = tuple(sorted(members))
+    expected = plain_part_rows(parts, rows, width)
+    assert _kernels_py._part_rows(parts, rows, width) == expected
 
 
 # Small weights; from 63 up, each runs both branches of _accumulate in
