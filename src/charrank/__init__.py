@@ -21,6 +21,7 @@ from charrank.errors import (
     InvalidDimensions,
     NotGapless,
     PreconditionViolation,
+    TableTooLarge,
 )
 from charrank.grassmannian import PoincareTable, betti, gaussian_binomial, poincare
 from charrank.identities import (
@@ -61,6 +62,7 @@ __all__ = [
     "PartsSet",
     "PoincareTable",
     "PreconditionViolation",
+    "TableTooLarge",
     "UNBOUNDED",
     "VerificationReport",
     "backend_name",

@@ -9,9 +9,9 @@
  * so big results and errors come from one place.
  *
  * As in ``_kernels_py``, the 2-D ``part_rows`` serves only set-exact counts
- * and the 1-D ``accumulate`` serves p(n) and every box (``box_row``).  Each
- * call owns its tables and touches no Python object while it fills them, so
- * it releases the GIL: threads run in parallel. */
+ * and the 1-D ``accumulate`` serves set-any tables, p(n) and every box
+ * (``box_row``).  Each call owns its tables and touches no Python object
+ * while it fills them, so it releases the GIL: threads run in parallel. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -46,15 +46,15 @@ part_rows(uint64_t *table, const long *parts, long nparts, long rows,
     }
 }
 
-/* Adds parts 1..top, with no bound on their number, to the counts ``dp``
- * of ``size`` weights.  Part v runs dp[w] += dp[w - v] over w ascending, so
- * dp[w - v] already uses v. */
+/* Adds the ``nparts`` parts ``parts``, with no bound on their number, to
+ * the counts ``dp`` of ``size`` weights.  Part v runs dp[w] += dp[w - v]
+ * over w ascending, so dp[w - v] already uses v. */
 static void
-accumulate(uint64_t *dp, long size, long top)
+accumulate(uint64_t *dp, long size, const long *parts, long nparts)
 {
-    for (long v = 1; v <= top; v++)
-        for (long w = v; w < size; w++)
-            dp[w] += dp[w - v];
+    for (long i = 0; i < nparts; i++)
+        for (long w = parts[i]; w < size; w++)
+            dp[w] += dp[w - parts[i]];
 }
 
 /* Fills a zeroed ``dp`` of ``width`` entries with the partition counts of
@@ -64,13 +64,15 @@ accumulate(uint64_t *dp, long size, long top)
 static void
 box_row(uint64_t *dp, long a, long b, long width)
 {
-    long lo = a < b ? a : b, hi = a + b - lo;
+    long lo = a < b ? a : b, hi = a + b - lo, parts[U64_SAFE_WEIGHT];
 
     dp[0] = 1;
     for (long g = hi + 1; g <= a + b && g < width; g++)
         for (long w = width - 1; w >= g; w--)
             dp[w] -= dp[w - g];
-    accumulate(dp, width, lo);
+    for (long i = 0; i < lo; i++) /* lo <= 416: callers clamp to the weight */
+        parts[i] = i + 1;
+    accumulate(dp, width, parts, lo);
 }
 
 /* ``o`` clamped to at most ``cap``; -1 if ``o`` is not a nonnegative int. */
@@ -203,6 +205,38 @@ set_exact_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
+set_any_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long top = -1, v, n = 0, parts[U64_SAFE_WEIGHT];
+    Py_ssize_t size = 0;
+    uint64_t *dp;
+
+    if (nargs == 2 && PyTuple_Check(args[0])) {
+        top = clamp(args[1], U64_SAFE_WEIGHT + 1);
+        size = PyTuple_GET_SIZE(args[0]);
+    }
+    if (top < 0 || top > U64_SAFE_WEIGHT)
+        return delegate("set_any_table", args, nargs);
+    /* parts above top never fit; at most top parts come before them */
+    for (Py_ssize_t i = 0; i < size; i++) {
+        v = clamp(PyTuple_GET_ITEM(args[0], i), top + 1);
+        if (v > top)
+            break;
+        if (v < 1 || n == top)
+            return delegate("set_any_table", args, nargs);
+        parts[n++] = v;
+    }
+    dp = calloc((size_t)top + 1, sizeof *dp);
+    if (dp == NULL)
+        return PyErr_NoMemory();
+    dp[0] = 1;
+    Py_BEGIN_ALLOW_THREADS
+    accumulate(dp, top + 1, parts, n);
+    Py_END_ALLOW_THREADS
+    return to_list(dp, 0, 1, top + 1, top + 1);
+}
+
+static PyObject *
 partition_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     long n = nargs == 1 ? clamp(args[0], U64_SAFE_WEIGHT + 1) : -1;
@@ -227,6 +261,8 @@ static PyMethodDef methods[] = {
     FASTCALL(box_table, "Partition counts in an a-by-b box, by weight 0..a*b."),
     FASTCALL(set_exact_counts,
              "Partitions of c into exactly s parts from parts, for s in 0..b."),
+    FASTCALL(set_any_table,
+             "Partitions into any number of parts from parts, by weight 0..top."),
     FASTCALL(partition_table, "Unrestricted partition numbers p(0..n)."),
     {NULL, NULL, 0, NULL}};
 

@@ -1,11 +1,11 @@
 """Pure-Python counting kernels.
 
 These are the reference implementations of the dynamic-programming cores.
-A compiled twin (``_kernels_c``) provides the same four entry points; the
+A compiled twin (``_kernels_c``) provides the same five entry points; the
 active backend is chosen in ``_dispatch``.  Everything here works with
 native Python integers, so results are exact at any size.
 
-Two dynamic programs serve the four entry points:
+Two dynamic programs serve the five entry points:
 
 * ``_part_rows``, the 2-D table indexed by (parts used, weight), serves
   only ``set_exact_counts``.  It is updated one row per slice statement
@@ -13,9 +13,10 @@ Two dynamic programs serve the four entry points:
   weights that row can reach: with parts added in ascending order, p parts
   weigh at least p times the least part and at most p times the newest.
 * ``_accumulate``, the 1-D table indexed by weight, adds parts with no
-  bound on their number.  It serves both halves of ``partition_table`` and
-  every box (``_box_row``).  It runs one slice statement per residue
-  class, or a scalar loop when the classes are short (``CLASS_CUT``).
+  bound on their number.  It serves ``set_any_table``, both halves of
+  ``partition_table`` and every box (``_box_row``).  It runs one slice
+  statement per residue class, or a scalar loop when the classes are short
+  (``CLASS_CUT``).
 
 ``partition_table`` splits the parts at m = isqrt(n) + 1, the standard
 split of Euler's product 1/(q;q)_inf into the parts below m times
@@ -139,6 +140,18 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
     smax = min(b, c // parts[0]) if parts else 0
     table = _part_rows(parts, smax, c + 1)
     return [row[c] for row in table] + [0] * (b - smax)
+
+
+def set_any_table(parts: tuple, top: int) -> list:
+    """Counts of partitions into any number of parts from ``parts``, for
+    every weight 0..top (a list of length top+1): the coefficients of
+    prod_{v in parts} 1 / (1 - q^v).
+
+    ``parts`` must be a strictly ascending tuple of positive integers.
+    """
+    if top < 0:
+        raise ValueError("weight must be nonnegative")
+    return _accumulate([1] + [0] * top, parts)
 
 
 def partition_table(n: int) -> list:

@@ -10,6 +10,10 @@ class CapExceeded(CharrankError):
     """An explicit enumeration would exceed the configured size cap."""
 
 
+class TableTooLarge(CharrankError):
+    """A count would need a dynamic-programming table past the size limit."""
+
+
 class PreconditionViolation(CharrankError):
     """An argument violates a documented precondition."""
 

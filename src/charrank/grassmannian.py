@@ -9,7 +9,8 @@ full table is symmetric of total dimension k(n-k).
 for [n choose k]_q by exact polynomial division.  It shares no code with
 the counting kernels, but their box counts rest on the same formula, so the
 sweeps that check those counts on other recurrences are ``oracle``
-(explicit enumeration) and ``eq3`` and ``eq5`` (the 2-D set-exact table).
+(explicit enumeration) and ``eq5``, whose any-parts form compares
+``count_box`` with the 2-D set-exact table.
 """
 
 from dataclasses import dataclass

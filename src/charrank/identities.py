@@ -79,19 +79,23 @@ def verify_eq4(weight):
 def verify_eq5(num_degrees, weight):
     """Check the tail form: for weight > num_degrees, partitions of
     ``weight`` with parts at most ``num_degrees`` match the box counts
-    summed from s = ceil(weight/num_degrees) by ``bounds._box_sum``;
-    additionally confirms the left side equals
-    ``count_box(num_degrees, weight, weight)``, which counts on the 1-D
-    kernel and shares no table with the left side."""
+    summed from s = ceil(weight/num_degrees) by ``bounds._box_sum``.
+
+    The any-parts form checks the left side, which counts on the 1-D
+    set-any table, and ``count_box(num_degrees, weight, weight)`` against
+    the 2-D set-exact table: at most weight - 1 parts bind the bound, and
+    the one partition into exactly ``weight`` parts is all ones."""
     check_int(ValueError, 1, "num_degrees", num_degrees)
     check_int(PreconditionViolation, num_degrees + 1, "weight", weight)
     params = (("num_degrees", num_degrees), ("weight", weight))
     report = _single_report(Identity.EQ5, params)
-    lhs = count_set_at_most(range(1, num_degrees + 1), weight, weight)
+    degrees = range(1, num_degrees + 1)
+    lhs = count_set_at_most(degrees, weight, weight)
     report.compare(params + (("check", "tail form"),), lhs, _box_sum(1, num_degrees, weight))
-    report.compare(
-        params + (("check", "any-parts form"),), lhs, count_box(num_degrees, weight, weight)
-    )
+    table = count_set_at_most(degrees, weight - 1, weight) + 1
+    any_parts = params + (("check", "any-parts form"),)
+    report.compare(any_parts, lhs, table)
+    report.compare(any_parts, count_box(num_degrees, weight, weight), table)
     return report
 
 

@@ -16,11 +16,15 @@ each tuple in a ``Partition``.
 """
 
 from charrank import _dispatch
-from charrank.errors import CapExceeded, check_int
+from charrank.errors import CapExceeded, TableTooLarge, check_int
 
 #: Default bound on the effective search box (largest part x number of
 #: parts) accepted by the enumeration functions.
 DEFAULT_ENUMERATION_CAP = 64
+
+#: Most entries a 2-D set-exact table may hold (2**25, 256 MiB at 8 bytes
+#: an entry); a count that needs a larger one raises ``TableTooLarge``.
+MAX_TABLE_CELLS = 2**25
 
 
 class Partition:
@@ -160,28 +164,47 @@ def count_set_exact(parts, num_parts, weight):
     check_int(ValueError, 0, "weight", weight)
     if num_parts > weight:
         return 0  # num_parts >= 1 parts, each >= 1, outweigh weight: skip the kernel
-    return _dispatch.set_exact_counts(members, num_parts, weight)[num_parts]
+    return _set_exact_counts(members, num_parts, weight)[num_parts]
 
 
 def count_set_at_most(parts, max_parts, weight):
     """Partitions of ``weight`` into at most ``max_parts`` parts from
-    ``parts``; the empty partition counts when ``weight`` is 0."""
+    ``parts``; the empty partition counts when ``weight`` is 0.
+
+    Two routes give the count.  No more than weight // least parts fit in
+    ``weight``, so from that many on the bound never binds: the count is
+    the coefficient of q^weight in prod_{v in parts} 1 / (1 - q^v), one
+    entry of the 1-D ``set_any_table``.  A bound below it binds, and the
+    count sums the rows of the 2-D ``set_exact_counts`` table.
+    """
     members = _as_members(parts)
     check_int(ValueError, 0, "max_parts", max_parts)
     check_int(ValueError, 0, "weight", weight)
-    bound = min(max_parts, weight)
-    return sum(_dispatch.set_exact_counts(members, bound, weight))
+    if not members or max_parts >= weight // members[0]:
+        return _dispatch.set_any_table(members, weight)[weight]
+    return sum(_set_exact_counts(members, max_parts, weight))
 
 
 def count_set_any(parts, weight):
     """Partitions of ``weight`` into any number of parts from ``parts``."""
     members = _as_members(parts)
     check_int(ValueError, 0, "weight", weight)
-    if weight == 0:
-        return 1
-    if not members:
-        return 0
-    return count_set_at_most(members, weight // members[0], weight)
+    return count_set_at_most(members, weight, weight)  # weight parts never bind
+
+
+def _set_exact_counts(members, num_parts, weight):
+    """``_dispatch.set_exact_counts`` on ascending ``members``, refused
+    (``TableTooLarge``) before it allocates when its table would hold more
+    than ``MAX_TABLE_CELLS`` entries: one row for each number of parts up
+    to min(num_parts, weight // least), each one entry per weight 0..weight.
+    """
+    rows = min(num_parts, weight // members[0]) + 1 if members else 1
+    if rows * (weight + 1) > MAX_TABLE_CELLS:
+        raise TableTooLarge(
+            f"a table of {rows}x{weight + 1} counts exceeds the limit of "
+            f"{MAX_TABLE_CELLS} cells"
+        )
+    return _dispatch.set_exact_counts(members, num_parts, weight)
 
 
 def count_total(weight):

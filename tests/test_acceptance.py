@@ -230,6 +230,14 @@ def _mutant_set_exact_counts(parts, b, c):
     return out
 
 
+def _mutant_set_any_table(parts, top):
+    dp = [1] + [0] * top
+    for v in parts:
+        for w in range(v + 1, top + 1):  # should start at v: drops the part v alone
+            dp[w] += dp[w - v]
+    return dp
+
+
 def _mutant_partition_table(n):
     dp = [0] * (n + 1)
     dp[0] = 1
@@ -326,6 +334,7 @@ def test_criterion_9_cli_exit_codes_and_mutation(monkeypatch, capsys):
         "box_count": _mutant_box_count,
         "box_table": _mutant_box_table,
         "set_exact_counts": _mutant_set_exact_counts,
+        "set_any_table": _mutant_set_any_table,
         "partition_table": _mutant_partition_table,
     }
     # Fast paths of the pure kernels. Every kernel is routed to them first,

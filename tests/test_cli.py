@@ -84,6 +84,16 @@ class TestCount:
         code, _, _ = run_cli(capsys, "count", "total", "-3")
         assert code == 2
 
+    def test_oversized_table_is_a_usage_error(self, capsys, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the kernel was called")
+
+        monkeypatch.setattr(_dispatch, "set_exact_counts", no_table)
+        args = ("count", "set-exact", "--parts", "1,2,3", "100000", "1000000")
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2
+        assert "exceeds the limit" in err
+
 
 class TestBetti:
     def test_table(self, capsys):

@@ -102,6 +102,21 @@ class TestEq5:
         checks = {dict(failure.params)["check"] for failure in report.failures}
         assert "any-parts form" in checks
 
+    def test_any_parts_form_catches_a_defective_set_any_route(self, monkeypatch):
+        # the left side counts on the 1-D set-any table; the any-parts form
+        # holds it against the 2-D set-exact table, which stays sound here
+        true_table = _dispatch.set_any_table
+
+        def corrupted(parts, top):
+            table = true_table(parts, top)
+            table[top] += 1
+            return table
+
+        monkeypatch.setattr(_dispatch, "set_any_table", corrupted)
+        report = verify_sweep("eq5", {"max_k": 3, "max_j": 8})
+        checks = {dict(failure.params)["check"] for failure in report.failures}
+        assert "any-parts form" in checks
+
 
 class TestVerifySweep:
     def test_accepts_identity_or_value(self):

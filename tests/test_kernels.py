@@ -25,7 +25,7 @@ from charrank import _dispatch, _kernels_py
 from charrank.grassmannian import gaussian_binomial
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "charrank" / "_kernels_c.c"
-KERNELS = ("box_count", "box_table", "set_exact_counts", "partition_table")
+KERNELS = ("box_count", "box_table", "set_exact_counts", "set_any_table", "partition_table")
 
 
 def _build(directory):
@@ -87,6 +87,13 @@ def test_set_exact_counts_agree(kernels_c, members, b, c):
     )
 
 
+@given(st.sets(st.integers(1, 90), min_size=0, max_size=6), st.integers(0, 80))
+def test_set_any_table_agrees(kernels_c, members, top):
+    # parts from 1 to 90 cover a least part above 1 and parts above top
+    parts = tuple(sorted(members))
+    assert kernels_c.set_any_table(parts, top) == _kernels_py.set_any_table(parts, top)
+
+
 @given(st.integers(0, 120))
 def test_partition_table_agrees(kernels_c, n):
     assert kernels_c.partition_table(n) == _kernels_py.partition_table(n)
@@ -135,6 +142,18 @@ def test_set_exact_counts_agree_across_word_size_boundary(kernels_c, parts, b):
         ), c
 
 
+@pytest.mark.parametrize(
+    "parts", [(), (1,), (3, 5, 7), tuple(range(1, 9)), PRIMES, (2, 400, 416, 417, 500)]
+)
+def test_set_any_table_agrees_across_word_size_boundary(kernels_c, parts):
+    # every entry counts partitions of its weight, so the compiled path
+    # stays exact up to top 416 and hands 417 on to the big-integer route
+    for top in range(410, 425):
+        assert kernels_c.set_any_table(parts, top) == _kernels_py.set_any_table(
+            parts, top
+        ), top
+
+
 def test_box_count_beyond_fast_path_is_exact(kernels_c):
     # weight above 416 forces the compiled backend to delegate; the result
     # is a big integer either way
@@ -158,6 +177,7 @@ def test_huge_bounds_are_clamped_not_overflowed(kernels_c):
         ("box_table", (-1, 3)),
         ("set_exact_counts", ((1, 2), -1, 3)),
         ("set_exact_counts", ((1, 2), 3, -1)),
+        ("set_any_table", ((1, 2), -1)),
         ("partition_table", (-1,)),
     ],
 )

@@ -81,6 +81,7 @@ def test_box_count_empty_cases():
         ("box_count", (3, -1, 3)),
         ("set_exact_counts", ((1, 2), -1, 3)),
         ("set_exact_counts", ((1, 2), 3, -1)),
+        ("set_any_table", ((1, 2), -1)),
     ],
 )
 def test_negative_argument_is_refused(kernel, args):
@@ -108,6 +109,24 @@ def test_negative_argument_is_refused(kernel, args):
 def test_set_exact_counts(parts, b, c):
     expected = [brute_set_exact(parts, s, c) for s in range(b + 1)]
     assert _kernels_py.set_exact_counts(parts, b, c) == expected
+
+
+@pytest.mark.parametrize(
+    "parts, top",
+    [
+        ((), 6),  # no parts: only the empty partition
+        ((1,), 5),
+        ((3, 5, 8), 40),  # least > 1
+        ((2, 3, 40, 41), 12),  # parts above top
+        ((7,), 0),
+        (tuple(range(1, 10)), 60),  # residue classes of at least CLASS_CUT
+    ],
+)
+def test_set_any_table(parts, top):
+    expected = [
+        sum(brute_set_exact(parts, s, c) for s in range(c + 1)) for c in range(top + 1)
+    ]
+    assert _kernels_py.set_any_table(parts, top) == expected
 
 
 def plain_part_rows(parts, rows, width):

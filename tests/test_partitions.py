@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import partition as sympy_partition
 
-from charrank.errors import CapExceeded
+from charrank import _dispatch, partitions
+from charrank.errors import CapExceeded, TableTooLarge
 from charrank.partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
@@ -176,6 +177,39 @@ class TestCountSet:
     def test_at_most_aggregates_exact(self, members, b, c):
         total = sum(count_set_exact(members, s, c) for s in range(b + 1))
         assert count_set_at_most(members, b, c) == total
+
+    @given(
+        st.sets(st.integers(1, 9), min_size=1, max_size=5),
+        st.integers(-1, 1),
+        st.integers(0, 40),
+    )
+    def test_at_most_agrees_on_both_sides_of_the_route_boundary(self, members, step, c):
+        # from c // least parts on, the bound never binds and the count
+        # leaves the 2-D set-exact table for the 1-D set-any table
+        parts = tuple(sorted(members))
+        b = c // parts[0] + step
+        if b >= 0:
+            expected = sum(brute_set_exact(parts, s, c) for s in range(b + 1))
+            assert count_set_at_most(parts, b, c) == expected
+
+    def test_table_too_large_is_refused_before_it_is_built(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the kernel was called")
+
+        monkeypatch.setattr(_dispatch, "set_exact_counts", no_table)
+        with pytest.raises(TableTooLarge):
+            count_set_exact(range(1, 10**5), 10**5, 10**6)
+        with pytest.raises(TableTooLarge):
+            count_set_at_most((1, 2), 10**5, 10**6)  # the bound binds: 2-D route
+
+    def test_table_limit_is_on_the_cells(self, monkeypatch):
+        # 4 rows (0..3 parts) of 8 weights fill exactly 32 cells
+        monkeypatch.setattr(partitions, "MAX_TABLE_CELLS", 32)
+        assert count_set_exact((2, 3), 3, 7) == brute_set_exact((2, 3), 3, 7)
+        with pytest.raises(TableTooLarge):
+            count_set_exact((2, 3), 3, 8)
+        # no cap on the 1-D route, whose table has one row
+        assert count_set_any((2, 3), 100) == 17
 
     def test_zero_parts_convention(self):
         assert count_set_exact({3, 5}, 0, 0) == 1
