@@ -177,8 +177,8 @@ def test_huge_bounds_are_clamped_not_overflowed(kernels_c):
         ("box_table", (-1, 3)),
         ("set_exact_counts", ((1, 2), -1, 3)),
         ("set_exact_counts", ((1, 2), 3, -1)),
-        ("set_any_table", ((1, 2), -1)),
         ("partition_table", (-1,)),
+        ("set_any_table", ((1, 2), -1)),
     ],
 )
 def test_negative_argument_raises_the_same_error(kernels_c, kernel, args):
