@@ -8,10 +8,13 @@
  * number of arguments) goes to the same-named function of ``_kernels_py``,
  * so big results and errors come from one place.
  *
- * As in ``_kernels_py``, the 2-D ``part_rows`` serves only set-exact counts
- * and the 1-D ``accumulate`` serves set-any tables, p(n) and every box
- * (``box_row``).  Each call owns its tables and touches no Python object
- * while it fills them, so it releases the GIL: threads run in parallel. */
+ * Two loops serve the five entry points.  The 2-D ``part_rows`` serves only
+ * set-exact counts.  The 1-D ``series`` serves the other four, whose counts
+ * are coefficients of prod_g (1 - q^g) / prod_v (1 - q^v): a box is a
+ * Gaussian binomial, and set-any tables and p(n) have no numerator.  Those
+ * four return through ``series_result``.  Each call owns its tables and
+ * touches no Python object while it fills them, so it releases the GIL:
+ * threads run in parallel. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -46,33 +49,23 @@ part_rows(uint64_t *table, const long *parts, long nparts, long rows,
     }
 }
 
-/* Adds the ``nparts`` parts ``parts``, with no bound on their number, to
- * the counts ``dp`` of ``size`` weights.  Part v runs dp[w] += dp[w - v]
- * over w ascending, so dp[w - v] already uses v. */
+/* Fills a zeroed ``dp`` of ``width`` entries with the coefficients of
+ *     prod_{g=from..to} (1 - q^g) / prod_{i<nparts} (1 - q^parts[i]),
+ * where a NULL ``parts`` stands for 1..nparts.  A numerator factor g runs
+ * dp[w] -= dp[w - g] over w descending, so dp[w - g] is still old; a part
+ * v runs dp[w] += dp[w - v] over w ascending, so dp[w - v] already uses v.
+ * With from > to there is no numerator: partitions into the parts. */
 static void
-accumulate(uint64_t *dp, long size, const long *parts, long nparts)
+series(uint64_t *dp, long width, long from, long to, const long *parts,
+       long nparts)
 {
-    for (long i = 0; i < nparts; i++)
-        for (long w = parts[i]; w < size; w++)
-            dp[w] += dp[w - parts[i]];
-}
-
-/* Fills a zeroed ``dp`` of ``width`` entries with the partition counts of
- * an a-by-b box: with lo <= hi (conjugation), the coefficients of
- * prod_{i=1..lo} (1 - q^(hi+i)) / (1 - q^i).  A numerator factor runs w
- * descending, so dp[w - g] is still old; dividing by 1 - q^i adds part i. */
-static void
-box_row(uint64_t *dp, long a, long b, long width)
-{
-    long lo = a < b ? a : b, hi = a + b - lo, parts[U64_SAFE_WEIGHT];
-
     dp[0] = 1;
-    for (long g = hi + 1; g <= a + b && g < width; g++)
+    for (long g = from; g <= to && g < width; g++)
         for (long w = width - 1; w >= g; w--)
             dp[w] -= dp[w - g];
-    for (long i = 0; i < lo; i++) /* lo <= 416: callers clamp to the weight */
-        parts[i] = i + 1;
-    accumulate(dp, width, parts, lo);
+    for (long i = 0; i < nparts; i++)
+        for (long w = parts ? parts[i] : i + 1; w < width; w++)
+            dp[w] += dp[w - (parts ? parts[i] : i + 1)];
 }
 
 /* ``o`` clamped to at most ``cap``; -1 if ``o`` is not a nonnegative int. */
@@ -122,11 +115,51 @@ to_list(uint64_t *table, long at, long step, long n, long len)
     return out;
 }
 
+/* The coefficients of ``series`` for weights 0..top, as a list, or only
+ * the one of weight top if ``last``. */
+static PyObject *
+series_result(long top, long from, long to, const long *parts, long nparts,
+              int last)
+{
+    uint64_t *dp = calloc((size_t)top + 1, sizeof *dp), count;
+
+    if (dp == NULL)
+        return PyErr_NoMemory();
+    Py_BEGIN_ALLOW_THREADS
+    series(dp, top + 1, from, to, parts, nparts);
+    Py_END_ALLOW_THREADS
+    if (!last)
+        return to_list(dp, 0, 1, top + 1, top + 1);
+    count = dp[top];
+    free(dp);
+    return PyLong_FromUnsignedLongLong(count);
+}
+
+/* Reads the ascending ``tuple`` into ``parts`` and returns their number.
+ * Parts above ``top`` never fit and are dropped; at most ``top`` parts
+ * come before them.  Returns -1 on a part that is not a positive int. */
+static long
+read_parts(PyObject *tuple, long top, long *parts)
+{
+    long v, n = 0;
+
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(tuple); i++) {
+        v = clamp(PyTuple_GET_ITEM(tuple, i), top + 1);
+        if (v > top)
+            break;
+        if (v < 1 || n == top)
+            return -1;
+        parts[n++] = v;
+    }
+    return n;
+}
+
+/* The counts in an a-by-b box are the coefficients of the Gaussian binomial
+ * prod_{i=1..lo} (1 - q^(hi+i)) / (1 - q^i), with lo <= hi (conjugation). */
 static PyObject *
 box_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long a = -1, b = -1, c = -1;
-    uint64_t *dp, count;
+    long a = -1, b = -1, c = -1, lo;
 
     if (nargs == 3) {
         c = clamp(args[2], U64_SAFE_WEIGHT + 1);
@@ -137,22 +170,14 @@ box_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return delegate("box_count", args, nargs);
     if (c > a * b)
         return PyLong_FromLong(0);
-    dp = calloc((size_t)c + 1, sizeof *dp);
-    if (dp == NULL)
-        return PyErr_NoMemory();
-    Py_BEGIN_ALLOW_THREADS
-    box_row(dp, a, b, c + 1);
-    Py_END_ALLOW_THREADS
-    count = dp[c];
-    free(dp);
-    return PyLong_FromUnsignedLongLong(count);
+    lo = a < b ? a : b;
+    return series_result(c, a + b - lo + 1, a + b, NULL, lo, 1);
 }
 
 static PyObject *
 box_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long a = -1, b = -1, width;
-    uint64_t *dp;
+    long a = -1, b = -1, lo;
 
     if (nargs == 2) {
         a = clamp(args[0], U64_SAFE_WEIGHT + 1);
@@ -160,39 +185,23 @@ box_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     if (a < 0 || b < 0 || a * b > U64_SAFE_WEIGHT)
         return delegate("box_table", args, nargs);
-    width = a * b + 1;
-    dp = calloc((size_t)width, sizeof *dp);
-    if (dp == NULL)
-        return PyErr_NoMemory();
-    Py_BEGIN_ALLOW_THREADS
-    box_row(dp, a, b, width);
-    Py_END_ALLOW_THREADS
-    return to_list(dp, 0, 1, width, width);
+    lo = a < b ? a : b;
+    return series_result(a * b, a + b - lo + 1, a + b, NULL, lo, 0);
 }
 
 static PyObject *
 set_exact_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long b = -1, c = -1, smax, v, n = 0, parts[U64_SAFE_WEIGHT];
-    Py_ssize_t size = 0;
+    long b = -1, c = -1, smax, n, parts[U64_SAFE_WEIGHT];
     uint64_t *table;
 
     if (nargs == 3 && PyTuple_Check(args[0])) {
         b = clamp(args[1], U64_SAFE_WEIGHT + 1);
         c = clamp(args[2], U64_SAFE_WEIGHT + 1);
-        size = PyTuple_GET_SIZE(args[0]);
     }
-    if (b < 0 || b > U64_SAFE_WEIGHT || c < 0 || c > U64_SAFE_WEIGHT)
+    if (b < 0 || b > U64_SAFE_WEIGHT || c < 0 || c > U64_SAFE_WEIGHT
+        || (n = read_parts(args[0], c, parts)) < 0)
         return delegate("set_exact_counts", args, nargs);
-    /* parts above c never fit; at most c parts come before them */
-    for (Py_ssize_t i = 0; i < size; i++) {
-        v = clamp(PyTuple_GET_ITEM(args[0], i), c + 1);
-        if (v > c)
-            break;
-        if (v < 1 || n == c)
-            return delegate("set_exact_counts", args, nargs);
-        parts[n++] = v;
-    }
     /* more than c / least parts outweigh c; with no part only row 0 counts */
     smax = n == 0 ? 0 : b < c / parts[0] ? b : c / parts[0];
     table = calloc((size_t)(smax + 1) * (c + 1), sizeof *table);
@@ -207,50 +216,24 @@ set_exact_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 set_any_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long top = -1, v, n = 0, parts[U64_SAFE_WEIGHT];
-    Py_ssize_t size = 0;
-    uint64_t *dp;
+    long top = -1, n, parts[U64_SAFE_WEIGHT];
 
-    if (nargs == 2 && PyTuple_Check(args[0])) {
+    if (nargs == 2 && PyTuple_Check(args[0]))
         top = clamp(args[1], U64_SAFE_WEIGHT + 1);
-        size = PyTuple_GET_SIZE(args[0]);
-    }
-    if (top < 0 || top > U64_SAFE_WEIGHT)
+    if (top < 0 || top > U64_SAFE_WEIGHT
+        || (n = read_parts(args[0], top, parts)) < 0)
         return delegate("set_any_table", args, nargs);
-    /* parts above top never fit; at most top parts come before them */
-    for (Py_ssize_t i = 0; i < size; i++) {
-        v = clamp(PyTuple_GET_ITEM(args[0], i), top + 1);
-        if (v > top)
-            break;
-        if (v < 1 || n == top)
-            return delegate("set_any_table", args, nargs);
-        parts[n++] = v;
-    }
-    dp = calloc((size_t)top + 1, sizeof *dp);
-    if (dp == NULL)
-        return PyErr_NoMemory();
-    dp[0] = 1;
-    Py_BEGIN_ALLOW_THREADS
-    accumulate(dp, top + 1, parts, n);
-    Py_END_ALLOW_THREADS
-    return to_list(dp, 0, 1, top + 1, top + 1);
+    return series_result(top, 1, 0, parts, n, 0);
 }
 
 static PyObject *
 partition_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     long n = nargs == 1 ? clamp(args[0], U64_SAFE_WEIGHT + 1) : -1;
-    uint64_t *dp;
 
     if (n < 0 || n > U64_SAFE_WEIGHT)
         return delegate("partition_table", args, nargs);
-    dp = calloc((size_t)n + 1, sizeof *dp);
-    if (dp == NULL)
-        return PyErr_NoMemory();
-    Py_BEGIN_ALLOW_THREADS
-    box_row(dp, n, n, n + 1); /* weights up to n fit in the n-by-n box */
-    Py_END_ALLOW_THREADS
-    return to_list(dp, 0, 1, n + 1, n + 1);
+    return series_result(n, 1, 0, NULL, n, 0); /* parts above n never fit */
 }
 
 #define FASTCALL(name, doc) \

@@ -63,7 +63,8 @@ def _part_rows(parts, rows: int, width: int) -> list:
     p is zero outside [p * least, p * v], so the pass for v changes row p
     only on [v + (p-1) * least, p * v] and stops at the first row whose
     window starts at ``width`` or past it.  Each window is one slice
-    statement.
+    statement; slices stop at ``width`` on their own, so ``hi`` needs no
+    clamp.
     """
     table = [[0] * width for _ in range(rows + 1)]
     table[0][0] = 1
@@ -75,7 +76,7 @@ def _part_rows(parts, rows: int, width: int) -> list:
             if lo >= width:
                 break
             row[lo:hi] = map(add, row[lo:hi], below[lo - v : hi - v])
-            lo, hi = lo + parts[0], min(hi + v, width)
+            lo, hi = lo + parts[0], hi + v
     return table
 
 

@@ -22,20 +22,25 @@ from setuptools.command.build_ext import build_ext
 
 import charrank
 from charrank import _dispatch, _kernels_py
+from charrank.cli import main as cli_main
 from charrank.grassmannian import gaussian_binomial
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "charrank" / "_kernels_c.c"
 KERNELS = ("box_count", "box_table", "set_exact_counts", "set_any_table", "partition_table")
 
 
-def _build(directory):
-    """Compile ``SOURCE`` into ``directory`` and load it as
-    ``charrank._kernels_c``; skip when there is nothing to compile with."""
+def _build(directory, source=SOURCE):
+    """Compile ``source`` into ``directory`` and load it as
+    ``charrank._kernels_c``; skip when there is nothing to compile with.
+    Warnings are errors, as in CI, except under MSVC, which spells them
+    differently."""
     compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
     header = Path(sysconfig.get_paths()["include"], "Python.h")
     if shutil.which(compiler) is None or not header.is_file():
         pytest.skip(f"no C compiler ({compiler}) or no {header}")
-    dist = Distribution({"ext_modules": [Extension("charrank._kernels_c", [str(SOURCE)])]})
+    flags = [] if sys.platform == "win32" else ["-Wall", "-Werror"]
+    extension = Extension("charrank._kernels_c", [str(source)], extra_compile_args=flags)
+    dist = Distribution({"ext_modules": [extension]})
     command = build_ext(dist)
     command.build_lib = str(directory)
     command.build_temp = str(directory / "temp")
@@ -218,3 +223,40 @@ def test_dispatch_serves_compiled_when_it_imports(kernels_c, monkeypatch):
     importlib.reload(_dispatch)
     assert _dispatch.backend_name() == "python"
     assert all(getattr(_dispatch, k) is getattr(_kernels_py, k) for k in KERNELS)
+
+
+# Each compiled mutant: the text it replaces, the replacement, and a call on
+# which it must disagree with the pure-Python kernels.
+C_MUTANTS = {
+    "numerator skips its last factor": (
+        "g <= to && g < width",
+        "g < to && g < width",
+        ("box_table", (3, 4)),
+    ),
+    "parts loop starts one weight late": (
+        "long w = parts ? parts[i] : i + 1;",
+        "long w = (parts ? parts[i] : i + 1) + 1;",
+        ("partition_table", (5,)),
+    ),
+    "2-D row window stops one short of p * v": (
+        "long hi = p * v < width ? p * v : width - 1;",
+        "long hi = p * v < width ? p * v - 1 : width - 1;",
+        ("set_exact_counts", ((1, 2), 2, 4)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", C_MUTANTS)
+def test_cross_backend_checks_catch_a_compiled_mutant(tmp_path, monkeypatch, name):
+    # the compiled loops are corrupted in their source text, so this shows
+    # that a defect in C, not only in Python, fails the checks
+    original, mutated, (kernel, args) = C_MUTANTS[name]
+    text = SOURCE.read_text()
+    assert text.count(original) == 1, "the mutated text must occur exactly once"
+    source = tmp_path / "_kernels_c.c"
+    source.write_text(text.replace(original, mutated))
+    mutant = _build(tmp_path, source)
+    assert getattr(mutant, kernel)(*args) != getattr(_kernels_py, kernel)(*args)
+    for k in KERNELS:
+        monkeypatch.setattr(_dispatch, k, getattr(mutant, k))
+    assert cli_main(["verify", "all"]) == 1
