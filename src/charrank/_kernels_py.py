@@ -13,20 +13,19 @@ Two dynamic programs serve the five entry points:
   weights that row can reach: with parts added in ascending order, p parts
   weigh at least p times the least part and at most p times the newest.
 * ``_accumulate``, the 1-D table indexed by weight, adds parts with no
-  bound on their number.  It serves ``set_any_table``, both halves of
-  ``partition_table`` and every box (``_box_row``).  It runs one slice
+  bound on their number.  It serves ``set_any_table``, each Durfee square
+  of ``partition_table`` and every box (``_box_row``).  It runs one slice
   statement per residue class, or a scalar loop when the classes are short
   (``CLASS_CUT``).
 
-``partition_table`` splits the parts at m = isqrt(n) + 1, the standard
-split of Euler's product 1/(q;q)_inf into the parts below m times
-sum_k q^(mk)/(q;q)_k.  ``_accumulate`` counts the small parts, A(w).  The
-partitions into exactly k parts each >= m, E_k, satisfy
-E_k(w) = E_k(w-k) + E_(k-1)(w-m): either the smallest part is m, or 1 comes
-off every part.  Convolving with A commutes with both shifts, so
-G_k = A * E_k obeys the same recurrence and p(w) = sum_k G_k(w) over
-k <= n // m.  That is about 3 n^1.5 additions instead of n^2 / 2, and no
-pentagonal recurrence, which stays the independent oracle.
+``partition_table`` sums Euler's 1/(q;q)_inf by Durfee squares,
+sum_s q^(s^2) / (q;q)_s^2 (Andrews, *The Theory of Partitions*, ch. 2):
+a partition whose largest square has side s is that square, a partition
+into at most s parts right of it and one into parts at most s below it.
+Each square divides by (1 - q^s) twice on ``_accumulate``, about
+(4/3) n^1.5 additions in all instead of n^2 / 2.  It shares no step with
+Euler's pentagonal-number recurrence, which therefore stays in ``oracles``
+as the independent cross-check.
 
 Every path adds and subtracts native integers along an exact recurrence,
 and conjugation and clamping are identities of partition counts, so the
@@ -156,24 +155,22 @@ def set_any_table(parts: tuple, top: int) -> list:
 
 
 def partition_table(n: int) -> list:
-    """Unrestricted partition numbers p(0..n), split at m = isqrt(n) + 1.
+    """Unrestricted partition numbers p(0..n), by Durfee squares.
 
-    The parts below m go through ``_accumulate``, which gives G_0.  Row
-    G_k counts partitions with exactly k parts >= m; it is zero below
-    weight k*m, so it is kept from there on.  G_k is G_(k-1) shifted up by
-    m, then accumulated with part k: G_k(w) = G_k(w-k) + G_(k-1)(w-m).
-    k*m is a multiple of k, so list index and weight agree mod k.
+    Horner's rule on sum_s q^(s^2) / (q;q)_s^2 runs s from isqrt(n) down
+    to 1 and sets T <- 1 + q^(2s-1) T / (1 - q^s)^2, from T = 1.  The
+    squares below s shift T by (s-1)^2 more, so the new T is needed only
+    up to weight n - (s-1)^2: its body is the old T up to n - s^2, divided
+    by (1 - q^s)^2 on ``_accumulate`` and written from weight 2s-1 on.
+    The old T is zero at weights 1..2s, so one list is updated in place.
 
     Deliberately not the pentagonal-number recurrence: that one lives in
     ``oracles`` and serves as the independent cross-check.
     """
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    m = isqrt(n) + 1
-    total = _accumulate([1] + [0] * n, range(1, m))
-    row = total
-    for k in range(1, n // m + 1):
-        lo = k * m
-        row = _accumulate(row[: n + 1 - lo], (k,))  # a copy, shifted up by m
-        total[lo:] = map(add, total[lo:], row)
-    return total
+    table = [1] + [0] * n
+    for s in range(isqrt(n), 0, -1):
+        body = _accumulate(table[: n + 1 - s * s], (s, s))
+        table[2 * s - 1 : 2 * s - 1 + len(body)] = body
+    return table

@@ -8,9 +8,10 @@ full table is symmetric of total dimension k(n-k).
 ``gaussian_binomial`` recomputes the same table from the product formula
 for [n choose k]_q by exact polynomial division.  It shares no code with
 the counting kernels, but their box counts rest on the same formula, so the
-sweeps that check those counts on other recurrences are ``oracle``
-(explicit enumeration) and ``eq5``, whose any-parts form compares
-``count_box`` with the 2-D set-exact table.
+sweeps check those counts on other recurrences: ``grassmannian-tables``
+against ``oracles.gaussian_triangle`` (the q-Pascal rule, additions only),
+``oracle`` against explicit enumeration and ``eq5``, whose any-parts form
+compares ``count_box`` with the 2-D set-exact table.
 """
 
 from dataclasses import dataclass

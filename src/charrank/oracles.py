@@ -6,6 +6,11 @@ in either implementation cannot hide: these share no code with
 """
 
 
+def _check_limit(name, value):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def pentagonal_partition_table(limit):
     """Unrestricted partition numbers p(0..limit) by Euler's
     generalized-pentagonal recurrence:
@@ -15,8 +20,7 @@ def pentagonal_partition_table(limit):
 
     Pure-Python big integers throughout.
     """
-    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
-        raise ValueError(f"limit must be a nonnegative integer, got {limit!r}")
+    _check_limit("limit", limit)
     table = [0] * (limit + 1)
     table[0] = 1
     for n in range(1, limit + 1):
@@ -34,3 +38,30 @@ def pentagonal_partition_table(limit):
             k += 1
         table[n] = total
     return table
+
+
+def gaussian_triangle(max_n):
+    """Coefficient tuples of every q-binomial [n choose k]_q with
+    0 <= k <= n <= max_n, indexed [n][k], by the q-Pascal rule
+
+        [n, k] = [n-1, k-1] + q^k [n-1, k],   [n, 0] = [n, n] = 1
+
+    (count the words of k ones and n-k zeros by their pairs of a one before
+    a zero: a word ends in a one, which adds no pair, or in a zero, which
+    adds one pair with each of its k ones).  Additions only: no product
+    formula and no division, unlike ``gaussian_binomial`` and the box
+    kernels.
+    """
+    _check_limit("max_n", max_n)
+    rows = [[(1,)]]
+    for n in range(1, max_n + 1):
+        above = rows[-1]
+        row = [(1,)]
+        for k in range(1, n):
+            coeffs = list(above[k - 1]) + [0] * (n - k)
+            for i, c in enumerate(above[k], k):
+                coeffs[i] += c
+            row.append(tuple(coeffs))
+        row.append((1,))
+        rows.append(row)
+    return rows

@@ -287,16 +287,13 @@ def _mutant_accumulate_scalar(dp, parts):
     return dp
 
 
-def _mutant_partition_table_large_rows(n):
-    # the rows of large parts of the pure kernel add part k + 1, not k
-    m = isqrt(n) + 1
-    total = _kernels_py._accumulate([1] + [0] * n, range(1, m))
-    row = total
-    for k in range(1, n // m + 1):
-        lo = k * m
-        row = _kernels_py._accumulate(row[: n + 1 - lo], (k + 1,))  # should be (k,)
-        total[lo:] = map(add, total[lo:], row)
-    return total
+def _mutant_partition_table_durfee(n):
+    # the Durfee-square pure kernel writes each body from weight 2s, not 2s - 1
+    table = [1] + [0] * n
+    for s in range(isqrt(n), 0, -1):
+        body = _kernels_py._accumulate(table[: n + 1 - s * s], (s, s))
+        table[2 * s : 2 * s - 1 + len(body)] = body[:-1]  # should start at 2s - 1
+    return table
 
 
 def _mutant_part_rows(parts, rows, width):
@@ -346,7 +343,7 @@ def test_criterion_9_cli_exit_codes_and_mutation(monkeypatch, capsys):
         "1-D scalar branch": (_kernels_py, "_accumulate", _mutant_accumulate_scalar),
         "2-D row helper": (_kernels_py, "_part_rows", _mutant_part_rows),
         "2-D row window": (_kernels_py, "_part_rows", _mutant_part_rows_window),
-        "large-part rows": (_dispatch, "partition_table", _mutant_partition_table_large_rows),
+        "Durfee-square shift": (_dispatch, "partition_table", _mutant_partition_table_durfee),
     }
     codes = {}
     for name, broken in mutants.items():

@@ -5,6 +5,7 @@ from math import comb
 
 from charrank.errors import InvalidDimensions
 from charrank.grassmannian import PoincareTable, betti, gaussian_binomial, poincare
+from charrank.oracles import gaussian_triangle
 from charrank.partitions import count_box
 
 
@@ -104,3 +105,21 @@ class TestGaussianBinomial:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(InvalidDimensions):
             gaussian_binomial(4, 5)
+
+
+class TestGaussianTriangle:
+    def test_matches_the_product_formula(self):
+        rows = gaussian_triangle(24)
+        assert [len(row) for row in rows] == list(range(1, 26))
+        for n in range(1, 25):
+            for k in range(n + 1):
+                assert rows[n][k] == gaussian_binomial(n, k), (n, k)
+
+    def test_smallest_triangles(self):
+        assert gaussian_triangle(0) == [[(1,)]]
+        assert gaussian_triangle(2) == [[(1,)], [(1,), (1,)], [(1,), (1, 1), (1,)]]
+
+    @pytest.mark.parametrize("max_n", [-1, 2.0, True, "3"])
+    def test_rejects_bad_limits(self, max_n):
+        with pytest.raises(ValueError, match="max_n must be a nonnegative integer"):
+            gaussian_triangle(max_n)

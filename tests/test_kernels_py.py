@@ -7,9 +7,10 @@ g = b+1..a+b, that fall below the table's width before ``_accumulate``
 adds parts 1..a.  So the box tests cover both orientations, an inert bound
 (no numerator factor), a numerator cut off by the width, and the whole
 numerator.  The rest covers both branches of ``_accumulate`` on either side
-of ``CLASS_CUT``, the split of ``partition_table`` into small parts and
-rows of large parts on either side of each square, and the reachable
-windows of ``_part_rows`` against the plain loop over whole rows.
+of ``CLASS_CUT``, the Durfee squares of ``partition_table`` on either side
+of each square's cut between those branches and of each change of
+isqrt(n), and the reachable windows of ``_part_rows`` against the plain
+loop over whole rows.
 """
 
 import pytest
@@ -152,29 +153,47 @@ def test_part_rows_windows_match_plain_loop(members, rows, width):
     assert _kernels_py._part_rows(parts, rows, width) == expected
 
 
-# Small weights; from 63 up, each runs both branches of _accumulate in
-# the small parts and again in the rows of large parts.
-@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 197])
+# Square s of partition_table divides a body of n - s*s + 1 weights, which
+# takes the residue classes of _accumulate when CLASS_CUT * s fits in it:
+# from n = s*s + CLASS_CUT*s - 1 on.  Besides small weights and weights
+# between cuts, the cases hold a pair across the cut of each square 1..8;
+# below 16 every square runs the scalar loop, and the largest square,
+# isqrt(n), always does.
+@pytest.mark.parametrize(
+    "n",
+    sorted(
+        {0, 1, 63, 64, 65, 128, 197}
+        | {s * s + CUT * s - 1 + d for s in range(1, 9) for d in (-1, 0)}
+    ),
+)
 def test_partition_table_across_block_cut(n):
     assert _kernels_py.partition_table(n) == pentagonal_partition_table(n)
 
 
-# The largest small part, isqrt(n), takes the residue classes when
-# CLASS_CUT * isqrt(n) <= n + 1: at n = 223 and 224, not from 225 to 238,
-# and again from 239 on.  So this sweep crosses the cut both ways.
+# By the cut above, this sweep crosses the cut of squares 1 to 11 (at
+# n = 16, 35, ..., 296), and isqrt(n) grows at each of the 17 squares.
 def test_partition_table_every_weight_to_300():
     expected = pentagonal_partition_table(300)
     for n in range(301):
         assert _kernels_py.partition_table(n) == expected[: n + 1]
 
 
-# The split point isqrt(n) + 1 moves at each square.
+# isqrt(n), the side of the first square of the Horner loop, grows by one
+# at each square m*m, where that square's body holds a single weight.
 @pytest.mark.parametrize(
     "n",
     sorted({m * m + d for m in range(2, 21) for d in (-1, 0, 1)} | {3000, 4095, 4096, 5000}),
 )
 def test_partition_table_around_squares_and_large(n):
     assert _kernels_py.partition_table(n) == pentagonal_partition_table(n)
+
+
+@given(st.integers(0, 600), st.data())
+def test_partition_table_prefix_is_the_smaller_table(n, data):
+    # each n truncates the Durfee squares at its own weights, so a prefix
+    # of a larger table must come out the same
+    m = data.draw(st.integers(0, n))
+    assert _kernels_py.partition_table(n)[: m + 1] == _kernels_py.partition_table(m)
 
 
 @pytest.mark.parametrize("k", [63, 64, 65])
