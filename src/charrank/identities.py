@@ -202,9 +202,10 @@ def _sweep_partition_crosscheck(report, max_weight):
     for w in range(max_weight + 1):
         report.checked += 1
         report.compare((("weight", w),), count_total(w), expected[w])
-    # The top weight once more through count_box, which adds parts
-    # 1..max_weight on the 1-D kernel instead of splitting off those above
-    # isqrt(max_weight).
+    # The top weight once more through count_box, a route that shares no
+    # step with partition_table's Durfee squares: _box_row adds parts
+    # 1..max_weight on _accumulate (no numerator factor of this box falls
+    # at or below max_weight).
     report.compare(
         (("weight", max_weight), ("check", "box")),
         count_box(max_weight, max_weight, max_weight),

@@ -1,0 +1,25 @@
+"""Swapping the kernels that ``_dispatch`` serves, and mutating their sources.
+
+The mutation tests corrupt the real kernel source as text, one edit at a
+time, so each mutant is today's kernel with exactly one transition broken.
+"""
+
+from pathlib import Path
+
+from charrank import _dispatch
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "charrank"
+KERNELS = ("box_count", "box_table", "set_exact_counts", "set_any_table", "partition_table")
+
+
+def serve(monkeypatch, backend):
+    """Bind every ``_dispatch`` entry point to ``backend``'s, until
+    ``monkeypatch`` undoes it."""
+    for name in KERNELS:
+        monkeypatch.setattr(_dispatch, name, getattr(backend, name))
+
+
+def mutate(text, original, replacement):
+    """``text`` with ``original``, which must occur exactly once, replaced."""
+    assert text.count(original) == 1, f"{original!r} must occur exactly once"
+    return text.replace(original, replacement)

@@ -1,17 +1,19 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria, one test per criterion, and a guard on the reach of
+criterion 9's mutants.
 
-Each test prints a single pass/fail line (written past pytest's capture so
-the lines always reach the terminal) and asserts the same condition.
+Each criterion test prints a single pass/fail line (written past pytest's
+capture so the lines always reach the terminal) and asserts the same
+condition.
 """
 
+import ast
 import time
-from itertools import accumulate
-from math import comb, isqrt
-from operator import add, sub
+import types
+from math import comb
 
 import pytest
 
-from charrank import _dispatch, _kernels_py
+from charrank import _kernels_py
 from charrank.bounds import UNBOUNDED, BundleProfile, betti_upper_bound
 from charrank.cli import main as cli_main
 from charrank.grassmannian import gaussian_binomial, poincare
@@ -20,6 +22,8 @@ from charrank.oracles import pentagonal_partition_table
 from charrank.partitions import PartsSet, count_box, count_total
 from charrank.report import Identity
 
+from _backends import KERNELS, SRC, mutate, serve
+
 EQ3_GRID = sum(30 - nu + 1 for mu in range(1, 11) for nu in range(1, mu + 1))
 EQ5_GRID = sum(30 - k for k in range(1, 9))
 BIJECTION_GRID = 36 * 8 * 33
@@ -27,6 +31,7 @@ ORACLE_GRID = 7 * 7 * 37 + 63 * 7 * 37
 GRASSMANNIAN_GRID = sum(n + 1 for n in range(1, 25))
 SHARPNESS_GRID = 8 * 30
 CROSSCHECK_GRID = 201
+PY_SOURCE = SRC / "_kernels_py.py"
 
 
 _capture = None
@@ -174,195 +179,88 @@ def test_criterion_8_pentagonal_crosscheck():
     )
 
 
-def _mutant_box_count(a, b, c):
-    # boxed-partition DP missing the weight == part transition
-    if c == 0:
-        return 1
-    a, b = min(a, c), min(b, c)
-    if a == 0 or b == 0 or c > a * b:
-        return 0
-    width = c + 1
-    table = [0] * ((b + 1) * width)
-    for row in range(b + 1):
-        table[row * width] = 1
-    for v in range(1, a + 1):
-        for p in range(1, b + 1):
-            base = p * width
-            below = base - width
-            for w in range(v + 1, width):  # should start at v
-                table[base + w] += table[below + w - v]
-    return table[b * width + c]
-
-
-def _mutant_box_table(a, b):
-    if a == 0 or b == 0:
-        return [1]
-    top = a * b
-    width = top + 1
-    table = [0] * ((b + 1) * width)
-    for row in range(b + 1):
-        table[row * width] = 1
-    for v in range(1, a + 1):
-        for p in range(1, b + 1):
-            base = p * width
-            below = base - width
-            for w in range(v, width):
-                table[base + w] += table[below + w - v - 1]  # off by one in weight
-    return table[b * width:]
-
-
-def _mutant_set_exact_counts(parts, b, c):
-    smax = min(b, c)
-    width = c + 1
-    table = [0] * ((smax + 1) * width)
-    table[0] = 1
-    for v in parts:
-        if v >= c:  # should be v > c: drops single-part-of-full-weight moves
-            break
-        for used in range(1, smax + 1):
-            base = used * width
-            below = base - width
-            for w in range(v, width):
-                table[base + w] += table[below + w - v]
-    out = [table[s * width + c] for s in range(smax + 1)]
-    if b > smax:
-        out.extend([0] * (b - smax))
-    return out
-
-
-def _mutant_set_any_table(parts, top):
-    dp = [1] + [0] * top
-    for v in parts:
-        for w in range(v + 1, top + 1):  # should start at v: drops the part v alone
-            dp[w] += dp[w - v]
-    return dp
-
-
-def _mutant_partition_table(n):
-    dp = [0] * (n + 1)
-    dp[0] = 1
-    for v in range(2, n + 1):  # should start at 1: forgets all-ones refinements
-        for w in range(v, n + 1):
-            dp[w] += dp[w - v]
-    return dp
-
-
-def _mutant_box_row_first(a, b, width):
-    a, b = min(a, b), max(a, b)
-    dp = [1] + [0] * (width - 1)
-    for g in range(b + 2, min(a + b, width - 1) + 1):  # should start at b + 1
-        dp[g:] = map(sub, dp[g:], dp)
-    return _kernels_py._accumulate(dp, range(1, a + 1))
-
-
-def _mutant_box_row_last(a, b, width):
-    a, b = min(a, b), max(a, b)
-    dp = [1] + [0] * (width - 1)
-    for g in range(b + 1, min(a + b, width - 1)):  # should run to min(..) + 1
-        dp[g:] = map(sub, dp[g:], dp)
-    return _kernels_py._accumulate(dp, range(1, a + 1))
-
-
-def _mutant_accumulate_residue(dp, parts):
-    size = len(dp)
-    for v in parts:
-        if _kernels_py.CLASS_CUT * v <= size:
-            for r in range(1, v):  # should be range(v): skips residue class 0
-                dp[r::v] = accumulate(dp[r::v])
-        else:
-            for w in range(v, size):
-                dp[w] += dp[w - v]
-    return dp
-
-
-def _mutant_accumulate_scalar(dp, parts):
-    size = len(dp)
-    for v in parts:
-        if _kernels_py.CLASS_CUT * v <= size:
-            for r in range(v):
-                dp[r::v] = accumulate(dp[r::v])
-        else:
-            for w in range(v + 1, size):  # should start at v
-                dp[w] += dp[w - v]
-    return dp
-
-
-def _mutant_partition_table_durfee(n):
-    # the Durfee-square pure kernel writes each body from weight 2s, not 2s - 1
-    table = [1] + [0] * n
-    for s in range(isqrt(n), 0, -1):
-        body = _kernels_py._accumulate(table[: n + 1 - s * s], (s, s))
-        table[2 * s : 2 * s - 1 + len(body)] = body[:-1]  # should start at 2s - 1
-    return table
-
-
-def _mutant_part_rows(parts, rows, width):
-    table = [[0] * width for _ in range(rows + 1)]
-    table[0][0] = 1
-    for v in parts:
-        if v >= width:
-            break
-        below = table[0]
-        for row in table[1:]:
-            row[v + 1 :] = map(add, row[v + 1 :], below)  # should start at v
-            below = row
-    return table
-
-
-def _mutant_part_rows_window(parts, rows, width):
-    table = [[0] * width for _ in range(rows + 1)]
-    table[0][0] = 1
-    for v in parts:
-        if v >= width:
-            break
-        lo, hi = v, v  # should be v + 1: each window stops one short of p * v
-        for below, row in zip(table, table[1:]):
-            if lo >= width:
-                break
-            row[lo:hi] = map(add, row[lo:hi], below[lo - v : hi - v])
-            lo, hi = lo + parts[0], min(hi + v, width)
-    return table
+# Each Python mutant: the text of ``_kernels_py.py`` it replaces, the
+# replacement, and a call on which it must disagree with the clean kernel.
+PY_MUTANTS = {
+    "box_count": ("c <= a * b", "c < a * b", ("box_count", (2, 2, 4))),
+    "box_table": ("a * b + 1", "a * b", ("box_table", (2, 2))),
+    "set_exact_counts": (  # drops the last row's count and keeps the length
+        "row in table] + [0] * (b - smax)",
+        "row in table[:-1]] + [0] * (b - smax + 1)",
+        ("set_exact_counts", ((1, 2), 2, 4)),
+    ),
+    "set_any_table": (
+        "[0] * top, parts)", "[0] * top, parts[1:])", ("set_any_table", ((1, 2), 3))
+    ),
+    "partition_table": (  # the Durfee loop stops at s = 2
+        "range(isqrt(n), 0, -1)", "range(isqrt(n), 1, -1)", ("partition_table", (5,))
+    ),
+    "Durfee-square shift": (
+        "table[2 * s - 1 : 2 * s - 1 + len(body)] = body",
+        "table[2 * s : 2 * s - 1 + len(body)] = body[:-1]",
+        ("partition_table", (5,)),
+    ),
+    "numerator skips its first factor": (
+        "range(b + 1, min(a + b,", "range(b + 2, min(a + b,", ("box_table", (2, 2))
+    ),
+    "numerator skips its last factor": ("width - 1) + 1):", "width - 1)):", ("box_table", (2, 2))),
+    "1-D residue branch": (
+        "for r in range(v):", "for r in range(1, v):", ("set_any_table", ((1,), 20))
+    ),
+    "1-D scalar branch": (
+        "for w in range(v, size):", "for w in range(v + 1, size):", ("set_any_table", ((1,), 3))
+    ),
+    "2-D row start": (  # row p's window starts p - 1 weights late
+        "lo + parts[0], hi", "lo + parts[0] + 1, hi", ("set_exact_counts", ((1, 2), 2, 3))
+    ),
+    "2-D row window": (  # each window stops one short of p * v
+        "lo, hi = v, v + 1", "lo, hi = v, v", ("set_exact_counts", ((1, 2), 2, 4))
+    ),
+}
 
 
 def test_criterion_9_cli_exit_codes_and_mutation(monkeypatch, capsys):
     clean = cli_main(["verify", "all"])
     capsys.readouterr()
-    mutants = {
-        "box_count": _mutant_box_count,
-        "box_table": _mutant_box_table,
-        "set_exact_counts": _mutant_set_exact_counts,
-        "set_any_table": _mutant_set_any_table,
-        "partition_table": _mutant_partition_table,
-    }
-    # Fast paths of the pure kernels. Every kernel is routed to them first,
-    # so the corruption is seen whichever backend _dispatch selected.
-    fast_path_mutants = {
-        "numerator skips its first factor": (_kernels_py, "_box_row", _mutant_box_row_first),
-        "numerator skips its last factor": (_kernels_py, "_box_row", _mutant_box_row_last),
-        "1-D residue branch": (_kernels_py, "_accumulate", _mutant_accumulate_residue),
-        "1-D scalar branch": (_kernels_py, "_accumulate", _mutant_accumulate_scalar),
-        "2-D row helper": (_kernels_py, "_part_rows", _mutant_part_rows),
-        "2-D row window": (_kernels_py, "_part_rows", _mutant_part_rows_window),
-        "Durfee-square shift": (_dispatch, "partition_table", _mutant_partition_table_durfee),
-    }
-    codes = {}
-    for name, broken in mutants.items():
+    text, codes, silent = PY_SOURCE.read_text(), {}, []
+    for name, (original, replacement, (kernel, args)) in PY_MUTANTS.items():
+        mutant = types.ModuleType("charrank._kernels_py_mutant")
+        source = mutate(text, original, replacement)
+        exec(compile(source, str(PY_SOURCE), "exec"), mutant.__dict__)
+        if getattr(mutant, kernel)(*args) == getattr(_kernels_py, kernel)(*args):
+            silent.append(name)
+        # the mutant serves every entry point, whichever backend is live
         with monkeypatch.context() as patch:
-            patch.setattr(_dispatch, name, broken)
+            serve(patch, mutant)
             codes[name] = cli_main(["verify", "all"])
             capsys.readouterr()
-    for name, (module, attr, broken) in fast_path_mutants.items():
-        with monkeypatch.context() as patch:
-            for kernel in mutants:
-                patch.setattr(_dispatch, kernel, getattr(_kernels_py, kernel))
-            patch.setattr(module, attr, broken)
-            codes[name] = cli_main(["verify", "all"])
-            capsys.readouterr()
-    ok = clean == 0 and all(code == 1 for code in codes.values())
+    ok = clean == 0 and not silent and all(code == 1 for code in codes.values())
     _conclude(
         9,
-        f"verify all exits 0 clean; each corrupted DP kernel or fast path "
+        f"verify all exits 0 clean; each text mutant of the pure kernels "
         f"exits 1 (exit codes: {codes})",
         ok,
-        f"clean={clean}, mutants={codes}",
+        f"clean={clean}, mutants={codes}, witnesses unchanged={silent}",
     )
+
+
+def test_criterion_9_mutants_cover_every_kernel_and_branch():
+    # a rename or rewrite that strands a mutant fails here, not silently
+    text = PY_SOURCE.read_text()
+    defs = {n.name: n for n in ast.parse(text).body if isinstance(n, ast.FunctionDef)}
+    branch = next(n for n in ast.walk(defs["_accumulate"]) if isinstance(n, ast.If))
+    regions = {
+        "_box_row": defs["_box_row"],
+        "_accumulate residue branch": branch.body[0],
+        "_accumulate scalar branch": branch.orelse[0],
+        "_part_rows": defs["_part_rows"],
+        "Durfee loop": next(n for n in ast.walk(defs["partition_table"]) if isinstance(n, ast.For)),
+    }
+    edited = {text.count("\n", 0, text.index(edit[0])) + 1 for edit in PY_MUTANTS.values()}
+    stranded = [
+        name
+        for name, node in regions.items()
+        if not edited.intersection(range(node.lineno, node.end_lineno + 1))
+    ]
+    assert stranded == []
+    assert {kernel for _, _, (kernel, _) in PY_MUTANTS.values()} == set(KERNELS)

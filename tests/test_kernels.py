@@ -25,8 +25,9 @@ from charrank import _dispatch, _kernels_py
 from charrank.cli import main as cli_main
 from charrank.grassmannian import gaussian_binomial
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "charrank" / "_kernels_c.c"
-KERNELS = ("box_count", "box_table", "set_exact_counts", "set_any_table", "partition_table")
+from _backends import KERNELS, SRC, mutate, serve
+
+SOURCE = SRC / "_kernels_c.c"
 
 
 def _build(directory, source=SOURCE):
@@ -214,8 +215,9 @@ def test_concurrent_calls_are_consistent(kernels_c):
 
 
 def test_dispatch_serves_compiled_when_it_imports(kernels_c, monkeypatch):
-    for name in ("_backend",) + KERNELS:  # put back after the reloads below
-        monkeypatch.setattr(_dispatch, name, getattr(_dispatch, name))
+    # put back after the reloads below
+    monkeypatch.setattr(_dispatch, "_backend", _dispatch._backend)
+    serve(monkeypatch, _dispatch)
     importlib.reload(_dispatch)
     assert _dispatch.backend_name() == "c"
     assert all(getattr(_dispatch, k) is getattr(kernels_c, k) for k in KERNELS)
@@ -251,12 +253,37 @@ def test_cross_backend_checks_catch_a_compiled_mutant(tmp_path, monkeypatch, nam
     # the compiled loops are corrupted in their source text, so this shows
     # that a defect in C, not only in Python, fails the checks
     original, mutated, (kernel, args) = C_MUTANTS[name]
-    text = SOURCE.read_text()
-    assert text.count(original) == 1, "the mutated text must occur exactly once"
     source = tmp_path / "_kernels_c.c"
-    source.write_text(text.replace(original, mutated))
+    source.write_text(mutate(SOURCE.read_text(), original, mutated))
     mutant = _build(tmp_path, source)
     assert getattr(mutant, kernel)(*args) != getattr(_kernels_py, kernel)(*args)
-    for k in KERNELS:
-        monkeypatch.setattr(_dispatch, k, getattr(mutant, k))
+    serve(monkeypatch, mutant)
     assert cli_main(["verify", "all"]) == 1
+
+
+# Weight 416 is the last the compiled uint64 path takes, 417 the first it
+# hands to the big-integer route; betti 108 4 tops out at 4 * 104 = 416,
+# betti 142 3 at 3 * 139 = 417.
+SAME_OUTPUT = ["verify all --format json", "betti 108 4", "betti 142 3"] + [
+    command.format(weight)
+    for weight in (416, 417)
+    for command in (
+        "count box 30 30 {}",
+        "count total {}",
+        "count set-exact --parts 2,3,5,7,11,13 40 {}",
+        "count set-any --parts 1,3,4,9 {}",
+        "count set-any --parts 3,5,7 {}",
+        "bound --set 1,2,3,4,5,6,7,8 --dim inf --charrank inf --degree {}",
+    )
+]
+
+
+@pytest.mark.parametrize("command", SAME_OUTPUT)
+def test_cli_prints_the_same_bytes_on_both_backends(kernels_c, monkeypatch, capsysbinary, command):
+    outputs = []
+    for backend in (kernels_c, _kernels_py):
+        with monkeypatch.context() as patch:
+            serve(patch, backend)
+            assert cli_main(command.split()) == 0
+        outputs.append(capsysbinary.readouterr().out)
+    assert outputs[0] == outputs[1] != b""
