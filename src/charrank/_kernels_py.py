@@ -12,6 +12,9 @@ Two dynamic programs serve the five entry points:
   instead of one cell per interpreter step, and each slice covers only the
   weights that row can reach: with parts added in ascending order, p parts
   weigh at least p times the least part and at most p times the newest.
+  ``set_exact_counts`` refuses (``TableTooLarge``) a table past
+  ``MAX_TABLE_CELLS`` entries before it builds one; the compiled twin,
+  whose tables stop at 417 x 417, hands it every larger call.
 * ``_accumulate``, the 1-D table indexed by weight, adds parts with no
   bound on their number.  It serves ``set_any_table``, each Durfee square
   of ``partition_table`` and every box (``_box_row``).  It runs one slice
@@ -39,7 +42,13 @@ from itertools import accumulate
 from math import isqrt
 from operator import add, sub
 
+from charrank.errors import TableTooLarge
+
 BACKEND = "python"
+
+#: Most entries a 2-D set-exact table may hold (2**25, 256 MiB at 8 bytes
+#: an entry); ``set_exact_counts`` refuses a larger one with TableTooLarge.
+MAX_TABLE_CELLS = 2**25
 
 # Shortest residue class that ``_accumulate`` runs as one slice statement.
 # Measured on CPython 3.11 (x86-64) by replaying the calls of ``charrank
@@ -138,6 +147,11 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
         raise ValueError("number of parts and weight must be nonnegative")
     # more than c // least parts outweigh c; with no part only row 0 counts
     smax = min(b, c // parts[0]) if parts else 0
+    if (smax + 1) * (c + 1) > MAX_TABLE_CELLS:
+        raise TableTooLarge(
+            f"a table of {smax + 1}x{c + 1} counts exceeds the limit of "
+            f"{MAX_TABLE_CELLS} cells"
+        )
     table = _part_rows(parts, smax, c + 1)
     return [row[c] for row in table] + [0] * (b - smax)
 

@@ -64,10 +64,10 @@ def _check_degree(profile, degree):
 def betti_upper_bound(profile, degree):
     """Upper bound for the mod-2 Betti number of the base in ``degree``:
     the number of partitions of ``degree`` into parts from the profile's
-    degree set (values above ``degree`` can never occur and are dropped)."""
+    degree set (the kernels drop the values above ``degree``, which can
+    never occur)."""
     _check_degree(profile, degree)
-    usable = profile.s_set.truncated(degree)
-    return count_set_any(usable, degree)
+    return count_set_any(profile.s_set, degree)
 
 
 def betti_upper_bound_gapless(profile, degree):

@@ -42,6 +42,16 @@ _MAX_LISTED_FAILURES = 20
 
 _VERIFY_CHOICES = tuple(identity.value for identity in SWEEP_ORDER) + ("all",)
 
+#: The ``count`` subjects: (subject, counting function, help, its argument
+#: names in order); ``parts`` is ``--parts``, the others nonnegative ints.
+_COUNTS = (
+    ("box", count_box, "partitions in a box", ("max_part", "max_parts", "weight")),
+    ("set-exact", count_set_exact, "exactly NUM_PARTS parts from --parts",
+     ("parts", "num_parts", "weight")),
+    ("set-any", count_set_any, "any number of parts from --parts", ("parts", "weight")),
+    ("total", count_total, "unrestricted partition number", ("weight",)),
+)
+
 
 def _nonneg_int(text):
     try:
@@ -230,36 +240,14 @@ def _build_parser():
     count = subs.add_parser("count", help="exact partition counts")
     count_subs = count.add_subparsers(dest="subject", required=True)
 
-    box = count_subs.add_parser("box", parents=[common], help="partitions in a box")
-    box.add_argument("max_part", type=_nonneg_int, metavar="MAX_PART")
-    box.add_argument("max_parts", type=_nonneg_int, metavar="MAX_PARTS")
-    box.add_argument("weight", type=_nonneg_int, metavar="WEIGHT")
-    box.set_defaults(
-        handler=_cmd_count, count=count_box, fields=("max_part", "max_parts", "weight")
-    )
-
-    set_exact = count_subs.add_parser(
-        "set-exact", parents=[common], help="exactly NUM_PARTS parts from --parts"
-    )
-    set_exact.add_argument("--parts", type=_parts_csv, required=True, metavar="P1,P2,..")
-    set_exact.add_argument("num_parts", type=_nonneg_int, metavar="NUM_PARTS")
-    set_exact.add_argument("weight", type=_nonneg_int, metavar="WEIGHT")
-    set_exact.set_defaults(
-        handler=_cmd_count, count=count_set_exact, fields=("parts", "num_parts", "weight")
-    )
-
-    set_any = count_subs.add_parser(
-        "set-any", parents=[common], help="any number of parts from --parts"
-    )
-    set_any.add_argument("--parts", type=_parts_csv, required=True, metavar="P1,P2,..")
-    set_any.add_argument("weight", type=_nonneg_int, metavar="WEIGHT")
-    set_any.set_defaults(handler=_cmd_count, count=count_set_any, fields=("parts", "weight"))
-
-    total = count_subs.add_parser(
-        "total", parents=[common], help="unrestricted partition number"
-    )
-    total.add_argument("weight", type=_nonneg_int, metavar="WEIGHT")
-    total.set_defaults(handler=_cmd_count, count=count_total, fields=("weight",))
+    for subject, count_fn, help_text, fields in _COUNTS:
+        sub = count_subs.add_parser(subject, parents=[common], help=help_text)
+        for field in fields:
+            if field == "parts":
+                sub.add_argument("--parts", type=_parts_csv, required=True, metavar="P1,P2,..")
+            else:
+                sub.add_argument(field, type=_nonneg_int, metavar=field.upper())
+        sub.set_defaults(handler=_cmd_count, count=count_fn, fields=fields)
 
     betti_cmd = subs.add_parser(
         "betti", parents=[common], help="Betti numbers of the k-planes-in-R^n Grassmannian"

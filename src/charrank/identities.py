@@ -36,6 +36,7 @@ from charrank.partitions import (
     _box_parts,
     _set_exact_parts,
     count_box,
+    count_set_any,
     count_set_at_most,
     count_set_exact,
     count_total,
@@ -61,7 +62,7 @@ def verify_eq3(min_part, max_part, weight):
     check_int(ValueError, 1, "weight", weight)
     params = (("min_part", min_part), ("max_part", max_part), ("weight", weight))
     report = _single_report(Identity.EQ3, params)
-    lhs = count_set_at_most(range(min_part, max_part + 1), weight // min_part, weight)
+    lhs = count_set_any(range(min_part, max_part + 1), weight)
     report.compare(params, lhs, _box_sum(min_part, max_part, weight))
     return report
 
@@ -90,7 +91,7 @@ def verify_eq5(num_degrees, weight):
     params = (("num_degrees", num_degrees), ("weight", weight))
     report = _single_report(Identity.EQ5, params)
     degrees = range(1, num_degrees + 1)
-    lhs = count_set_at_most(degrees, weight, weight)
+    lhs = count_set_any(degrees, weight)
     report.compare(params + (("check", "tail form"),), lhs, _box_sum(1, num_degrees, weight))
     table = count_set_at_most(degrees, weight - 1, weight) + 1
     any_parts = params + (("check", "any-parts form"),)
@@ -189,7 +190,8 @@ def _sweep_sharpness(report, max_k, max_j):
                     bound,
                     count_total(j),
                 )
-            # for j > k this is eq5's tail form, so it is not compared twice
+            # the gapless form is compared at every j; for j > k this repeats
+            # eq5's tail form, here through the public bound API
             report.compare(
                 params + (("check", "gapless form"),),
                 bound,

@@ -2,6 +2,7 @@
 
 Counting here follows the usual conventions: the empty partition is the
 unique partition of 0, and "exactly zero parts" admits only weight 0.
+``Partition`` and ``PartsSet`` are frozen dataclasses in canonical order.
 Counts are computed by dynamic programming (see ``_dispatch``); the
 enumeration functions exist mainly so tests and the verification sweeps
 can cross-check the counts against something that cannot share a bug with
@@ -15,18 +16,17 @@ sweeps run them once per grid cell on part tuples; ``enumerate_box`` and
 each tuple in a ``Partition``.
 """
 
+from dataclasses import dataclass
+
 from charrank import _dispatch
-from charrank.errors import CapExceeded, TableTooLarge, check_int
+from charrank.errors import CapExceeded, check_int
 
 #: Default bound on the effective search box (largest part x number of
 #: parts) accepted by the enumeration functions.
 DEFAULT_ENUMERATION_CAP = 64
 
-#: Most entries a 2-D set-exact table may hold (2**25, 256 MiB at 8 bytes
-#: an entry); a count that needs a larger one raises ``TableTooLarge``.
-MAX_TABLE_CELLS = 2**25
 
-
+@dataclass(frozen=True, repr=False)
 class Partition:
     """An integer partition, stored as its parts in non-increasing order.
 
@@ -35,57 +35,46 @@ class Partition:
     they can live in sets and dicts.
     """
 
-    __slots__ = ("_parts",)
+    parts: tuple = ()
 
-    def __init__(self, parts=()):
-        collected = list(parts)
+    def __post_init__(self):
+        collected = list(self.parts)
         check_int(ValueError, 1, "each part", *collected)
-        self._parts = tuple(sorted(collected, reverse=True))
+        object.__setattr__(self, "parts", tuple(sorted(collected, reverse=True)))
 
     @classmethod
     def _canonical(cls, parts):
         """A Partition of ``parts``, a tuple of positive integers already in
         non-increasing order, stored as it is without the check."""
         partition = object.__new__(cls)
-        partition._parts = parts
+        object.__setattr__(partition, "parts", parts)
         return partition
 
     @property
-    def parts(self):
-        return self._parts
-
-    @property
     def weight(self):
-        return sum(self._parts)
+        return sum(self.parts)
 
     def __len__(self):
-        return len(self._parts)
+        return len(self.parts)
 
     def __iter__(self):
-        return iter(self._parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self._parts == other._parts
-
-    def __hash__(self):
-        return hash(self._parts)
+        return iter(self.parts)
 
     def __repr__(self):
-        return f"Partition({list(self._parts)!r})"
+        return f"Partition({list(self.parts)!r})"
 
 
+@dataclass(frozen=True, repr=False)
 class PartsSet:
     """A finite, nonempty set of distinct positive integers — the allowed
     part values for the restricted counts below.  Kept in ascending order.
     """
 
-    __slots__ = ("_members",)
+    members: tuple
 
-    def __init__(self, members):
-        self._members = _as_members(members)
-        if not self._members:
+    def __post_init__(self):
+        object.__setattr__(self, "members", _as_members(self.members))
+        if not self.members:
             raise ValueError("a PartsSet needs at least one value")
 
     @classmethod
@@ -96,44 +85,32 @@ class PartsSet:
         return cls(range(lo, hi + 1))
 
     @property
-    def members(self):
-        return self._members
-
-    @property
     def least(self):
-        return self._members[0]
+        return self.members[0]
 
     @property
     def greatest(self):
-        return self._members[-1]
+        return self.members[-1]
 
     def is_gapless(self):
         """True when the members form a consecutive run."""
-        return self.greatest - self.least + 1 == len(self._members)
+        return self.greatest - self.least + 1 == len(self.members)
 
     def truncated(self, bound):
         """The members that are <= bound, as a plain tuple (possibly empty)."""
-        return tuple(m for m in self._members if m <= bound)
+        return tuple(m for m in self.members if m <= bound)
 
     def __iter__(self):
-        return iter(self._members)
+        return iter(self.members)
 
     def __len__(self):
-        return len(self._members)
+        return len(self.members)
 
     def __contains__(self, value):
-        return value in self._members
-
-    def __eq__(self, other):
-        if not isinstance(other, PartsSet):
-            return NotImplemented
-        return self._members == other._members
-
-    def __hash__(self):
-        return hash(self._members)
+        return value in self.members
 
     def __repr__(self):
-        return f"PartsSet({list(self._members)!r})"
+        return f"PartsSet({list(self.members)!r})"
 
 
 def _as_members(parts):
@@ -164,7 +141,7 @@ def count_set_exact(parts, num_parts, weight):
     check_int(ValueError, 0, "weight", weight)
     if num_parts > weight:
         return 0  # num_parts >= 1 parts, each >= 1, outweigh weight: skip the kernel
-    return _set_exact_counts(members, num_parts, weight)[num_parts]
+    return _dispatch.set_exact_counts(members, num_parts, weight)[num_parts]
 
 
 def count_set_at_most(parts, max_parts, weight):
@@ -175,14 +152,15 @@ def count_set_at_most(parts, max_parts, weight):
     ``weight``, so from that many on the bound never binds: the count is
     the coefficient of q^weight in prod_{v in parts} 1 / (1 - q^v), one
     entry of the 1-D ``set_any_table``.  A bound below it binds, and the
-    count sums the rows of the 2-D ``set_exact_counts`` table.
+    count sums the rows of the 2-D ``set_exact_counts`` table (refused
+    with ``TableTooLarge`` past ``_kernels_py.MAX_TABLE_CELLS`` entries).
     """
     members = _as_members(parts)
     check_int(ValueError, 0, "max_parts", max_parts)
     check_int(ValueError, 0, "weight", weight)
     if not members or max_parts >= weight // members[0]:
         return _dispatch.set_any_table(members, weight)[weight]
-    return sum(_set_exact_counts(members, max_parts, weight))
+    return sum(_dispatch.set_exact_counts(members, max_parts, weight))
 
 
 def count_set_any(parts, weight):
@@ -190,21 +168,6 @@ def count_set_any(parts, weight):
     members = _as_members(parts)
     check_int(ValueError, 0, "weight", weight)
     return count_set_at_most(members, weight, weight)  # weight parts never bind
-
-
-def _set_exact_counts(members, num_parts, weight):
-    """``_dispatch.set_exact_counts`` on ascending ``members``, refused
-    (``TableTooLarge``) before it allocates when its table would hold more
-    than ``MAX_TABLE_CELLS`` entries: one row for each number of parts up
-    to min(num_parts, weight // least), each one entry per weight 0..weight.
-    """
-    rows = min(num_parts, weight // members[0]) + 1 if members else 1
-    if rows * (weight + 1) > MAX_TABLE_CELLS:
-        raise TableTooLarge(
-            f"a table of {rows}x{weight + 1} counts exceeds the limit of "
-            f"{MAX_TABLE_CELLS} cells"
-        )
-    return _dispatch.set_exact_counts(members, num_parts, weight)
 
 
 def count_total(weight):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from charrank import _dispatch, bijection
+from charrank import _dispatch, _kernels_py, bijection
 from charrank.cli import main
 from charrank.identities import RANGE_KEYS, SWEEP_ORDER, default_grid, verify_sweep
 from charrank.report import Identity
@@ -86,9 +86,9 @@ class TestCount:
 
     def test_oversized_table_is_a_usage_error(self, capsys, monkeypatch):
         def no_table(*args):
-            raise AssertionError("the kernel was called")
+            raise AssertionError("the table was built")
 
-        monkeypatch.setattr(_dispatch, "set_exact_counts", no_table)
+        monkeypatch.setattr(_kernels_py, "_part_rows", no_table)
         args = ("count", "set-exact", "--parts", "1,2,3", "100000", "1000000")
         code, _, err = run_cli(capsys, *args)
         assert code == 2

@@ -245,7 +245,18 @@ C_MUTANTS = {
         "long hi = p * v < width ? p * v - 1 : width - 1;",
         ("set_exact_counts", ((1, 2), 2, 4)),
     ),
+    "box zero shortcut takes the full box": (
+        "if (c > a * b)", "if (c >= a * b)", ("box_count", (2, 2, 4))
+    ),
+    "parts reader drops the top part": (
+        "if (v > top)", "if (v >= top)", ("set_any_table", ((1, 2), 2))
+    ),
 }
+
+
+def test_compiled_mutants_cover_every_kernel():
+    # a new entry point needs a compiled mutant whose witness calls it
+    assert {kernel for _, _, (kernel, _) in C_MUTANTS.values()} == set(KERNELS)
 
 
 @pytest.mark.parametrize("name", C_MUTANTS)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import partition as sympy_partition
 
-from charrank import _dispatch, partitions
+from charrank import _kernels_py
 from charrank.errors import CapExceeded, TableTooLarge
 from charrank.partitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -22,6 +22,7 @@ from charrank.partitions import (
     enumerate_set_exact,
 )
 
+from _backends import serve
 from _brute import box as brute_box, set_exact as brute_set_exact
 
 
@@ -54,6 +55,11 @@ class TestPartition:
     def test_repr_roundtrips(self):
         p = Partition([4, 2, 2])
         assert eval(repr(p)) == p
+
+    @pytest.mark.parametrize("name", ["parts", "other"])
+    def test_is_immutable(self, name):
+        with pytest.raises(AttributeError):
+            setattr(Partition([1]), name, (2,))
 
 
 class TestPartsSet:
@@ -92,6 +98,11 @@ class TestPartsSet:
         assert 2 in s and 5 not in s
         assert len(s) == 2
         assert PartsSet([3, 2]) == s
+
+    @pytest.mark.parametrize("name", ["members", "other"])
+    def test_is_immutable(self, name):
+        with pytest.raises(AttributeError):
+            setattr(PartsSet([1]), name, (2,))
 
 
 class TestCountBox:
@@ -193,18 +204,21 @@ class TestCountSet:
             assert count_set_at_most(parts, b, c) == expected
 
     def test_table_too_large_is_refused_before_it_is_built(self, monkeypatch):
+        # the compiled kernels hand these weights to the pure ones, which guard
         def no_table(*args):
-            raise AssertionError("the kernel was called")
+            raise AssertionError("the table was built")
 
-        monkeypatch.setattr(_dispatch, "set_exact_counts", no_table)
+        monkeypatch.setattr(_kernels_py, "_part_rows", no_table)
         with pytest.raises(TableTooLarge):
             count_set_exact(range(1, 10**5), 10**5, 10**6)
         with pytest.raises(TableTooLarge):
             count_set_at_most((1, 2), 10**5, 10**6)  # the bound binds: 2-D route
 
     def test_table_limit_is_on_the_cells(self, monkeypatch):
-        # 4 rows (0..3 parts) of 8 weights fill exactly 32 cells
-        monkeypatch.setattr(partitions, "MAX_TABLE_CELLS", 32)
+        # 4 rows (0..3 parts) of 8 weights fill exactly 32 cells; the pure
+        # kernels serve, so the compiled fast path cannot skip the guard
+        serve(monkeypatch, _kernels_py)
+        monkeypatch.setattr(_kernels_py, "MAX_TABLE_CELLS", 32)
         assert count_set_exact((2, 3), 3, 7) == brute_set_exact((2, 3), 3, 7)
         with pytest.raises(TableTooLarge):
             count_set_exact((2, 3), 3, 8)
