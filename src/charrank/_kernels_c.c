@@ -8,13 +8,13 @@
  * number of arguments) goes to the same-named function of ``_kernels_py``,
  * so big results and errors come from one place.
  *
- * Two loops serve the five entry points.  The 2-D ``part_rows`` serves only
- * set-exact counts.  The 1-D ``series`` serves the other four, whose counts
+ * Two loops serve the six entry points.  The 2-D ``part_rows`` serves only
+ * set-exact counts.  The 1-D ``series`` serves the other five, whose counts
  * are coefficients of prod_g (1 - q^g) / prod_v (1 - q^v): a box is a
- * Gaussian binomial, and set-any tables and p(n) have no numerator.  Those
- * four return through ``series_result``.  Each call owns its tables and
- * touches no Python object while it fills them, so it releases the GIL:
- * threads run in parallel. */
+ * Gaussian binomial, and set-any tables and p(n) have no numerator.  Four
+ * return through ``series_result``; ``box_sum`` chains one ``series`` per
+ * term.  Each call owns its tables and touches no Python object while it
+ * fills them, so it releases the GIL: threads run in parallel. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
@@ -170,6 +170,7 @@ box_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return delegate("box_count", args, nargs);
     if (c > a * b)
         return PyLong_FromLong(0);
+    c = c < a * b - c ? c : a * b - c; /* the row is a palindrome */
     lo = a < b ? a : b;
     return series_result(c, a + b - lo + 1, a + b, NULL, lo, 1);
 }
@@ -187,6 +188,33 @@ box_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return delegate("box_table", args, nargs);
     lo = a < b ? a : b;
     return series_result(a * b, a + b - lo + 1, a + b, NULL, lo, 0);
+}
+
+/* The paper's sum over s of the counts of w - lo*s in an m-by-s box, m =
+ * hi - lo, on one row cut to the weights left: [m+s, s]_q = [m+s-1, s-1]_q
+ * (1 - q^(m+s)) / (1 - q^s).  Each entry and the sum count partitions of w.
+ * Terms with m*s < w - lo*s are zero; s = 0 adds the empty partition. */
+static PyObject *
+box_sum(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long lo = nargs == 3 ? clamp(args[0], U64_SAFE_WEIGHT + 1) : -1,
+         hi = nargs == 3 ? clamp(args[1], U64_SAFE_WEIGHT + 1) : -1,
+         w = nargs == 3 ? clamp(args[2], U64_SAFE_WEIGHT + 1) : -1;
+    uint64_t *dp, total = w == 0;
+
+    if (lo < 1 || hi < lo || hi > U64_SAFE_WEIGHT
+        || w < 0 || w > U64_SAFE_WEIGHT)
+        return delegate("box_sum", args, nargs);
+    if ((dp = calloc((size_t)w + 1, sizeof *dp)) == NULL)
+        return PyErr_NoMemory();
+    Py_BEGIN_ALLOW_THREADS
+    for (long s = 1; lo * s <= w; s++) {
+        series(dp, w - lo * s + 1, hi - lo + s, hi - lo + s, &s, 1);
+        total += hi * s >= w ? dp[w - lo * s] : 0;
+    }
+    Py_END_ALLOW_THREADS
+    free(dp);
+    return PyLong_FromUnsignedLongLong(total);
 }
 
 static PyObject *
@@ -242,6 +270,7 @@ partition_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef methods[] = {
     FASTCALL(box_count, "Partitions of c into at most b parts, each <= a."),
     FASTCALL(box_table, "Partition counts in an a-by-b box, by weight 0..a*b."),
+    FASTCALL(box_sum, "Partitions of w into parts lo..hi, as a sum of boxes."),
     FASTCALL(set_exact_counts,
              "Partitions of c into exactly s parts from parts, for s in 0..b."),
     FASTCALL(set_any_table,

@@ -1,11 +1,11 @@
 """Pure-Python counting kernels.
 
 These are the reference implementations of the dynamic-programming cores.
-A compiled twin (``_kernels_c``) provides the same five entry points; the
+A compiled twin (``_kernels_c``) provides the same six entry points; the
 active backend is chosen in ``_dispatch``.  Everything here works with
 native Python integers, so results are exact at any size.
 
-Two dynamic programs serve the five entry points:
+Two dynamic programs serve the six entry points:
 
 * ``_part_rows``, the 2-D table indexed by (parts used, weight), serves
   only ``set_exact_counts``.  It is updated one row per slice statement
@@ -17,9 +17,9 @@ Two dynamic programs serve the five entry points:
   whose tables stop at 417 x 417, hands it every larger call.
 * ``_accumulate``, the 1-D table indexed by weight, adds parts with no
   bound on their number.  It serves ``set_any_table``, each Durfee square
-  of ``partition_table`` and every box (``_box_row``).  It runs one slice
-  statement per residue class, or a scalar loop when the classes are short
-  (``CLASS_CUT``).
+  of ``partition_table``, every box (``_box_row``) and each step of the
+  chained box sum ``box_sum``.  It runs one slice statement per residue
+  class, or a scalar loop when the classes are short (``CLASS_CUT``).
 
 ``partition_table`` sums Euler's 1/(q;q)_inf by Durfee squares,
 sum_s q^(s^2) / (q;q)_s^2 (Andrews, *The Theory of Partitions*, ch. 2):
@@ -46,8 +46,9 @@ from charrank.errors import TableTooLarge
 
 BACKEND = "python"
 
-#: Most entries a 2-D set-exact table may hold (2**25, 256 MiB at 8 bytes
-#: an entry); ``set_exact_counts`` refuses a larger one with TableTooLarge.
+#: Most entries a 2-D set-exact table or a box table may hold (2**25,
+#: 256 MiB at 8 bytes an entry); ``set_exact_counts`` and ``box_table``
+#: refuse a larger one with TableTooLarge.
 MAX_TABLE_CELLS = 2**25
 
 # Shortest residue class that ``_accumulate`` runs as one slice statement.
@@ -114,6 +115,10 @@ def _box_row(a: int, b: int, width: int) -> list:
     with a <= b, the coefficients of prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i)
     (Andrews, *The Theory of Partitions*, Thm 3.1).  Each numerator factor
     below ``width`` is one slice subtraction; dividing by 1 - q^i adds part i.
+
+    The row is a palindrome: taking each partition's complement in the box
+    maps weight w to a*b - w.  So no caller asks for more than its lower
+    half: ``box_count`` folds its weight into it and ``box_table`` mirrors it.
     """
     a, b = min(a, b), max(a, b)
     dp = [1] + [0] * (width - 1)
@@ -127,14 +132,52 @@ def box_count(a: int, b: int, c: int) -> int:
     if a < 0 or b < 0 or c < 0:
         raise ValueError("box dimensions and weight must be nonnegative")
     a, b = min(a, c), min(b, c)  # parts are >= 1: bounds beyond c are inert
-    return _box_row(a, b, c + 1)[c] if c <= a * b else 0
+    if c > a * b:
+        return 0
+    c = min(c, a * b - c)  # the row is a palindrome
+    return _box_row(a, b, c + 1)[c]
 
 
 def box_table(a: int, b: int) -> list:
     """Partition counts in an a-by-b box, one entry per weight 0..a*b."""
     if a < 0 or b < 0:
         raise ValueError("box dimensions must be nonnegative")
-    return _box_row(a, b, a * b + 1)
+    if a * b >= MAX_TABLE_CELLS:
+        raise TableTooLarge(
+            f"a table of {a}x{b} box counts exceeds the limit of {MAX_TABLE_CELLS} entries"
+        )
+    half = _box_row(a, b, a * b // 2 + 1)
+    return half + half[: (a * b + 1) // 2][::-1]  # the row is a palindrome
+
+
+def box_sum(lo: int, hi: int, weight: int) -> int:
+    """Partitions of ``weight`` into parts from {lo..hi}, as the paper's sum
+    over s of b_(weight - lo*s)(G_s(R^(m + s))), m = hi - lo: the counts of
+    weight - lo*s in an m-by-s box.
+
+    One row walks up in s along
+
+        [m+s, s]_q = [m+s-1, s-1]_q * (1 - q^(m+s)) / (1 - q^s)
+
+    (Andrews, *The Theory of Partitions*, ch. 3).  Before step s it is cut
+    to the weight - lo*s + 1 entries that term s and the later ones read;
+    the numerator factor is one slice subtraction and 1 - q^s adds part s.
+    An m-by-s box holds at most m*s, so the terms below
+    s = ceil(weight/hi) are zero and only later ones are added.
+    """
+    if weight < 0 or lo < 1 or hi < lo:
+        raise ValueError("box_sum needs 1 <= lo <= hi and a nonnegative weight")
+    first = -(-weight // hi)
+    dp = [1] + [0] * weight
+    total = dp[-1]  # s = 0: only the empty partition, of weight 0
+    for s in range(1, weight // lo + 1):
+        del dp[weight - lo * s + 1 :]
+        g = hi - lo + s
+        dp[g:] = map(sub, dp[g:], dp)  # reads dp[:len(dp) - g] before writing
+        _accumulate(dp, (s,))
+        if s >= first:
+            total += dp[-1]
+    return total
 
 
 def set_exact_counts(parts: tuple, b: int, c: int) -> list:

@@ -13,13 +13,16 @@ the number of degree-j monomials in generators of those degrees — a
 restricted partition count.  ``betti_upper_bound`` evaluates that count
 directly; ``betti_upper_bound_gapless`` evaluates the equivalent sum of
 Betti numbers of real Grassmannians (``_box_sum``, which the identity
-checks share) when the truncated degree set has no gaps.
+checks share) when the truncated degree set has no gaps.  That sum runs
+on the ``box_sum`` kernel, which walks one Gaussian-binomial row up in s
+instead of building a new box row for every term.
 """
 
 from dataclasses import dataclass
 
+from charrank import _dispatch
 from charrank.errors import DegreeOutOfRange, NotGapless, PreconditionViolation, check_int
-from charrank.partitions import PartsSet, count_box, count_set_any
+from charrank.partitions import PartsSet, count_set_any
 
 #: Marker for "no known finite bound" (compares above every integer).
 UNBOUNDED = float("inf")
@@ -94,9 +97,10 @@ def _box_sum(lo, hi, weight):
     """Partitions of ``weight`` with parts in {lo..hi}, as the paper's sum
     over s of b_(weight - lo*s)(G_s(R^(hi - lo + s))): box partitions of
     weight - lo*s in an (hi - lo) x s box, for s from ceil(weight/hi) to
-    floor(weight/lo), outside which the box holds none."""
-    first = -(-weight // hi)
-    return sum(count_box(hi - lo, s, weight - lo * s) for s in range(first, weight // lo + 1))
+    floor(weight/lo), outside which the box holds none.  The ``box_sum``
+    kernel chains the terms: each Gaussian binomial [hi - lo + s, s]_q is
+    the one before it times (1 - q^(hi - lo + s)) / (1 - q^s)."""
+    return _dispatch.box_sum(lo, hi, weight)
 
 
 def monomial_count(parts, degree):

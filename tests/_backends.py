@@ -9,7 +9,9 @@ from pathlib import Path
 from charrank import _dispatch
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "charrank"
-KERNELS = ("box_count", "box_table", "set_exact_counts", "set_any_table", "partition_table")
+KERNELS = (
+    "box_count", "box_table", "box_sum", "set_exact_counts", "set_any_table", "partition_table"
+)
 
 
 def serve(monkeypatch, backend):

@@ -182,8 +182,20 @@ def test_criterion_8_pentagonal_crosscheck():
 # Each Python mutant: the text of ``_kernels_py.py`` it replaces, the
 # replacement, and a call on which it must disagree with the clean kernel.
 PY_MUTANTS = {
-    "box_count": ("c <= a * b", "c < a * b", ("box_count", (2, 2, 4))),
-    "box_table": ("a * b + 1", "a * b", ("box_table", (2, 2))),
+    "box_count": ("if c > a * b:", "if c >= a * b:", ("box_count", (2, 2, 4))),
+    "box_count fold": (  # folds the weight one short of its mirror
+        "c = min(c, a * b - c)", "c = min(c, a * b - c - 1)", ("box_count", (2, 3, 4))
+    ),
+    "box_table": (  # the lower half stops one weight short
+        "a * b // 2 + 1)", "a * b // 2)", ("box_table", (2, 2))
+    ),
+    "box_table mirror": (  # appends the lower half unreversed
+        "half[: (a * b + 1) // 2][::-1]", "half[: (a * b + 1) // 2]", ("box_table", (2, 3))
+    ),
+    "box_sum": (  # each step takes the numerator factor of the next
+        "g = hi - lo + s", "g = hi - lo + s + 1", ("box_sum", (1, 2, 4))
+    ),
+    "box_sum first term": ("if s >= first:", "if s > first:", ("box_sum", (1, 2, 4))),
     "set_exact_counts": (  # drops the last row's count and keeps the length
         "row in table] + [0] * (b - smax)",
         "row in table[:-1]] + [0] * (b - smax + 1)",
@@ -201,9 +213,9 @@ PY_MUTANTS = {
         ("partition_table", (5,)),
     ),
     "numerator skips its first factor": (
-        "range(b + 1, min(a + b,", "range(b + 2, min(a + b,", ("box_table", (2, 2))
+        "range(b + 1, min(a + b,", "range(b + 2, min(a + b,", ("box_table", (3, 3))
     ),
-    "numerator skips its last factor": ("width - 1) + 1):", "width - 1)):", ("box_table", (2, 2))),
+    "numerator skips its last factor": ("width - 1) + 1):", "width - 1)):", ("box_table", (3, 3))),
     "1-D residue branch": (
         "for r in range(v):", "for r in range(1, v):", ("set_any_table", ((1,), 20))
     ),
@@ -251,6 +263,7 @@ def test_criterion_9_mutants_cover_every_kernel_and_branch():
     branch = next(n for n in ast.walk(defs["_accumulate"]) if isinstance(n, ast.If))
     regions = {
         "_box_row": defs["_box_row"],
+        "box_sum chain": next(n for n in ast.walk(defs["box_sum"]) if isinstance(n, ast.For)),
         "_accumulate residue branch": branch.body[0],
         "_accumulate scalar branch": branch.orelse[0],
         "_part_rows": defs["_part_rows"],

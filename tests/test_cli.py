@@ -19,15 +19,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _corrupt_box_count(monkeypatch):
-    """Make ``count_box(2, 2, 4)`` one too large, so eq3 fails."""
-    true_box = _dispatch.box_count
+def _corrupt_box_sum(monkeypatch):
+    """Make the box sum for parts {1..3} at weight 6 one too large, so eq3
+    fails."""
+    true_sum = _dispatch.box_sum
 
-    def corrupted(a, b, c):
-        value = true_box(a, b, c)
-        return value + 1 if (a, b, c) == (2, 2, 4) else value
+    def corrupted(lo, hi, weight):
+        value = true_sum(lo, hi, weight)
+        return value + 1 if (lo, hi, weight) == (1, 3, 6) else value
 
-    monkeypatch.setattr(_dispatch, "box_count", corrupted)
+    monkeypatch.setattr(_dispatch, "box_sum", corrupted)
 
 
 class TestCount:
@@ -96,6 +97,16 @@ class TestCount:
 
 
 class TestBetti:
+    def test_oversized_table_is_a_usage_error(self, capsys, monkeypatch):
+        # 50000 x 50000 box counts, past MAX_TABLE_CELLS
+        def no_row(*args):
+            raise AssertionError("the box row was built")
+
+        monkeypatch.setattr(_kernels_py, "_box_row", no_row)
+        code, out, err = run_cli(capsys, "betti", "100000", "50000")
+        assert (code, out) == (2, "")
+        assert "exceeds the limit" in err
+
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "betti", "4", "2")
         assert (code, out) == (0, "1 1 2 1 1\n")
@@ -251,7 +262,7 @@ class TestVerify:
         assert "error:" in err
 
     def test_failure_exits_one_and_lists_counterexamples(self, capsys, monkeypatch):
-        _corrupt_box_count(monkeypatch)
+        _corrupt_box_sum(monkeypatch)
         code, out, _ = run_cli(capsys, "verify", "eq3", "--max-mu", "5", "--max-j", "8")
         assert code == 1
         assert "eq3: fail" in out
@@ -417,7 +428,7 @@ def test_every_format_carries_the_record(capsys, monkeypatch, argv, header, corr
     """Text, CSV and JSON show the same values, and the exit code is 1
     exactly when the record's status is ``fail``."""
     if corrupt:
-        _corrupt_box_count(monkeypatch)
+        _corrupt_box_sum(monkeypatch)
     runs = {fmt: run_cli(capsys, *argv, "--format", fmt) for fmt in ("text", "json", "csv")}
     codes = {fmt: code for fmt, (code, _, _) in runs.items()}
     record = json.loads(runs["json"][1])

@@ -81,6 +81,11 @@ def test_box_table_agrees(kernels_c, a, b):
     assert kernels_c.box_table(a, b) == _kernels_py.box_table(a, b)
 
 
+@given(st.integers(1, 8), st.integers(0, 12), st.integers(0, 90))
+def test_box_sum_agrees(kernels_c, lo, span, weight):
+    assert kernels_c.box_sum(lo, lo + span, weight) == _kernels_py.box_sum(lo, lo + span, weight)
+
+
 @given(
     st.sets(st.integers(1, 12), min_size=0, max_size=6),
     st.integers(0, 10),
@@ -130,6 +135,17 @@ def test_box_table_agrees_across_word_size_boundary(kernels_c, size):
             b = size // a
             expected = list(gaussian_binomial(a + b, min(a, b)))
             assert kernels_c.box_table(a, b) == _kernels_py.box_table(a, b) == expected
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(1, 1), (1, 8), (1, 30), (2, 5), (3, 20), (1, 416), (1, 417), (7, 424), (300, 416)]
+)
+def test_box_sum_agrees_across_word_size_boundary(kernels_c, lo, hi):
+    # every entry of the chained row and the sum count partitions of the
+    # weight, so the compiled path stays exact up to 416; from weight 417
+    # on, and for any hi past 416, the call goes to the big-integer route
+    for weight in range(410, 425):
+        assert kernels_c.box_sum(lo, hi, weight) == _kernels_py.box_sum(lo, hi, weight), weight
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -197,6 +213,19 @@ def test_negative_argument_raises_the_same_error(kernels_c, kernel, args):
     assert errors[0] == errors[1]
 
 
+@pytest.mark.parametrize(
+    "args", [(1, 3, -1), (0, 3, 4), (-2, 3, 4), (4, 3, 5), (10**30 + 1, 10**30, 5), (418, 417, 3)]
+)
+def test_bad_box_sum_argument_raises_the_same_error(kernels_c, args):
+    # a negative weight, lo < 1 and hi < lo, also past what C can hold
+    errors = []
+    for backend in (kernels_c, _kernels_py):
+        with pytest.raises(ValueError, match="1 <= lo <= hi and a nonnegative weight") as caught:
+            backend.box_sum(*args)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+
+
 def test_table_row_zero_weight(kernels_c):
     assert kernels_c.box_table(0, 7) == [1]
     assert kernels_c.box_table(7, 0) == [1]
@@ -251,6 +280,11 @@ C_MUTANTS = {
     "parts reader drops the top part": (
         "if (v > top)", "if (v >= top)", ("set_any_table", ((1, 2), 2))
     ),
+    "box chain takes the next numerator factor": (
+        "hi - lo + s, hi - lo + s, &s",
+        "hi - lo + s + 1, hi - lo + s + 1, &s",
+        ("box_sum", (1, 2, 4)),
+    ),
 }
 
 
@@ -274,7 +308,7 @@ def test_cross_backend_checks_catch_a_compiled_mutant(tmp_path, monkeypatch, nam
 
 # Weight 416 is the last the compiled uint64 path takes, 417 the first it
 # hands to the big-integer route; betti 108 4 tops out at 4 * 104 = 416,
-# betti 142 3 at 3 * 139 = 417.
+# betti 142 3 at 3 * 139 = 417.  The gapless bound runs the box chain.
 SAME_OUTPUT = ["verify all --format json", "betti 108 4", "betti 142 3"] + [
     command.format(weight)
     for weight in (416, 417)
@@ -285,6 +319,7 @@ SAME_OUTPUT = ["verify all --format json", "betti 108 4", "betti 142 3"] + [
         "count set-any --parts 1,3,4,9 {}",
         "count set-any --parts 3,5,7 {}",
         "bound --set 1,2,3,4,5,6,7,8 --dim inf --charrank inf --degree {}",
+        "bound --set 1,2,3,4,5,6,7,8 --dim inf --charrank inf --degree {} --gapless",
     )
 ]
 

@@ -6,7 +6,10 @@ the box so that a <= b and multiplies in the numerator factors (1 - q^g),
 g = b+1..a+b, that fall below the table's width before ``_accumulate``
 adds parts 1..a.  So the box tests cover both orientations, an inert bound
 (no numerator factor), a numerator cut off by the width, and the whole
-numerator.  The rest covers both branches of ``_accumulate`` on either side
+numerator, on both halves of the palindromic row: ``box_count`` folds a
+weight in the upper half down and ``box_table`` mirrors the lower half.
+``box_sum`` chains one row up in s and is held to the term-by-term sum of
+box counts.  The rest covers both branches of ``_accumulate`` on either side
 of ``CLASS_CUT``, the Durfee squares of ``partition_table`` on either side
 of each square's cut between those branches and of each change of
 isqrt(n), and the reachable windows of ``_part_rows`` against the plain
@@ -18,6 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from charrank import _kernels_py
+from charrank.errors import TableTooLarge
 from charrank.grassmannian import gaussian_binomial
 from charrank.oracles import pentagonal_partition_table
 
@@ -64,6 +68,66 @@ def test_box_count_truncated_numerator(a, b):
     # the table, the ones above c do not
     for c in range(max(a, b) + 1, a + b):
         assert _kernels_py.box_count(a, b, c) == q_box(a, b, c)
+
+
+@pytest.mark.parametrize("a, b", [(3, 5), (5, 3), (4, 4), (1, 9), (7, 6)])
+def test_box_count_upper_half_of_the_row(a, b):
+    # weights above a*b / 2 are folded to a*b - c, whose row is shorter
+    for c in range((a * b + 1) // 2, a * b + 1):
+        assert _kernels_py.box_count(a, b, c) == brute_box(a, b, c) == q_box(a, b, c)
+
+
+def test_box_table_is_the_q_binomial_for_every_small_box():
+    # a*b even and odd, and a*b = 0, where the lower half is the whole row;
+    # the q-binomial starts at n = 1, and the 0 x 0 box holds one partition
+    for a in range(12):
+        for b in range(12):
+            expected = list(gaussian_binomial(a + b, a)) if a + b else [1]
+            assert _kernels_py.box_table(a, b) == expected, (a, b)
+
+
+def test_box_table_too_large_is_refused_before_it_is_built(monkeypatch):
+    def no_row(*args):
+        raise AssertionError("the box row was built")
+
+    monkeypatch.setattr(_kernels_py, "_box_row", no_row)
+    with pytest.raises(TableTooLarge):
+        _kernels_py.box_table(5 * 10**4, 10**5)
+
+
+def test_box_table_limit_is_on_the_entries(monkeypatch):
+    # a 4 x 8 box has 33 weights 0..32
+    monkeypatch.setattr(_kernels_py, "MAX_TABLE_CELLS", 33)
+    assert _kernels_py.box_table(4, 8) == list(gaussian_binomial(12, 4))
+    with pytest.raises(TableTooLarge):
+        _kernels_py.box_table(3, 11)
+
+
+def box_sum_terms(lo, hi, weight):
+    """The paper's sum over s of the counts of weight - lo*s in an
+    (hi - lo) x s box, one box count per term."""
+    return sum(
+        _kernels_py.box_count(hi - lo, s, weight - lo * s) for s in range(weight // lo + 1)
+    )
+
+
+@given(st.integers(1, 6), st.integers(0, 9), st.integers(0, 70))
+def test_box_sum_is_the_term_by_term_sum(lo, span, weight):
+    assert _kernels_py.box_sum(lo, lo + span, weight) == box_sum_terms(lo, lo + span, weight)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 1), (1, 5), (2, 2), (3, 7), (1, 40), (5, 5)])
+def test_box_sum_weight_zero_and_small(lo, hi):
+    # weight 0 is the empty partition alone; parts above the weight add nothing
+    for weight in range(12):
+        expected = sum(brute_set_exact(range(lo, hi + 1), s, weight) for s in range(weight + 1))
+        assert _kernels_py.box_sum(lo, hi, weight) == expected, weight
+
+
+@pytest.mark.parametrize("args", [(1, 3, -1), (0, 3, 4), (-2, 3, 4), (4, 3, 5)])
+def test_box_sum_refuses_a_bad_argument(args):
+    with pytest.raises(ValueError, match="1 <= lo <= hi and a nonnegative weight"):
+        _kernels_py.box_sum(*args)
 
 
 def test_box_count_empty_cases():
