@@ -17,20 +17,20 @@ Every subcommand takes ``--format text|json|csv`` (default text) and
 stdout.  Counts are always emitted as decimal strings, never floats.
 Each handler returns ``(record, table, text)``: the JSON record, the
 ``(header, rows)`` of the CSV output and the text output; ``main`` renders
-the one asked for.  Exit codes: 0 success, 1 when the record's status is
+the one asked for.
+
+A command imports only what it runs: each handler imports the modules it
+calls, ``json`` and ``csv`` load only for their format, and the ``verify``
+identities and range flags are built only when the command line names
+``verify``.  Exit codes: 0 success, 1 when the record's status is
 ``fail`` (a verification failure), 2 usage error.
 """
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 from charrank.bounds import UNBOUNDED, BundleProfile, betti_upper_bound, betti_upper_bound_gapless
 from charrank.errors import CapExceeded, CharrankError
-from charrank.grassmannian import betti, poincare
-from charrank.identities import RANGE_KEYS, SWEEP_ORDER, default_grid, run_all, verify_sweep
 from charrank.partitions import PartsSet, count_box, count_set_any, count_set_exact, count_total
 
 _EXIT_OK = 0
@@ -39,8 +39,6 @@ _EXIT_USAGE = 2
 
 #: Failures listed per report in text output before truncating.
 _MAX_LISTED_FAILURES = 20
-
-_VERIFY_CHOICES = tuple(identity.value for identity in SWEEP_ORDER) + ("all",)
 
 #: The ``count`` subjects: (subject, counting function, help, its argument
 #: names in order); ``parts`` is ``--parts``, the others nonnegative ints.
@@ -102,6 +100,8 @@ def _text(value):
 def _range_help(key):
     """The help of a range flag: every identity that takes ``key``, each
     with its default, e.g. ``bijection (default 8)``."""
+    from charrank.identities import SWEEP_ORDER, default_grid
+
     takers = []
     for identity in SWEEP_ORDER:
         grid = default_grid(identity)
@@ -118,6 +118,9 @@ def _params(args):
 
 
 def _csv_rows(header, rows):
+    import csv
+    import io
+
     sink = io.StringIO()
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(header)
@@ -162,6 +165,8 @@ def _cmd_count(args):
 
 
 def _cmd_betti(args):
+    from charrank.grassmannian import betti, poincare
+
     params = {"n": str(args.n), "k": str(args.k)}
     if args.degree is not None:
         params["degree"] = str(args.degree)
@@ -195,6 +200,8 @@ def _report_payload(report):
 
 
 def _cmd_verify(args):
+    from charrank.identities import RANGE_KEYS, run_all, verify_sweep
+
     ranges = {key: getattr(args, key) for key in RANGE_KEYS if getattr(args, key) is not None}
     params = {"identity": args.identity}
     params.update({k.replace("_", "-"): str(v) for k, v in sorted(ranges.items())})
@@ -215,7 +222,9 @@ def _cmd_verify(args):
     return record, table, _verify_text(payloads, status)
 
 
-def _build_parser():
+def _build_parser(verify_flags):
+    """The full parser; the ``verify`` subparser gets its identity and range
+    flags only when ``verify_flags`` is true."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -276,19 +285,25 @@ def _build_parser():
     verify = subs.add_parser(
         "verify", parents=[common], help="sweep an identity over a parameter grid"
     )
-    verify.add_argument("identity", choices=_VERIFY_CHOICES, metavar="IDENTITY",
-                        help="one of: " + ", ".join(_VERIFY_CHOICES))
-    for key in RANGE_KEYS:
-        verify.add_argument(
-            "--" + key.replace("_", "-"), type=_nonneg_int, default=None, help=_range_help(key)
-        )
+    if verify_flags:
+        from charrank.identities import RANGE_KEYS, SWEEP_ORDER
+
+        choices = tuple(identity.value for identity in SWEEP_ORDER) + ("all",)
+        verify.add_argument("identity", choices=choices, metavar="IDENTITY",
+                            help="one of: " + ", ".join(choices))
+        for key in RANGE_KEYS:
+            verify.add_argument(
+                "--" + key.replace("_", "-"), type=_nonneg_int, default=None, help=_range_help(key)
+            )
     verify.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser("verify" in argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -299,6 +314,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     if args.format == "json":
+        import json
+
         rendered = json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
         rendered = _csv_rows(*table)

@@ -256,6 +256,16 @@ class TestVerify:
         assert err.endswith("exceeds the cap of 64; lower the range flags\n")
         assert "`cap`" not in err
 
+    @pytest.mark.parametrize("argv", [("verif", "all"), ("verif", "eq4", "--max-j", "3")])
+    def test_abbreviated_command_is_a_usage_error(self, capsys, argv):
+        # the verify flags are built only when the command line names
+        # `verify`, so an abbreviation must not reach that subparser
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        usage, message = err.splitlines()
+        assert usage == "usage: charrank [-h] {count,betti,bound,verify} ..."
+        assert message.startswith("charrank: error: argument command: invalid choice: 'verif'")
+
     def test_all_rejects_range_flags(self, capsys):
         code, _, err = run_cli(capsys, "verify", "all", "--max-j", "5")
         assert code == 2
@@ -543,3 +553,13 @@ class TestOutputHandling:
         )
         assert out.returncode == 0
         assert out.stdout == "7\n"
+
+    def test_module_run_reads_sys_argv_for_verify(self):
+        # main() reads sys.argv itself, to see whether to build the verify flags
+        out = subprocess.run(
+            [sys.executable, "-m", "charrank", "verify", "eq4", "--max-j", "3", "--format", "csv"],
+            capture_output=True,
+            text=True,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == "identity,checked,failures,status\neq4,3,0,pass\n"
