@@ -19,16 +19,23 @@ Two dynamic programs serve the six entry points:
   bound on their number.  It serves ``set_any_table``, each Durfee square
   of ``partition_table``, every box (``_box_row``) and each step of the
   chained box sum ``box_sum``.  It runs one slice statement per residue
-  class, or a scalar loop when the classes are short (``CLASS_CUT``).
+  class, or a scalar loop when the classes are short (``CLASS_CUT``); a
+  run of equal parts chains its prefix sums inside that one statement.
+  ``box_count``, ``box_sum`` and ``set_any_table`` refuse
+  (``TableTooLarge``) a call whose row entries times parts passes
+  ``MAX_TABLE_CELLS`` before they build the row; ``partition_table`` has
+  no such guard.
 
 ``partition_table`` sums Euler's 1/(q;q)_inf by Durfee squares,
 sum_s q^(s^2) / (q;q)_s^2 (Andrews, *The Theory of Partitions*, ch. 2):
 a partition whose largest square has side s is that square, a partition
 into at most s parts right of it and one into parts at most s below it.
-Each square divides by (1 - q^s) twice on ``_accumulate``, about
-(4/3) n^1.5 additions in all instead of n^2 / 2.  It shares no step with
-Euler's pentagonal-number recurrence, which therefore stays in ``oracles``
-as the independent cross-check.
+Each square divides by (1 - q^s)^2 as one run of two parts s on
+``_accumulate``, which slices each long enough residue class mod s once,
+sums it twice and writes it back once: about (4/3) n^1.5 additions in all
+instead of n^2 / 2.
+It shares no step with Euler's pentagonal-number recurrence, which
+therefore stays in ``oracles`` as the independent cross-check.
 
 Every path adds and subtracts native integers along an exact recurrence,
 and conjugation and clamping are identities of partition counts, so the
@@ -38,6 +45,7 @@ ever mutated, so concurrent use from multiple threads is safe by
 construction.
 """
 
+from bisect import bisect_right
 from itertools import accumulate
 from math import isqrt
 from operator import add, sub
@@ -48,13 +56,18 @@ BACKEND = "python"
 
 #: Most entries a 2-D set-exact table or a box table may hold (2**25,
 #: 256 MiB at 8 bytes an entry); ``set_exact_counts`` and ``box_table``
-#: refuse a larger one with TableTooLarge.
+#: refuse a larger one with TableTooLarge.  The 1-D loops of ``box_count``,
+#: ``box_sum`` and ``set_any_table`` refuse a call whose row entries times
+#: parts passes it (``_check_row``).
 MAX_TABLE_CELLS = 2**25
 
-# Shortest residue class that ``_accumulate`` runs as one slice statement.
+# Shortest residue class that ``_accumulate`` runs as one slice statement
+# for a single part; a run of k equal parts takes it from CLASS_CUT / k on.
 # Measured on CPython 3.11 (x86-64) by replaying the calls of ``charrank
 # verify all``: this cut is about even with a scalar loop for every part,
 # while the constant-free cut ``v * v <= len(dp)`` costs about 40 % more.
+# For a run of two, one chained slice against two scalar passes broke even
+# between classes of 8 and 12 weights.
 CLASS_CUT = 16
 
 
@@ -89,25 +102,46 @@ def _part_rows(parts, rows: int, width: int) -> list:
     return table
 
 
-def _accumulate(dp: list, parts) -> list:
+def _accumulate(dp: list, parts, times: int = 1) -> list:
     """Add parts ``parts`` with unlimited multiplicity and no bound on their
-    number to the counts ``dp`` (indexed by weight), in place.
+    number to the counts ``dp`` (indexed by weight), in place, each of them
+    ``times`` >= 1 times: divide by (1 - q^v)^times for every v in ``parts``.
 
     Each part v runs ``dp[w] += dp[w - v]`` over w ascending, so dp[w - v]
     already counts the partitions using v: a prefix sum along each residue
-    class mod v.  When every class holds at least ``CLASS_CUT`` weights,
-    each class is one ``accumulate`` slice statement; otherwise the scalar
-    loop runs the weights one by one.
+    class mod v.  When the classes are long enough, each class is one slice
+    statement that chains the ``times`` ``accumulate`` passes, so a run of
+    equal parts reads and writes each class once.  A class of
+    ``CLASS_CUT`` / ``times`` weights pays for that statement, as the
+    ``times`` passes share it; below that the scalar loop runs the weights
+    one by one, one part of the run at a time.
     """
     size = len(dp)
+    prefix = accumulate
+    if times > 1:  # most calls add each part once: spare them the range
+        for _ in range(times - 1):
+            prefix = lambda column, inner=prefix: accumulate(inner(column))
     for v in parts:
-        if CLASS_CUT * v <= size:
+        if CLASS_CUT * v <= size * times:
             for r in range(v):
-                dp[r::v] = accumulate(dp[r::v])
+                dp[r::v] = prefix(dp[r::v])
+        elif times > 1:
+            _accumulate(dp, (v,) * times)  # short classes: the scalar loop below
         else:
             for w in range(v, size):
                 dp[w] += dp[w - v]
     return dp
+
+
+def _check_row(entries: int, parts: int) -> None:
+    """Refuse (TableTooLarge) a 1-D call that adds ``parts`` parts to a row
+    of ``entries`` weights, before any list is built, once the product
+    passes ``MAX_TABLE_CELLS``."""
+    if entries * parts > MAX_TABLE_CELLS:
+        raise TableTooLarge(
+            f"a row of {entries} weights times {parts} parts exceeds the limit of "
+            f"{MAX_TABLE_CELLS} cells"
+        )
 
 
 def _box_row(a: int, b: int, width: int) -> list:
@@ -135,6 +169,7 @@ def box_count(a: int, b: int, c: int) -> int:
     if c > a * b:
         return 0
     c = min(c, a * b - c)  # the row is a palindrome
+    _check_row(c + 1, min(a, b))
     return _box_row(a, b, c + 1)[c]
 
 
@@ -167,6 +202,7 @@ def box_sum(lo: int, hi: int, weight: int) -> int:
     """
     if weight < 0 or lo < 1 or hi < lo:
         raise ValueError("box_sum needs 1 <= lo <= hi and a nonnegative weight")
+    _check_row(weight + 1, weight // lo)
     first = -(-weight // hi)
     dp = [1] + [0] * weight
     total = dp[-1]  # s = 0: only the empty partition, of weight 0
@@ -208,6 +244,7 @@ def set_any_table(parts: tuple, top: int) -> list:
     """
     if top < 0:
         raise ValueError("weight must be nonnegative")
+    _check_row(top + 1, bisect_right(parts, top))  # larger parts add nothing
     return _accumulate([1] + [0] * top, parts)
 
 
@@ -228,6 +265,6 @@ def partition_table(n: int) -> list:
         raise ValueError("weight must be nonnegative")
     table = [1] + [0] * n
     for s in range(isqrt(n), 0, -1):
-        body = _accumulate(table[: n + 1 - s * s], (s, s))
+        body = _accumulate(table[: n + 1 - s * s], (s,), 2)
         table[2 * s - 1 : 2 * s - 1 + len(body)] = body
     return table

@@ -135,12 +135,19 @@ def count_box(max_part, max_parts, weight):
 
 def count_set_exact(parts, num_parts, weight):
     """Partitions of ``weight`` into exactly ``num_parts`` parts, all drawn
-    from ``parts`` (with repetition)."""
+    from ``parts`` (with repetition).
+
+    Such a partition weighs from num_parts * least to num_parts * greatest
+    of ``parts``; outside that window the count is 0 and no kernel runs.
+    An empty ``parts`` is left to the kernels inside the window of the
+    parts 1..weight.
+    """
     members = _as_members(parts)
     check_int(ValueError, 0, "num_parts", num_parts)
     check_int(ValueError, 0, "weight", weight)
-    if num_parts > weight:
-        return 0  # num_parts >= 1 parts, each >= 1, outweigh weight: skip the kernel
+    least, greatest = (members[0], members[-1]) if members else (1, weight)
+    if not num_parts * least <= weight <= num_parts * greatest:
+        return 0
     return _dispatch.set_exact_counts(members, num_parts, weight)[num_parts]
 
 

@@ -86,13 +86,46 @@ class TestCount:
         assert code == 2
 
     def test_oversized_table_is_a_usage_error(self, capsys, monkeypatch):
+        # 100000 parts from {1, 2, 3} reach weight 200000, on a table of
+        # 100001 x 200001 cells
+        def no_table(*args):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(_kernels_py, "_part_rows", no_table)
+        args = ("count", "set-exact", "--parts", "1,2,3", "100000", "200000")
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2
+        assert "exceeds the limit" in err
+
+    def test_unreachable_set_exact_weight_is_zero_without_a_table(self, capsys, monkeypatch):
+        # 100000 parts of at most 3 weigh at most 300000
         def no_table(*args):
             raise AssertionError("the table was built")
 
         monkeypatch.setattr(_kernels_py, "_part_rows", no_table)
         args = ("count", "set-exact", "--parts", "1,2,3", "100000", "1000000")
-        code, _, err = run_cli(capsys, *args)
-        assert code == 2
+        assert run_cli(capsys, *args) == (0, "0\n", "")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("count", "box", "1000000", "1000000", "1000000"),
+            ("count", "set-any", "--parts", "1,2,3", "20000000"),
+            ("bound", "--set", "1,2,3", "--dim", "inf", "--charrank", "inf", "--degree", "20000000"),
+            (
+                "bound", "--set", "1,2,3", "--dim", "inf", "--charrank", "inf",
+                "--degree", "20000000", "--gapless",
+            ),
+        ],
+    )
+    def test_oversized_1d_work_is_a_usage_error(self, capsys, monkeypatch, args):
+        # each adds 3 or more parts to a row of 10**6 or more weights
+        def no_row(*args):
+            raise AssertionError("the 1-D loop ran")
+
+        monkeypatch.setattr(_kernels_py, "_accumulate", no_row)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
         assert "exceeds the limit" in err
 
 

@@ -309,7 +309,16 @@ def test_cross_backend_checks_catch_a_compiled_mutant(tmp_path, monkeypatch, nam
 # Weight 416 is the last the compiled uint64 path takes, 417 the first it
 # hands to the big-integer route; betti 108 4 tops out at 4 * 104 = 416,
 # betti 142 3 at 3 * 139 = 417.  The gapless bound runs the box chain.
-SAME_OUTPUT = ["verify all --format json", "betti 108 4", "betti 142 3"] + [
+# 40 parts from {2..13} weigh 80..520, so set-exact 500 runs the table and
+# set-exact 600 is an exact 0 with none; total 3000 runs the Durfee squares.
+SAME_OUTPUT = [
+    "verify all --format json",
+    "betti 108 4",
+    "betti 142 3",
+    "count total 3000",
+    "count set-exact --parts 2,3,5,7,11,13 40 500",
+    "count set-exact --parts 2,3,5,7,11,13 40 600",
+] + [
     command.format(weight)
     for weight in (416, 417)
     for command in (

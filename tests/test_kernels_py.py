@@ -10,10 +10,11 @@ numerator, on both halves of the palindromic row: ``box_count`` folds a
 weight in the upper half down and ``box_table`` mirrors the lower half.
 ``box_sum`` chains one row up in s and is held to the term-by-term sum of
 box counts.  The rest covers both branches of ``_accumulate`` on either side
-of ``CLASS_CUT``, the Durfee squares of ``partition_table`` on either side
-of each square's cut between those branches and of each change of
-isqrt(n), and the reachable windows of ``_part_rows`` against the plain
-loop over whole rows.
+of ``CLASS_CUT``, its runs of equal parts against their passes one at a
+time, the Durfee squares of ``partition_table`` (runs of two parts) on
+either side of each square's cut between those branches and of each change
+of isqrt(n), the size guards of the 1-D kernels, and the reachable windows
+of ``_part_rows`` against the plain loop over whole rows.
 """
 
 import pytest
@@ -101,6 +102,41 @@ def test_box_table_limit_is_on_the_entries(monkeypatch):
     assert _kernels_py.box_table(4, 8) == list(gaussian_binomial(12, 4))
     with pytest.raises(TableTooLarge):
         _kernels_py.box_table(3, 11)
+
+
+@pytest.mark.parametrize(
+    "kernel, args, entries, parts",
+    [
+        ("box_count", (3, 8, 20), 5, 3),  # folds 20 to 24 - 20 = 4
+        ("box_count", (40, 2, 30), 31, 2),  # clamps 40 to 30
+        ("box_sum", (2, 5, 30), 31, 15),
+        ("set_any_table", ((2, 3, 40), 30), 31, 2),  # 40 adds nothing
+    ],
+)
+def test_1d_limit_is_on_entries_times_parts(monkeypatch, kernel, args, entries, parts):
+    expected = getattr(_kernels_py, kernel)(*args)
+    monkeypatch.setattr(_kernels_py, "MAX_TABLE_CELLS", entries * parts)
+    assert getattr(_kernels_py, kernel)(*args) == expected
+    monkeypatch.setattr(_kernels_py, "MAX_TABLE_CELLS", entries * parts - 1)
+    with pytest.raises(TableTooLarge, match="exceeds the limit"):
+        getattr(_kernels_py, kernel)(*args)
+
+
+@pytest.mark.parametrize(
+    "kernel, args",
+    [
+        ("box_count", (10**6, 10**6, 10**6)),
+        ("box_sum", (1, 2, 10**7)),
+        ("set_any_table", ((1, 2, 3), 2 * 10**7)),
+    ],
+)
+def test_1d_work_too_large_is_refused_before_it_runs(monkeypatch, kernel, args):
+    def no_row(*args):
+        raise AssertionError("the 1-D loop ran")
+
+    monkeypatch.setattr(_kernels_py, "_accumulate", no_row)
+    with pytest.raises(TableTooLarge):
+        getattr(_kernels_py, kernel)(*args)
 
 
 def box_sum_terms(lo, hi, weight):
@@ -194,6 +230,34 @@ def test_set_any_table(parts, top):
     assert _kernels_py.set_any_table(parts, top) == expected
 
 
+def accumulate_one_pass_at_a_time(dp, parts, times):
+    for v in parts:
+        for _ in range(times):
+            _kernels_py._accumulate(dp, (v,))
+    return dp
+
+
+# A run of k parts v takes the residue classes of a row of CLASS_CUT * v / k
+# weights or more, the scalar loop below that.
+@pytest.mark.parametrize("v", [1, 3, 7])
+@pytest.mark.parametrize("offset", [-1, 0])
+@pytest.mark.parametrize("times", [1, 2, 4])
+def test_accumulate_run_is_its_passes_one_at_a_time(v, offset, times):
+    dp = [(7 * w) % 11 - 5 for w in range(CUT * v // times + offset)]
+    expected = accumulate_one_pass_at_a_time(list(dp), (v,), times)
+    assert _kernels_py._accumulate(dp, (v,), times) == expected
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=150),
+    st.lists(st.integers(1, 12), max_size=3),
+    st.integers(1, 3),
+)
+def test_accumulate_runs_match_single_passes(dp, parts, times):
+    expected = accumulate_one_pass_at_a_time(list(dp), parts, times)
+    assert _kernels_py._accumulate(dp, parts, times) == expected
+
+
 def plain_part_rows(parts, rows, width):
     """``_part_rows`` without the windows: every pass adds the whole row
     below, shifted by v, into each row."""
@@ -217,25 +281,26 @@ def test_part_rows_windows_match_plain_loop(members, rows, width):
     assert _kernels_py._part_rows(parts, rows, width) == expected
 
 
-# Square s of partition_table divides a body of n - s*s + 1 weights, which
-# takes the residue classes of _accumulate when CLASS_CUT * s fits in it:
-# from n = s*s + CLASS_CUT*s - 1 on.  Besides small weights and weights
-# between cuts, the cases hold a pair across the cut of each square 1..8;
-# below 16 every square runs the scalar loop, and the largest square,
-# isqrt(n), always does.
+# Square s of partition_table divides a body of n - s*s + 1 weights as a
+# run of two parts s, which takes the residue classes of _accumulate when
+# CLASS_CUT * s / 2 fits in the body: from n = s*s + CLASS_CUT*s/2 - 1 on.
+# Besides small weights and weights between cuts, the cases hold a pair
+# across the cut of each square 1..8, and across the cut a single part s
+# would have; below 8 every square runs the scalar loop, and the largest
+# square, isqrt(n), always does.
 @pytest.mark.parametrize(
     "n",
     sorted(
         {0, 1, 63, 64, 65, 128, 197}
-        | {s * s + CUT * s - 1 + d for s in range(1, 9) for d in (-1, 0)}
+        | {s * s + CUT * s // k - 1 + d for s in range(1, 9) for k in (1, 2) for d in (-1, 0)}
     ),
 )
 def test_partition_table_across_block_cut(n):
     assert _kernels_py.partition_table(n) == pentagonal_partition_table(n)
 
 
-# By the cut above, this sweep crosses the cut of squares 1 to 11 (at
-# n = 16, 35, ..., 296), and isqrt(n) grows at each of the 17 squares.
+# By the cut above, this sweep crosses the cut of squares 1 to 13 (at
+# n = 8, 19, ..., 272), and isqrt(n) grows at each of the 17 squares.
 def test_partition_table_every_weight_to_300():
     expected = pentagonal_partition_table(300)
     for n in range(301):
@@ -250,6 +315,12 @@ def test_partition_table_every_weight_to_300():
 )
 def test_partition_table_around_squares_and_large(n):
     assert _kernels_py.partition_table(n) == pentagonal_partition_table(n)
+
+
+def test_partition_table_every_weight_from_301_to_600():
+    expected = pentagonal_partition_table(600)
+    for n in range(301, 601):
+        assert _kernels_py.partition_table(n) == expected[: n + 1]
 
 
 @given(st.integers(0, 600), st.data())

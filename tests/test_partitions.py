@@ -182,6 +182,21 @@ class TestCountSet:
 
     @given(
         st.sets(st.integers(1, 9), min_size=1, max_size=5),
+        st.integers(0, 8),
+        st.sampled_from(["least", "greatest"]),
+        st.integers(-1, 1),
+    )
+    def test_exact_at_the_edges_of_the_reachable_window(self, members, b, edge, step):
+        # b parts weigh from b * least to b * greatest; outside, the count is 0
+        parts = tuple(sorted(members))
+        c = b * (parts[0] if edge == "least" else parts[-1]) + step
+        if c >= 0:
+            assert count_set_exact(parts, b, c) == brute_set_exact(parts, b, c)
+            assert count_set_exact(parts, 0, c) == (c == 0)
+            assert count_set_exact(parts, b, 0) == (b == 0)
+
+    @given(
+        st.sets(st.integers(1, 9), min_size=1, max_size=5),
         st.integers(0, 10),
         st.integers(0, 30),
     )
@@ -222,8 +237,10 @@ class TestCountSet:
         assert count_set_exact((2, 3), 3, 7) == brute_set_exact((2, 3), 3, 7)
         with pytest.raises(TableTooLarge):
             count_set_exact((2, 3), 3, 8)
-        # no cap on the 1-D route, whose table has one row
-        assert count_set_any((2, 3), 100) == 17
+        # the 1-D route counts its row's weights times its parts: 16 x 2
+        assert count_set_any((2, 3), 15) == 3
+        with pytest.raises(TableTooLarge):
+            count_set_any((2, 3), 16)
 
     def test_zero_parts_convention(self):
         assert count_set_exact({3, 5}, 0, 0) == 1
