@@ -54,11 +54,15 @@ from charrank.errors import TableTooLarge
 
 BACKEND = "python"
 
-#: Most entries a 2-D set-exact table or a box table may hold (2**25,
-#: 256 MiB at 8 bytes an entry); ``set_exact_counts`` and ``box_table``
-#: refuse a larger one with TableTooLarge.  The 1-D loops of ``box_count``,
-#: ``box_sum`` and ``set_any_table`` refuse a call whose row entries times
-#: parts passes it (``_check_row``).
+#: Most entries a 2-D set-exact table or a box table may hold (2**25);
+#: ``set_exact_counts`` and ``box_table`` refuse a larger one with
+#: TableTooLarge.  The 1-D loops of ``box_count``, ``box_sum`` and
+#: ``set_any_table`` refuse a call whose row entries times parts passes it
+#: (``_check_row``).  It bounds entries, not bytes: an entry is a Python
+#: int that grows with the count it holds.  The set-any row of parts
+#: {1, 2, 3} at weight 2*10**7 passes the bound and took about 1.8 GB,
+#: some 90 bytes an entry.  ROADMAP.md's memory-budget item prices
+#: entries in bytes.
 MAX_TABLE_CELLS = 2**25
 
 # Shortest residue class that ``_accumulate`` runs as one slice statement

@@ -9,10 +9,13 @@ discarding the zeros that appear) is a bijection
 
 with inverse "add lo to every part, then pad with parts equal to lo".
 The reduced side is the (hi - lo) x x box.  ``_verify_weights`` checks the
-round trips and the cardinality transfer element by element for one
-(lo, hi, x) cell over a window of weights: it enumerates each side once,
-by one descent over the whole window, compares part tuples, and builds
-``Partition``s only for the failures it records.  The window enumerators
+round trips and the cardinality transfer for one (lo, hi, x) cell over a
+window of weights: it enumerates each side once, by one descent over the
+whole window, and compares part tuples.  Both sides list each weight in
+lexicographically decreasing order, which both maps keep, so it compares
+whole buckets: each side mapped in order must equal the other.  Only a
+bucket that differs is checked element by element, which records its
+failures and builds ``Partition``s only for them.  The window enumerators
 of ``partitions`` own the enumeration cap: each refuses its first weight
 past it.  ``verify_bijection`` is that check at a single weight.
 """
@@ -88,9 +91,11 @@ def _verify_weights(report, min_part, max_part, num_parts, lo, hi, cap=DEFAULT_E
 
     Each side is enumerated once for the whole window, bucketed by weight,
     by a window enumerator that applies ``cap``; the reduced side is the
-    (max_part - min_part) x num_parts box.  An enumerated partition that
-    ``reduce`` or ``expand`` refuses (wrong number of parts, or a part
-    outside the interval) is recorded as a failure, not raised.
+    (max_part - min_part) x num_parts box.  A weight whose buckets the two
+    maps carry onto each other in order passes; any other is checked
+    element by element.  An enumerated partition that ``reduce`` or
+    ``expand`` refuses (wrong number of parts, or a part outside the
+    interval) is recorded as a failure, not raised.
     """
     shift = min_part * num_parts
     domains = _set_exact_parts(tuple(range(min_part, max_part + 1)), num_parts, lo, hi, cap)
@@ -118,6 +123,18 @@ def _verify_weights(report, min_part, max_part, num_parts, lo, hi, cap=DEFAULT_E
         report.checked += 1
         residual = weight - shift
         codomain = codomains[residual - low] if residual >= 0 else []
+        # Both buckets are lexicographically decreasing, and both maps keep
+        # that order.  So a correct bucket maps onto the other side in
+        # order, both ways; that implies every check below (the reduced
+        # side's buckets are built by weight), which then runs only on a
+        # bucket that differs, to record its failures.
+        try:
+            if [_reduce(p, num_parts, min_part, max_part) for p in domain] == codomain and [
+                _expand(q, num_parts, min_part) for q in codomain
+            ] == domain:
+                continue
+        except PreconditionViolation:
+            pass
         if len(domain) != len(codomain):
             fail(weight, "cardinality", len(domain), len(codomain))
 

@@ -144,6 +144,7 @@ def _sweep_oracle(report, max_part, max_parts, max_weight):
     for size in range(1, max_part + 1):
         for members in combinations(values, size):
             label = ",".join(map(str, members))
+            parts = PartsSet(members)  # validated once, not on every count
             for b in range(max_parts + 1):
                 found = _set_exact_parts(members, b, 0, max_weight)
                 for c in weights:
@@ -154,7 +155,7 @@ def _sweep_oracle(report, max_part, max_parts, max_weight):
                         ("num_parts", b),
                         ("weight", c),
                     )
-                    report.compare(params, count_set_exact(members, b, c), len(found[c]))
+                    report.compare(params, count_set_exact(parts, b, c), len(found[c]))
 
 
 def _sweep_grassmannian(report, max_n):

@@ -8,12 +8,14 @@ enumeration functions exist mainly so tests and the verification sweeps
 can cross-check the counts against something that cannot share a bug with
 them.  Each kind of enumeration has one depth-first descent over parts in
 decreasing order, which lists a whole window of weights at once, bucketed
-by weight (``_box_parts``, ``_set_exact_parts``).  These two window
-enumerators own the enumeration cap and the empty cases: each checks
-every weight of its window against the cap before it descends.  The
-sweeps run them once per grid cell on part tuples; ``enumerate_box`` and
-``enumerate_set_exact`` run them over the window of one weight and wrap
-each tuple in a ``Partition``.
+by weight (``_box_parts``, ``_set_exact_parts``).  The descent carries
+the parts chosen so far as a tuple prefix and lists the last part in a
+loop, without a call per partition.  These two window enumerators own
+the enumeration cap and the empty cases: each checks every weight of its
+window against the cap before it descends.  The sweeps run them once per
+grid cell on part tuples; ``enumerate_box`` and ``enumerate_set_exact``
+run them over the window of one weight and wrap each tuple in a
+``Partition``.
 """
 
 from dataclasses import dataclass
@@ -208,21 +210,23 @@ def _box_parts(max_part, max_parts, lo, hi, cap=DEFAULT_ENUMERATION_CAP):
     """
     _check_cap(max_part, max_parts, range(lo, hi + 1), cap)
     buckets = [[] for _ in range(hi - lo + 1)]
-    acc = []
 
-    def descend(total, largest, slots):
+    def descend(prefix, total, largest, slots):
         if total >= lo:
-            buckets[total - lo].append(tuple(acc))
+            buckets[total - lo].append(prefix)
+        if slots == 1:
+            # the last part: each v that reaches the window, listed in place
+            for v in range(min(largest, hi - total), max(lo - total, 1) - 1, -1):
+                buckets[total + v - lo].append(prefix + (v,))
+            return
         if slots == 0:
             return
         for v in range(min(largest, hi - total), 0, -1):
             if v * slots < lo - total:
                 break  # v and everything smaller can no longer reach the window
-            acc.append(v)
-            descend(total + v, v, slots - 1)
-            acc.pop()
+            descend(prefix + (v,), total + v, v, slots - 1)
 
-    descend(0, max_part, max_parts)
+    descend((), 0, max_part, max_parts)
     return buckets
 
 
@@ -240,12 +244,15 @@ def _set_exact_parts(members, num_parts, lo, hi, cap=DEFAULT_ENUMERATION_CAP):
     _check_cap(largest, num_parts, range(max(lo, num_parts), hi + 1), cap)
     buckets = [[] for _ in range(hi - lo + 1)]
     descending = members[::-1]
-    acc = []
 
-    def descend(total, start, slots):
-        if slots == 0:
-            if total >= lo:
-                buckets[total - lo].append(tuple(acc))
+    def descend(prefix, total, start, slots):
+        if slots == 1:
+            # the last part: each member that lands in the window, in place
+            for v in descending[start:]:
+                if v < lo - total:
+                    break
+                if total + v <= hi:
+                    buckets[total + v - lo].append(prefix + (v,))
             return
         for i in range(start, len(descending)):
             v = descending[i]
@@ -253,11 +260,13 @@ def _set_exact_parts(members, num_parts, lo, hi, cap=DEFAULT_ENUMERATION_CAP):
                 break  # even all-v can't reach the window, nor can smaller values
             if total + v + (slots - 1) * least > hi:
                 continue  # v is too large to leave the other slots viable
-            acc.append(v)
-            descend(total + v, i, slots - 1)
-            acc.pop()
+            descend(prefix + (v,), total + v, i, slots - 1)
 
-    descend(0, 0, num_parts)
+    if num_parts == 0:  # only the empty partition, at weight 0
+        if lo == 0:
+            buckets[0].append(())
+    else:
+        descend((), 0, 0, num_parts)
     return buckets
 
 

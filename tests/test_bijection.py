@@ -146,8 +146,9 @@ def _instances(max_mu, max_x, max_j):
 
 
 def _inject_defects(monkeypatch):
-    """Add (5, 2, 1) to the parts {2, 3, 4}, 3 parts, weight 8, and (9,) to
-    the 2 x 3 box at weight 2."""
+    """Add (5, 2, 1) to the parts {2, 3, 4}, 3 parts, weight 8, (9,) to
+    the 2 x 3 box at weight 2, and the 4-part (1, 1, 1, 1) to the 1 x 3
+    box at weight 4."""
     true_set_exact, true_box = bijection._set_exact_parts, bijection._box_parts
 
     def set_exact(members, num_parts, lo, hi, cap):
@@ -160,6 +161,8 @@ def _inject_defects(monkeypatch):
         found = true_box(max_part, max_parts, lo, hi, cap)
         if (max_part, max_parts) == (2, 3) and lo <= 2 <= hi:
             found[2 - lo].append((9,))
+        if (max_part, max_parts) == (1, 3) and lo <= 4 <= hi:
+            found[4 - lo].append((1, 1, 1, 1))
         return found
 
     monkeypatch.setattr(bijection, "_set_exact_parts", set_exact)
@@ -179,10 +182,132 @@ def test_single_weight_reports_match_the_sweep(monkeypatch, defective):
     assert sweep.checked == 270
     assert sweep.failures == [f for r in reports for f in r.failures]
     checks = [dict(failure.params)["check"] for failure in sweep.failures]
-    # at {2, 3, 4} and weight 8 both sides gain one element, so the
+    # at {1, 2}, 3 parts and weight 7 expand refuses the 4-part tuple; at
+    # {2, 3, 4} and weight 8 both sides gain one element, so the
     # cardinalities agree there
-    expected = ["cardinality", "preimage membership", "precondition", "preimage membership"]
+    expected = [
+        "cardinality",
+        "precondition",
+        "cardinality",
+        "preimage membership",
+        "precondition",
+        "preimage membership",
+    ]
     assert checks == (expected if defective else [])
+    if defective:
+        assert sweep.failures[1].lhs == "expected at most 3 parts, got 4"
+
+
+def _rendered(failures):
+    return [
+        ", ".join(f"{k}={v}" for k, v in failure.params) + f": {failure.lhs} != {failure.rhs}"
+        for failure in failures
+    ]
+
+
+def _reduce_keeps_a_zero(monkeypatch):
+    true_reduce = bijection._reduce
+
+    def corrupted(parts, num_parts, min_part, max_part):
+        q = true_reduce(parts, num_parts, min_part, max_part)
+        return q + (0,) if len(q) < len(parts) else q
+
+    monkeypatch.setattr(bijection, "_reduce", corrupted)
+
+
+def _expand_pads_one_short(monkeypatch):
+    true_expand = bijection._expand
+
+    def corrupted(parts, num_parts, min_part):
+        p = true_expand(parts, num_parts, min_part)
+        return p[:-1] if len(parts) < num_parts else p
+
+    monkeypatch.setattr(bijection, "_expand", corrupted)
+
+
+# The failures that the element-by-element sweep reported for each
+# corrupted map over the grid of the test below, as "params: lhs != rhs";
+# each row is (min_part, max_part, weight, num_parts, the parts involved).
+REDUCE_KEEPS_A_ZERO = [
+    f"min_part={nu}, max_part={mu}, weight={w}, num_parts={x}, check={check}"
+    for nu, mu, w, x, q in [
+        (1, 1, 1, 1, []),
+        (1, 1, 2, 2, []),
+        (1, 2, 1, 1, []),
+        (1, 2, 2, 2, []),
+        (1, 2, 3, 2, [1]),
+        (2, 2, 2, 1, []),
+        (2, 2, 4, 2, []),
+    ]
+    for check in [
+        f"image membership: Partition({q + [0]}) != reduced side",
+        f"round trip, q=Partition({q}): Partition({q + [0]}) != Partition({q})",
+    ]
+]
+EXPAND_PADS_ONE_SHORT = [
+    f"min_part={nu}, max_part={mu}, weight={w}, num_parts={x}, check={check}"
+    for nu, mu, w, x, p, q in [
+        (1, 1, 1, 1, [1], []),
+        (1, 1, 2, 2, [1, 1], []),
+        (1, 2, 1, 1, [1], []),
+        (1, 2, 2, 2, [1, 1], []),
+        (1, 2, 3, 2, [2, 1], [1]),
+        (2, 2, 2, 1, [2], []),
+        (2, 2, 4, 2, [2, 2], []),
+    ]
+    for check in [
+        f"round trip, p=Partition({p}): Partition({p[:-1]}) != Partition({p})",
+        f"preimage membership, q=Partition({q}): Partition({p[:-1]}) != original side",
+    ]
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt,expected",
+    [
+        pytest.param(_reduce_keeps_a_zero, REDUCE_KEEPS_A_ZERO, id="reduce keeps a zero"),
+        pytest.param(_expand_pads_one_short, EXPAND_PADS_ONE_SHORT, id="expand pads one short"),
+    ],
+)
+def test_a_corrupted_map_reports_every_failure(monkeypatch, corrupt, expected):
+    # a bucket that the two maps do not carry onto each other in order
+    # falls back to the element loop, which reports what it always did
+    corrupt(monkeypatch)
+    grid = {"max_mu": 2, "max_x": 2, "max_j": 4}
+    sweep = verify_sweep("bijection", grid)
+    reports = [verify_bijection(*instance) for instance in _instances(**grid)]
+    assert sweep.checked == 30
+    assert sweep.failures == [f for r in reports for f in r.failures]
+    assert _rendered(sweep.failures) == expected
+
+
+def test_a_refusal_on_the_fast_path_is_not_swallowed(monkeypatch):
+    # expand refuses (1,), the image of (2, 1), as the second map over a
+    # bucket whose first map matched.  The fast path hands the bucket to
+    # the element loop, which raises there as it always has: it expands
+    # each image outside its guard.
+    true_expand = bijection._expand
+
+    def refusing(parts, num_parts, min_part):
+        if parts == (1,):
+            raise PreconditionViolation("refused")
+        return true_expand(parts, num_parts, min_part)
+
+    monkeypatch.setattr(bijection, "_expand", refusing)
+    assert verify_bijection(1, 2, 2, 2).passed
+    with pytest.raises(PreconditionViolation, match="^refused$"):
+        verify_bijection(1, 2, 3, 2)
+
+
+def test_empty_buckets_on_both_sides_are_checked():
+    # parts {3}, 3 parts: only weight 9 has a partition, and its reduced
+    # side, the 0 x 3 box, holds only the empty partition
+    report = verify_sweep("bijection", {"max_mu": 3, "max_x": 3, "max_j": 8})
+    assert report.passed
+    assert report.checked == 6 * 3 * 9  # (nu, mu) pairs x parts x weights
+    single = [verify_bijection(3, 3, weight, 3) for weight in range(9)]
+    assert [r.checked for r in single] == [1] * 9
+    assert all(r.passed for r in single)
 
 
 def test_sweep_cap_error_is_the_first_refused_instance(monkeypatch):

@@ -299,6 +299,20 @@ class TestVerify:
         assert usage == "usage: charrank [-h] {count,betti,bound,verify} ..."
         assert message.startswith("charrank: error: argument command: invalid choice: 'verif'")
 
+    def test_all_checks_every_default_instance(self, capsys):
+        # each sweep's instance count at its default grid, in SWEEP_ORDER:
+        # a sweep that skipped instances would still pass
+        counts = (1485, 30, 204, 9504, 18130, 324, 240, 201)
+        code, out, _ = run_cli(capsys, "verify", "all")
+        assert (code, out) == (
+            0,
+            "".join(
+                f"{identity.value}: pass (checked={checked}, failures=0)\n"
+                for identity, checked in zip(SWEEP_ORDER, counts, strict=True)
+            )
+            + "overall: pass\n",
+        )
+
     def test_all_rejects_range_flags(self, capsys):
         code, _, err = run_cli(capsys, "verify", "all", "--max-j", "5")
         assert code == 2

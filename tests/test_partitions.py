@@ -328,30 +328,46 @@ class TestEnumeration:
         found = [p.parts for p in enumerate_set_exact({1, 2, 3}, 4, 9)]
         assert found == sorted(found, reverse=True)
 
-    # Weight windows, among them ones that start above 0: each bucket of a
-    # window lists what the per-weight enumerator lists, in the same order.
+    # Weight windows, among them ones that start above 0.  Each bucket of a
+    # window is checked against the brute-force count of its own weight,
+    # which shares nothing with the descent.
     WINDOWS = ((0, 24), (5, 24), (9, 17))
 
+    @staticmethod
+    def _assert_buckets(buckets, lo, hi, count, valid):
+        assert len(buckets) == hi - lo + 1
+        for weight, bucket in enumerate(buckets, lo):
+            assert len(bucket) == count(weight), weight
+            for parts in bucket:
+                assert sum(parts) == weight
+                assert all(a >= b for a, b in zip(parts, parts[1:]))
+                assert valid(parts), parts
+            # strictly decreasing, so no tuple is listed twice
+            assert all(a > b for a, b in zip(bucket, bucket[1:])), weight
+
     def test_box_window_matches_per_weight(self):
-        for a in range(7):
+        for a in range(7):  # a == 0 and b == 0 hold only the empty partition
             for b in range(7):
                 for lo, hi in self.WINDOWS:
-                    expected = [
-                        [p.parts for p in enumerate_box(a, b, w)] for w in range(lo, hi + 1)
-                    ]
-                    assert _box_parts(a, b, lo, hi) == expected, (a, b, lo, hi)
+                    self._assert_buckets(
+                        _box_parts(a, b, lo, hi),
+                        lo,
+                        hi,
+                        lambda w: brute_box(a, b, w),
+                        lambda parts: len(parts) <= b and all(1 <= v <= a for v in parts),
+                    )
 
     def test_set_exact_window_matches_per_weight(self):
-        for size in range(1, 7):
+        for size in range(7):  # size 0: no members
             for members in combinations(range(1, 7), size):
-                for b in range(7):
+                for b in range(7):  # b == 0: only the empty partition, at 0
                     for lo, hi in self.WINDOWS:
-                        expected = [
-                            [p.parts for p in enumerate_set_exact(members, b, w)]
-                            for w in range(lo, hi + 1)
-                        ]
-                        assert _set_exact_parts(members, b, lo, hi) == expected, (
-                            members, b, lo, hi,
+                        self._assert_buckets(
+                            _set_exact_parts(members, b, lo, hi),
+                            lo,
+                            hi,
+                            lambda w: brute_set_exact(members, b, w),
+                            lambda parts: len(parts) == b and set(parts) <= set(members),
                         )
 
     def test_cap(self):
