@@ -4,10 +4,13 @@ The compiled kernels (``_kernels_c``) serve when the extension was built;
 otherwise the pure-Python twins in ``_kernels_py`` take over with identical
 results.
 
-The six module-level names ``box_count``, ``box_table``, ``box_sum``,
-``set_exact_counts``, ``set_any_table`` and ``partition_table`` are
-rebindable on purpose: the verification tests swap in deliberately broken
-kernels to prove the checks can fail.
+Seven module-level names are rebindable on purpose: the verification
+tests swap in deliberately broken kernels to prove the checks can fail.
+Six of them, ``box_count``, ``box_table``, ``box_sum``,
+``set_exact_counts``, ``set_any_table`` and ``partition_table``, come
+from the serving backend.  The seventh, ``partition_number`` (the
+Rademacher series for p(n)), is pure Python on both backends: it works on
+big integers from its first term, so the compiled module has no twin of it.
 """
 
 from charrank import _kernels_py
@@ -23,6 +26,7 @@ box_sum = _backend.box_sum
 set_exact_counts = _backend.set_exact_counts
 set_any_table = _backend.set_any_table
 partition_table = _backend.partition_table
+partition_number = _kernels_py.partition_number
 
 
 def backend_name():

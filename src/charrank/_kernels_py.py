@@ -1,11 +1,14 @@
 """Pure-Python counting kernels.
 
-These are the reference implementations of the dynamic-programming cores.
-A compiled twin (``_kernels_c``) provides the same six entry points; the
-active backend is chosen in ``_dispatch``.  Everything here works with
-native Python integers, so results are exact at any size.
+These are the reference implementations of the dynamic-programming cores,
+and of the Rademacher series for p(n).  A compiled twin (``_kernels_c``)
+provides six of the seven entry points; the active backend is chosen in
+``_dispatch``.  The seventh, ``partition_number``, is pure-only: it works
+on big integers from its first term, so ``_dispatch`` serves it from here
+on both backends.  Everything here works with native Python integers, so
+results are exact at any size.
 
-Two dynamic programs serve the six entry points:
+Two dynamic programs serve the six table entry points:
 
 * ``_part_rows``, the 2-D table indexed by (parts used, weight), serves
   only ``set_exact_counts``.  It is updated one row per slice statement
@@ -21,10 +24,9 @@ Two dynamic programs serve the six entry points:
   chained box sum ``box_sum``.  It runs one slice statement per residue
   class, or a scalar loop when the classes are short (``CLASS_CUT``); a
   run of equal parts chains its prefix sums inside that one statement.
-  ``box_count``, ``box_sum`` and ``set_any_table`` refuse
-  (``TableTooLarge``) a call whose row entries times parts passes
-  ``MAX_TABLE_CELLS`` before they build the row; ``partition_table`` has
-  no such guard.
+  ``box_count``, ``box_sum``, ``set_any_table`` and ``partition_table``
+  refuse (``TableTooLarge``) a call whose row entries times parts passes
+  ``MAX_TABLE_CELLS`` before they build the row.
 
 ``partition_table`` sums Euler's 1/(q;q)_inf by Durfee squares,
 sum_s q^(s^2) / (q;q)_s^2 (Andrews, *The Theory of Partitions*, ch. 2):
@@ -37,17 +39,26 @@ instead of n^2 / 2.
 It shares no step with Euler's pentagonal-number recurrence, which
 therefore stays in ``oracles`` as the independent cross-check.
 
-Every path adds and subtracts native integers along an exact recurrence,
-and conjugation and clamping are identities of partition counts, so the
-results equal those of the plain cell-by-cell loops at any size.  All
-functions are pure: each call builds its own tables and no module state is
-ever mutated, so concurrent use from multiple threads is safe by
-construction.
+``partition_number`` sums the Hardy-Ramanujan-Rademacher series for one
+p(n) instead, in integer fixed point: about sqrt(n) terms, term k at the
+precision its own size needs.  Every real in it is a ball, a midpoint and
+a radius in integers, and each operation widens the radius by a bound on
+what it rounded away, so the sum comes with a proved error bound.  Adding
+Rademacher's bound on the terms left out, it returns the nearest integer
+only when the sum is within 1/2 of it, and raises ArithmeticError
+otherwise.  ``count_total`` reads it past weight ``SERIES_CUT``.
+
+Every table path adds and subtracts native integers along an exact
+recurrence, and conjugation and clamping are identities of partition
+counts, so the results equal those of the plain cell-by-cell loops at any
+size.  All functions are pure: each call builds its own tables and no
+module state is ever mutated, so concurrent use from multiple threads is
+safe by construction.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from math import isqrt
+from math import ceil, inf, isqrt, log, log2, pi, sinh, sqrt
 from operator import add, sub
 
 from charrank.errors import TableTooLarge
@@ -56,13 +67,13 @@ BACKEND = "python"
 
 #: Most entries a 2-D set-exact table or a box table may hold (2**25);
 #: ``set_exact_counts`` and ``box_table`` refuse a larger one with
-#: TableTooLarge.  The 1-D loops of ``box_count``, ``box_sum`` and
-#: ``set_any_table`` refuse a call whose row entries times parts passes it
-#: (``_check_row``).  It bounds entries, not bytes: an entry is a Python
-#: int that grows with the count it holds.  The set-any row of parts
-#: {1, 2, 3} at weight 2*10**7 passes the bound and took about 1.8 GB,
-#: some 90 bytes an entry.  ROADMAP.md's memory-budget item prices
-#: entries in bytes.
+#: TableTooLarge.  The 1-D loops of ``box_count``, ``box_sum``,
+#: ``set_any_table`` and ``partition_table`` refuse a call whose row
+#: entries times parts passes it (``_check_row``).  It bounds entries, not
+#: bytes: an entry is a Python int that grows with the count it holds.
+#: The set-any row of parts {1, 2, 3} at weight 2*10**7 passes the bound
+#: and took about 1.8 GB, some 90 bytes an entry.  ROADMAP.md's
+#: memory-budget item prices entries in bytes.
 MAX_TABLE_CELLS = 2**25
 
 # Shortest residue class that ``_accumulate`` runs as one slice statement
@@ -73,6 +84,23 @@ MAX_TABLE_CELLS = 2**25
 # For a run of two, one chained slice against two scalar passes broke even
 # between classes of 8 and 12 weights.
 CLASS_CUT = 16
+
+#: ``partition_number`` rounds its sum at this many fractional bits plus
+#: the bit length of its number of terms.
+SERIES_BITS = 10
+
+#: Bounds on the remainder of the series, in 64ths, that
+#: ``partition_number`` adds terms up to in turn, until its sum is
+#: certified.  The actual remainder is far below the bound: past the first
+#: (7/16) every weight from 2 to 6,000 and 60 random weights up to 10**6
+#: were certified, with at least 0.048 to spare (rounding took at most
+#: 0.0013).  The last (15/64) certifies every correct sum with less than
+#: 1/64 of rounding error, which then lies within 1/4 of p(n).
+TAIL_BUDGETS = (28, 15)
+
+#: ``_exp`` halves its argument below 2**-EXP_REDUCE before the Taylor
+#: series, then squares the result back as many times.
+EXP_REDUCE = 8
 
 
 def _part_rows(parts, rows: int, width: int) -> list:
@@ -267,8 +295,210 @@ def partition_table(n: int) -> list:
     """
     if n < 0:
         raise ValueError("weight must be nonnegative")
+    _check_row(n + 1, 2 * isqrt(n))  # each square adds a run of two parts
     table = [1] + [0] * n
     for s in range(isqrt(n), 0, -1):
         body = _accumulate(table[: n + 1 - s * s], (s,), 2)
         table[2 * s - 1 : 2 * s - 1 + len(body)] = body
     return table
+
+
+# p(n) by the Hardy-Ramanujan-Rademacher series.  Every real is a ball of
+# integers (mid, rad) at a scale of 2**-prec: the true value lies within
+# rad / 2**prec of mid / 2**prec.  Each operation below rounds its mid and
+# widens its rad by a bound on everything it dropped, so the radius of the
+# sum is a proved bound on its rounding error.
+
+
+def _mul(a, b, prec):
+    """The product of balls ``a`` and ``b``."""
+    (am, ar), (bm, br) = a, b
+    return am * bm >> prec, (abs(am) * br + abs(bm) * ar + ar * br >> prec) + 2
+
+
+def _div(a, b, prec):
+    """The quotient of balls ``a`` and ``b``; ``b`` must not hold 0."""
+    (am, ar), (bm, br) = a, b
+    if bm <= br:
+        raise ArithmeticError("a divisor's ball holds 0")
+    return (am << prec) // bm, ((ar * bm + abs(am) * br) << prec) // (bm * (bm - br)) + 2
+
+
+def _coarser(a, shift):
+    """Ball ``a`` at a scale ``shift`` >= 0 bits coarser."""
+    return a[0] >> shift, (a[1] >> shift) + 2
+
+
+def _sqrt(num, den, prec):
+    """The ball of sqrt(num / den): isqrt of the floor of num / den * 4**prec
+    is at most 2 below the true root at that scale."""
+    return isqrt((num << 2 * prec) // den) + 1, 1
+
+
+def _pi(prec):
+    """pi = 16 atan(1/5) - 4 atan(1/239) (Machin).  Each of the two series
+    is summed with ``guard`` extra bits; a term is off by less than 2 * 16 + 1
+    of those units, and the first term left out is below 2 * 16."""
+    guard = prec.bit_length() + 8
+    total = terms = 0
+    for m, c in ((5, 16), (239, -4)):
+        power, i = (1 << prec + guard) // m, 1
+        while power:  # power = (-1)**j / m**(2j+1) at the guarded scale
+            total += c * power // i
+            power //= -m * m
+            i += 2
+            terms += 1
+    return total >> guard, (33 * (terms + 2) >> guard) + 2
+
+
+def _exp(a, prec):
+    """e**a for a ball ``a`` >= 0: halve a below 2**-EXP_REDUCE, sum the
+    Taylor series, and square back.  Each computed term is short of the
+    true one by less than 2 units and the terms left out sum to less than
+    4, so i terms lose less than 2i + 4.  The error delta of the halved
+    argument scales the result by at most e**delta - 1 <= 2 delta."""
+    m, r = a
+    halvings = max(0, m.bit_length() - prec + EXP_REDUCE)
+    y = m >> halvings
+    delta = (r >> halvings) + 2
+    if delta > 1 << prec:
+        raise ArithmeticError("the argument of exp is too imprecise")
+    term = total = 1 << prec
+    i = 0
+    while term:
+        i += 1
+        term = term * y // (i << prec)
+        total += term
+    m, r = total + i + 2, i + 2
+    r += (2 * (m + r) * delta >> prec) + 1
+    for _ in range(halvings):
+        m, r = m * m >> prec, ((2 * m + r) * r >> prec) + 2
+    return m, r
+
+
+def _cos(num, den, pi_ball, prec):
+    """cos(pi * num / den), the angle folded into [0, pi/4] by symmetry
+    (as a sine past pi/4).  The Taylor terms alternate and shrink; each is
+    off by less than 2 units and the first left out is below 2, and cos is
+    1-Lipschitz in the angle's own error."""
+    num %= 2 * den
+    num = min(num, 2 * den - num)
+    sign = 1
+    if 2 * num > den:
+        num, sign = den - num, -1
+    odd = 4 * num > den
+    if odd:  # cos t = sin(pi/2 - t)
+        num, den = den - 2 * num, 2 * den
+    y = pi_ball[0] * num // den
+    y2 = y * y >> prec
+    term = total = y if odd else 1 << prec
+    i = odd
+    while term:
+        i += 2
+        term = -term * y2 // ((i - 1) * i << prec)
+        total += term
+    return sign * total, i + 4 + pi_ball[1] * num // den
+
+
+def _tail(n, terms, pi_ball, prec):
+    """An upper bound, at scale ``prec``, on the remainder of the series
+    for p(n) after ``terms`` terms, n >= 2 (Rademacher 1937):
+
+        44 pi^2 / (225 sqrt 3) / sqrt(N) + pi sqrt 2 / 75 * sqrt(N / (n-1))
+                                            * sinh(pi sqrt(2n/3) / N).
+    """
+    first = _div(_mul(pi_ball, pi_ball, prec), _sqrt(3 * terms, 1, prec), prec)
+    y = _mul(pi_ball, _sqrt(6 * n, 1, prec), prec)
+    e = _exp((y[0] // (3 * terms), y[1] // (3 * terms) + 2), prec)
+    inv = _div((1 << prec, 0), e, prec)
+    root = _mul(pi_ball, _sqrt(2 * terms, n - 1, prec), prec)
+    second = _mul(root, (e[0] - inv[0], e[1] + inv[1]), prec)  # twice sinh
+    return 44 * sum(first) // 225 + sum(second) // 150 + 2
+
+
+def _terms_for(n, budget):
+    """The fewest terms, below 4 isqrt(n) + 1024, whose remainder bound,
+    evaluated in floats, is at most ``budget``: only a guess, which
+    ``_tail`` then certifies.  The bound falls as the number of terms
+    grows."""
+    c = pi * sqrt(2 * n / 3)
+
+    def within(terms):
+        if c > 700 * terms:  # sinh would overflow, far above any budget
+            return False
+        first = 44 * pi * pi / (225 * sqrt(3 * terms))
+        return first + pi * sqrt(2 * terms / (n - 1)) / 75 * sinh(c / terms) <= budget
+
+    return 1 + bisect_left(range(1, 4 * isqrt(n) + 1024), True, key=within)
+
+
+def partition_number(n: int) -> int:
+    """The partition number p(n), by the Hardy-Ramanujan-Rademacher series
+
+        p(n) = 4 / (24n - 1) * sum_k S_k(n) (cosh x_k - sinh(x_k) / x_k),
+        x_k = pi sqrt(24n - 1) / (6k),
+
+    where sqrt(k/3) S_k(n) is the Kloosterman-type sum A_k(n), by Selberg's
+    formula the sum of (-1)^l cos(pi (6l+1) / (6k)) over l mod 2k with
+    (3l^2 + l)/2 = -n mod k (Rademacher 1937; Johansson, arXiv:1205.5991).
+
+    Term k is computed with the fractional bits its largest part,
+    2 |S_k| (1 + 1/x) e^x / (24n - 1), needs, plus bits for the error growth
+    of ``_exp`` and 12 guard bits, but no more than term 1 gets; balls
+    carry every rounding error.
+    Terms are added until Rademacher's remainder bound is at most the first
+    of ``TAIL_BUDGETS``, and then the next, until the sum lies within
+    1/2 - E of an integer, E the remainder bound plus the rounding error.
+    A sum that is still not that close raises ArithmeticError: the result
+    is never returned unchecked.
+    """
+    if n < 0:
+        raise ValueError("weight must be nonnegative")
+    if n < 2:
+        return 1  # the remainder bound needs n >= 2
+    d = 24 * n - 1
+    bits = SERIES_BITS + _terms_for(n, TAIL_BUDGETS[-1] / 64).bit_length()
+
+    def precision(x, count):  # fractional bits for term k at x = x_k
+        parts = x / log(2) + log2(2 * count * (1 + 1 / x) / d)
+        return bits + max(0, ceil(parts)) + int(x).bit_length() + EXP_REDUCE + 12
+
+    size = pi * sqrt(d) / 6  # x_1
+    top = precision(size, 2)  # term 1's (l = 0, 1), the most any term gets
+    pi_top = _pi(top)
+    # the remainder bound at 20 more bits than the sum: _exp's squarings
+    # multiply its rounding error
+    pi_tail = _coarser(pi_top, top - bits - 20)
+    mu = _mul(pi_top, _sqrt(d, 1, top), top)
+    mu = mu[0] // 6, mu[1] // 6 + 2
+    total = error = done = 0
+    for budget in TAIL_BUDGETS:
+        terms = _terms_for(n, budget / 64)
+        budget <<= bits - 6
+        while (tail := (_tail(n, terms, pi_tail, bits + 20) >> 20) + 1) > budget:
+            terms += 1
+        pent = [(3 * l * l + l) // 2 + n for l in range(2 * terms)]  # k | pent[l]
+        for k in range(done + 1, terms + 1):
+            ls = [l for l in range(2 * k) if not pent[l] % k]
+            if not ls:
+                continue
+            prec = min(precision(size / k, len(ls)), top)
+            pi_k = _coarser(pi_top, top - prec)
+            sm = sr = 0
+            for l in ls:
+                cm, cr = _cos(6 * l + 1, 6 * k, pi_k, prec)
+                sm, sr = sm - cm if l & 1 else sm + cm, sr + cr
+            x = _coarser(mu, top - prec)
+            x = x[0] // k, x[1] // k + 2
+            # e^x + e^-x - (e^x - e^-x) / x is twice cosh x - sinh(x) / x
+            e = _exp(x, prec)
+            inv = _div((1 << prec, 0), e, prec)
+            q = _div((e[0] - inv[0], e[1] + inv[1]), x, prec)
+            tm, tr = _mul((sm, sr), (e[0] + inv[0] - q[0], e[1] + inv[1] + q[1]), prec)
+            tm, tr = _coarser((2 * tm // d, 2 * tr // d + 2), prec - bits)
+            total, error = total + tm, error + tr
+        done = max(done, terms)
+        nearest = total + (1 << bits - 1) >> bits
+        if abs(total - (nearest << bits)) + error + tail < 1 << bits - 1:
+            return nearest
+    raise ArithmeticError(f"the series for p({n}) is not within its error bound of an integer")

@@ -142,15 +142,15 @@ def _verify_weights(report, min_part, max_part, num_parts, lo, hi, cap=DEFAULT_E
         for p in domain:
             try:
                 q = _reduce(p, num_parts, min_part, max_part)
+                if q not in codomain_set:
+                    fail(weight, "image membership", q, "reduced side")
+                    continue
+                if sum(q) != residual:
+                    fail(weight, "shifted weight", sum(q), residual, "p", p)
+                back = _expand(q, num_parts, min_part)
             except PreconditionViolation as exc:
                 fail(weight, "precondition", str(exc), "satisfied", "p", p)
                 continue
-            if q not in codomain_set:
-                fail(weight, "image membership", q, "reduced side")
-                continue
-            if sum(q) != residual:
-                fail(weight, "shifted weight", sum(q), residual, "p", p)
-            back = _expand(q, num_parts, min_part)
             if back != p:
                 fail(weight, "round trip", back, p, "p", p)
 

@@ -153,8 +153,18 @@ def _record(command, params, results, status="ok"):
 
 
 def _scalar(command, params, value):
-    """The record, CSV table and text of a one-value result."""
-    value = str(value)
+    """The record, CSV table and text of a one-value result.
+
+    ``str`` refuses an int past ``sys.get_int_max_str_digits()`` digits
+    (4300 by default), which p(n) passes from n of about 1.5 * 10**7 on;
+    ``Decimal`` converts it with no such limit.
+    """
+    try:
+        value = str(value)
+    except ValueError:
+        from decimal import Decimal
+
+        value = str(Decimal(value))
     return _record(command, params, {"value": value}), (["value"], [[value]]), value + "\n"
 
 

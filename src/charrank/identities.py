@@ -14,12 +14,15 @@ parameters, and ``default_grid`` gives one identity's default ranges; the
 CLI builds its ``verify`` choices, flags and flag help from them.
 All checks go through the public counting API, so a defect in either
 kernel backend surfaces as a failed report rather than a wrong answer
-quietly propagating.
+quietly propagating.  The one exception is the partition-function
+sweep's call of the Rademacher series at its top weight: ``count_total``
+takes that route only past ``SERIES_CUT``, above the default grid.
 """
 
 from itertools import combinations
 from math import comb
 
+from charrank import _dispatch
 from charrank.bounds import (
     UNBOUNDED,
     BundleProfile,
@@ -214,6 +217,13 @@ def _sweep_partition_crosscheck(report, max_weight):
         count_box(max_weight, max_weight, max_weight),
         expected[max_weight],
     )
+    # And once through the Rademacher series, which count_total takes only
+    # past SERIES_CUT.  A sum it cannot certify is a failed check.
+    try:
+        series = _dispatch.partition_number(max_weight)
+    except ArithmeticError as exc:
+        series = str(exc)
+    report.compare((("weight", max_weight), ("check", "series")), series, expected[max_weight])
 
 
 #: Every identity with its sweep and default grid, in the order ``run_all``

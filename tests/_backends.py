@@ -6,19 +6,24 @@ time, so each mutant is today's kernel with exactly one transition broken.
 
 from pathlib import Path
 
-from charrank import _dispatch
+from charrank import _dispatch, _kernels_py
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "charrank"
-KERNELS = (
+#: The entry points both backends have.
+COMPILED = (
     "box_count", "box_table", "box_sum", "set_exact_counts", "set_any_table", "partition_table"
 )
+#: Every ``_dispatch`` entry point: the Rademacher series is pure Python
+#: on both backends.
+KERNELS = COMPILED + ("partition_number",)
 
 
 def serve(monkeypatch, backend):
     """Bind every ``_dispatch`` entry point to ``backend``'s, until
-    ``monkeypatch`` undoes it."""
+    ``monkeypatch`` undoes it.  A backend without ``partition_number``,
+    the compiled one, leaves it to the pure module, as ``_dispatch`` does."""
     for name in KERNELS:
-        monkeypatch.setattr(_dispatch, name, getattr(backend, name))
+        monkeypatch.setattr(_dispatch, name, getattr(backend, name, getattr(_kernels_py, name)))
 
 
 def mutate(text, original, replacement):

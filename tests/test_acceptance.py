@@ -234,6 +234,19 @@ PY_MUTANTS = {
     "2-D row window": (  # each window stops one short of p * v
         "lo, hi = v, v + 1", "lo, hi = v, v", ("set_exact_counts", ((1, 2), 2, 4))
     ),
+    "Selberg sign": (  # (-1)^l flipped: every A_k(n), and so p(n), negated
+        "sm - cm if l & 1 else sm + cm", "sm + cm if l & 1 else sm - cm",
+        ("partition_number", (200,)),
+    ),
+    # Dropping the last term survives: the remainder bound is far above the
+    # actual remainder, so the sum still certifies p(n).  The leading term
+    # cannot be spared.
+    "series drops its leading term": (
+        "range(done + 1, terms + 1)", "range(done + 2, terms + 1)", ("partition_number", (200,))
+    ),
+    "series prefactor": (  # 4 / (24n) instead of 4 / (24n - 1)
+        "(2 * tm // d,", "(2 * tm // (d + 1),", ("partition_number", (200,))
+    ),
 }
 
 
@@ -268,6 +281,7 @@ def test_criterion_9_mutants_cover_every_kernel_and_branch():
     defs = {n.name: n for n in ast.parse(text).body if isinstance(n, ast.FunctionDef)}
     chain, loop = (n for n in defs["_accumulate"].body if isinstance(n, (ast.If, ast.For)))
     branch, short = loop.body[0], loop.body[0].orelse[0]
+    series = {n.target.id: n for n in ast.walk(defs["partition_number"]) if isinstance(n, ast.For)}
     regions = {
         "_box_row": defs["_box_row"],
         "box_sum chain": next(n for n in ast.walk(defs["box_sum"]) if isinstance(n, ast.For)),
@@ -277,6 +291,8 @@ def test_criterion_9_mutants_cover_every_kernel_and_branch():
         "_accumulate run chain": chain,
         "_part_rows": defs["_part_rows"],
         "Durfee loop": next(n for n in ast.walk(defs["partition_table"]) if isinstance(n, ast.For)),
+        "series terms": series["k"],
+        "Selberg sum": series["l"],
     }
     edited = {text.count("\n", 0, text.index(edit[0])) + 1 for edit in PY_MUTANTS.values()}
     stranded = [

@@ -284,8 +284,8 @@ def test_a_corrupted_map_reports_every_failure(monkeypatch, corrupt, expected):
 def test_a_refusal_on_the_fast_path_is_not_swallowed(monkeypatch):
     # expand refuses (1,), the image of (2, 1), as the second map over a
     # bucket whose first map matched.  The fast path hands the bucket to
-    # the element loop, which raises there as it always has: it expands
-    # each image outside its guard.
+    # the element loop, which records the refusal from either side as a
+    # precondition failure, as the docstring promises, instead of raising.
     true_expand = bijection._expand
 
     def refusing(parts, num_parts, min_part):
@@ -295,8 +295,13 @@ def test_a_refusal_on_the_fast_path_is_not_swallowed(monkeypatch):
 
     monkeypatch.setattr(bijection, "_expand", refusing)
     assert verify_bijection(1, 2, 2, 2).passed
-    with pytest.raises(PreconditionViolation, match="^refused$"):
-        verify_bijection(1, 2, 3, 2)
+    report = verify_bijection(1, 2, 3, 2)
+    assert report.checked == 1
+    cell = (("min_part", 1), ("max_part", 2), ("weight", 3), ("num_parts", 2))
+    assert [(f.params, f.lhs, f.rhs) for f in report.failures] == [
+        (cell + (("check", "precondition"), ("p", Partition([2, 1]))), "refused", "satisfied"),
+        (cell + (("check", "precondition"), ("q", Partition([1]))), "refused", "satisfied"),
+    ]
 
 
 def test_empty_buckets_on_both_sides_are_checked():

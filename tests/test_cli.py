@@ -4,8 +4,10 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
+from sympy.functions.combinatorial.numbers import partition as sympy_partition
 
 from charrank import _dispatch, _kernels_py, bijection
 from charrank.cli import main
@@ -84,6 +86,31 @@ class TestCount:
     def test_negative_weight(self, capsys):
         code, _, _ = run_cli(capsys, "count", "total", "-3")
         assert code == 2
+
+    def test_total_of_a_million_without_a_table(self, capsys, monkeypatch):
+        # the Rademacher series, where the Durfee table would hold 10**6
+        # big integers
+        def no_row(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(_kernels_py, "_accumulate", no_row)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "count", "total", "1000000")
+        elapsed = time.perf_counter() - start
+        assert (code, out, err) == (0, f"{sympy_partition(10**6)}\n", "")
+        assert elapsed < 2.0
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_total_past_the_digit_limit_of_str(self, capsys):
+        # p(400000) has 684 digits, past the least limit str() may have
+        expected = f"{sympy_partition(400000)}\n"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, "count", "total", "400000")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out, err) == (0, expected, "")
 
     def test_oversized_table_is_a_usage_error(self, capsys, monkeypatch):
         # 100000 parts from {1, 2, 3} reach weight 200000, on a table of

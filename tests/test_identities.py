@@ -1,6 +1,6 @@
 import pytest
 
-from charrank import _dispatch
+from charrank import _dispatch, _kernels_py
 from charrank.errors import CapExceeded, PreconditionViolation
 from charrank.identities import (
     SWEEP_ORDER,
@@ -211,6 +211,16 @@ class TestVerifySweep:
         report = verify_sweep(Identity.PARTITION_FUNCTION_CROSSCHECK, {"max_weight": 40})
         assert report.passed
         assert report.checked == 41
+
+    def test_an_uncertified_series_is_a_failed_check(self, monkeypatch):
+        # a remainder bound of up to 1 leaves the series unable to certify
+        monkeypatch.setattr(_kernels_py, "TAIL_BUDGETS", (64,))
+        report = verify_sweep(Identity.PARTITION_FUNCTION_CROSSCHECK, {"max_weight": 40})
+        assert report.checked == 41
+        [failure] = report.failures
+        assert failure.params == (("weight", 40), ("check", "series"))
+        assert "not within its error bound" in failure.lhs
+        assert failure.rhs == 37338
 
 
 class TestRunAll:

@@ -24,8 +24,9 @@ import charrank
 from charrank import _dispatch, _kernels_py
 from charrank.cli import main as cli_main
 from charrank.grassmannian import gaussian_binomial
+from charrank.partitions import SERIES_CUT
 
-from _backends import KERNELS, SRC, mutate, serve
+from _backends import COMPILED, KERNELS, SRC, mutate, serve
 
 SOURCE = SRC / "_kernels_c.c"
 
@@ -249,7 +250,8 @@ def test_dispatch_serves_compiled_when_it_imports(kernels_c, monkeypatch):
     serve(monkeypatch, _dispatch)
     importlib.reload(_dispatch)
     assert _dispatch.backend_name() == "c"
-    assert all(getattr(_dispatch, k) is getattr(kernels_c, k) for k in KERNELS)
+    assert all(getattr(_dispatch, k) is getattr(kernels_c, k) for k in COMPILED)
+    assert _dispatch.partition_number is _kernels_py.partition_number
     monkeypatch.setitem(sys.modules, "charrank._kernels_c", None)  # import fails
     importlib.reload(_dispatch)
     assert _dispatch.backend_name() == "python"
@@ -289,8 +291,8 @@ C_MUTANTS = {
 
 
 def test_compiled_mutants_cover_every_kernel():
-    # a new entry point needs a compiled mutant whose witness calls it
-    assert {kernel for _, _, (kernel, _) in C_MUTANTS.values()} == set(KERNELS)
+    # a new compiled entry point needs a compiled mutant whose witness calls it
+    assert {kernel for _, _, (kernel, _) in C_MUTANTS.values()} == set(COMPILED)
 
 
 @pytest.mark.parametrize("name", C_MUTANTS)
@@ -310,20 +312,22 @@ def test_cross_backend_checks_catch_a_compiled_mutant(tmp_path, monkeypatch, nam
 # hands to the big-integer route; betti 108 4 tops out at 4 * 104 = 416,
 # betti 142 3 at 3 * 139 = 417.  The gapless bound runs the box chain.
 # 40 parts from {2..13} weigh 80..520, so set-exact 500 runs the table and
-# set-exact 600 is an exact 0 with none; total 3000 runs the Durfee squares.
+# set-exact 600 is an exact 0 with none.  count total runs the Durfee
+# squares up to SERIES_CUT and the Rademacher series past it, on both
+# backends alike.
 SAME_OUTPUT = [
     "verify all --format json",
     "betti 108 4",
     "betti 142 3",
-    "count total 3000",
     "count set-exact --parts 2,3,5,7,11,13 40 500",
     "count set-exact --parts 2,3,5,7,11,13 40 600",
+] + [
+    f"count total {weight}" for weight in (SERIES_CUT - 1, SERIES_CUT, SERIES_CUT + 1, 3000)
 ] + [
     command.format(weight)
     for weight in (416, 417)
     for command in (
         "count box 30 30 {}",
-        "count total {}",
         "count set-exact --parts 2,3,5,7,11,13 40 {}",
         "count set-any --parts 1,3,4,9 {}",
         "count set-any --parts 3,5,7 {}",

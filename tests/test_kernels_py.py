@@ -14,9 +14,13 @@ of ``CLASS_CUT``, its runs of equal parts against their passes one at a
 time, the Durfee squares of ``partition_table`` (runs of two parts) on
 either side of each square's cut between those branches and of each change
 of isqrt(n), the size guards of the 1-D kernels, and the reachable windows
-of ``_part_rows`` against the plain loop over whole rows.
+of ``_part_rows`` against the plain loop over whole rows.  The Rademacher
+series is held to the pentagonal recurrence, its ball arithmetic to
+mpmath at a higher precision, and its certificate to refusing a sum it
+cannot bound within 1/2 of an integer.
 """
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -111,6 +115,7 @@ def test_box_table_limit_is_on_the_entries(monkeypatch):
         ("box_count", (40, 2, 30), 31, 2),  # clamps 40 to 30
         ("box_sum", (2, 5, 30), 31, 15),
         ("set_any_table", ((2, 3, 40), 30), 31, 2),  # 40 adds nothing
+        ("partition_table", (30,), 31, 10),  # squares 1..5, two parts each
     ],
 )
 def test_1d_limit_is_on_entries_times_parts(monkeypatch, kernel, args, entries, parts):
@@ -128,6 +133,7 @@ def test_1d_limit_is_on_entries_times_parts(monkeypatch, kernel, args, entries, 
         ("box_count", (10**6, 10**6, 10**6)),
         ("box_sum", (1, 2, 10**7)),
         ("set_any_table", ((1, 2, 3), 2 * 10**7)),
+        ("partition_table", (10**6,)),
     ],
 )
 def test_1d_work_too_large_is_refused_before_it_runs(monkeypatch, kernel, args):
@@ -358,3 +364,67 @@ def test_box_count_inert_across_class_cut(v, offset):
 def test_box_count_long_inert_box():
     # no numerator factor: parts 1..3 over 2001 weights
     assert _kernels_py.box_count(3, 2000, 2000) == gaussian_binomial(2003, 3)[2000]
+
+
+def _holds(ball, value, prec):
+    """Whether ``ball``, a (mid, rad) pair at scale 2**-prec, holds the
+    mpmath number ``value``."""
+    mid, rad = ball
+    return mid - rad <= value * 2**prec <= mid + rad
+
+
+@pytest.mark.parametrize("prec", [1, 8, 40, 300, 2000])
+def test_pi_ball_holds_pi(prec):
+    with mpmath.workprec(prec + 100):
+        assert _holds(_kernels_py._pi(prec), mpmath.pi, prec)
+
+
+@given(st.integers(0, 150 * 2**8), st.integers(0, 3), st.sampled_from([8, 40, 200]))
+def test_exp_ball_holds_exp_at_both_ends(x, rad, prec):
+    # x, drawn at scale 2**-8, is at most 150
+    mid = x << prec >> 8
+    ball = _kernels_py._exp((mid, rad), prec)
+    with mpmath.workprec(prec + 400):
+        for end in (max(mid - rad, 0), mid + rad):
+            assert _holds(ball, mpmath.exp(mpmath.mpf(end) / 2**prec), prec)
+
+
+@given(st.integers(-100, 100), st.integers(1, 60), st.sampled_from([8, 40, 200]))
+def test_cos_ball_holds_cos(num, den, prec):
+    # every folding of the angle: past pi/4, pi/2, pi and 2 pi, and negative
+    with mpmath.workprec(prec + 100):
+        ball = _kernels_py._cos(num, den, _kernels_py._pi(prec), prec)
+        assert _holds(ball, mpmath.cos(mpmath.pi * num / den), prec)
+
+
+def test_series_every_weight_to_600():
+    # count_total takes the series only past SERIES_CUT; the sweeps call
+    # it directly below that
+    expected = pentagonal_partition_table(600)
+    assert [_kernels_py.partition_number(n) for n in range(601)] == expected
+    with pytest.raises(ValueError):
+        _kernels_py.partition_number(-1)
+
+
+@pytest.mark.parametrize("n", [2, 200, 1000, 10**5])
+def test_series_refuses_a_sum_it_cannot_certify(monkeypatch, n):
+    # a remainder bound of up to 1 leaves more than 1/2 unaccounted for
+    monkeypatch.setattr(_kernels_py, "TAIL_BUDGETS", (64,))
+    with pytest.raises(ArithmeticError, match="not within its error bound"):
+        _kernels_py.partition_number(n)
+
+
+@pytest.mark.parametrize("n", [2, 200, 1000])
+def test_series_adds_terms_for_the_next_budget(monkeypatch, n):
+    # the first budget never certifies; the second continues the same sum
+    # with the terms it still lacks
+    tail, seen = _kernels_py._tail, []
+
+    def spy(n, terms, pi_ball, prec):
+        seen.append(terms)
+        return tail(n, terms, pi_ball, prec)
+
+    monkeypatch.setattr(_kernels_py, "_tail", spy)
+    monkeypatch.setattr(_kernels_py, "TAIL_BUDGETS", (64, 15))
+    assert _kernels_py.partition_number(n) == pentagonal_partition_table(n)[n]
+    assert seen[0] < seen[-1]

@@ -1,14 +1,16 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import partition as sympy_partition
 
-from charrank import _kernels_py
+from charrank import _dispatch, _kernels_py
 from charrank.errors import CapExceeded, TableTooLarge
+from charrank.oracles import pentagonal_partition_table
 from charrank.partitions import (
     DEFAULT_ENUMERATION_CAP,
+    SERIES_CUT,
     Partition,
     PartsSet,
     _box_parts,
@@ -284,6 +286,27 @@ class TestCountTotal:
         # first that cannot, so this sweep crosses the fast-path boundary.
         # 1000 and 3000 run the big-integer split far past it.
         assert count_total(n) == int(sympy_partition(n))
+
+    def test_every_weight_to_5000_on_both_routes(self):
+        # the Durfee table up to SERIES_CUT, the Rademacher series past it
+        expected = pentagonal_partition_table(5000)
+        assert [count_total(n) for n in range(5001)] == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_matches_sympy_up_to_a_million(self, n):
+        assert count_total(n) == int(sympy_partition(n))
+
+    def test_routes_by_the_cut(self, monkeypatch):
+        calls = []
+
+        def no_series(n):
+            calls.append(n)
+            return -1
+
+        monkeypatch.setattr(_dispatch, "partition_number", no_series)
+        assert count_total(SERIES_CUT) == pentagonal_partition_table(SERIES_CUT)[-1]
+        assert (count_total(SERIES_CUT + 1), calls) == (-1, [SERIES_CUT + 1])
 
 
 class TestEnumeration:
