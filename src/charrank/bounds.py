@@ -18,9 +18,8 @@ on the ``box_sum`` kernel, which walks one Gaussian-binomial row up in s
 instead of building a new box row for every term.
 """
 
-from dataclasses import dataclass
-
 from charrank import _dispatch
+from charrank._record import Frozen
 from charrank.errors import DegreeOutOfRange, NotGapless, PreconditionViolation, check_int
 from charrank.partitions import PartsSet, count_set_any
 
@@ -33,27 +32,23 @@ def _check_extent(name, value):
         check_int(PreconditionViolation, 1, f"{name} (unless UNBOUNDED)", value)
 
 
-@dataclass(frozen=True)
-class BundleProfile:
+class BundleProfile(Frozen):
     """The inputs to the Betti bound; validated on construction."""
 
-    dim_x: object
-    s_set: PartsSet
-    t: object
+    __match_args__ = ("dim_x", "s_set", "t")
 
-    def __post_init__(self):
-        _check_extent("dim_x", self.dim_x)
-        _check_extent("t", self.t)
-        if not isinstance(self.s_set, PartsSet):
-            object.__setattr__(self, "s_set", PartsSet(self.s_set))
-        if self.t > self.dim_x:
+    def __init__(self, dim_x, s_set, t):
+        _check_extent("dim_x", dim_x)
+        _check_extent("t", t)
+        if not isinstance(s_set, PartsSet):
+            s_set = PartsSet(s_set)
+        if t > dim_x:
+            raise PreconditionViolation(f"t={t} exceeds dim_x={dim_x}")
+        if s_set.greatest > dim_x:
             raise PreconditionViolation(
-                f"t={self.t} exceeds dim_x={self.dim_x}"
+                f"degree {s_set.greatest} in s_set exceeds dim_x={dim_x}"
             )
-        if self.s_set.greatest > self.dim_x:
-            raise PreconditionViolation(
-                f"degree {self.s_set.greatest} in s_set exceeds dim_x={self.dim_x}"
-            )
+        self._assign(dim_x, s_set, t)
 
 
 def _check_degree(profile, degree):

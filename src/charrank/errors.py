@@ -19,7 +19,8 @@ class PreconditionViolation(CharrankError):
 
 
 class InvalidDimensions(CharrankError):
-    """Grassmannian indices out of range (need 1 <= n and 0 <= k <= n)."""
+    """Grassmannian indices out of range (need 0 <= k <= n, and n >= 1 for a
+    manifold; the q-binomial oracle also takes n = 0)."""
 
 
 class NotGapless(CharrankError):

@@ -14,26 +14,25 @@ against ``oracles.gaussian_triangle`` (the q-Pascal rule, additions only),
 compares ``count_box`` with the 2-D set-exact table.
 """
 
-from dataclasses import dataclass
-
 from charrank import _dispatch
+from charrank._record import Frozen
 from charrank.errors import InvalidDimensions, check_int
 
 
-def _check_dims(n, k):
-    check_int(InvalidDimensions, 1, "ambient dimension", n)
+def _check_dims(n, k, least=1):
+    check_int(InvalidDimensions, least, "ambient dimension", n)
     check_int(InvalidDimensions, 0, "plane dimension", k)
     if k > n:
         raise InvalidDimensions(f"plane dimension must satisfy 0 <= k <= {n}, got {k!r}")
 
 
-@dataclass(frozen=True)
-class PoincareTable:
+class PoincareTable(Frozen):
     """Betti numbers of one Grassmannian, indexed by degree 0..k(n-k)."""
 
-    n: int
-    k: int
-    betti: tuple
+    __match_args__ = ("n", "k", "betti")
+
+    def __init__(self, n, k, betti):
+        self._assign(n, k, betti)
 
     @property
     def dim(self):
@@ -81,9 +80,11 @@ def gaussian_binomial(n, k):
         prod_{i=1..k} (1 - q**(n-k+i)) / (1 - q**i)
 
     with exact integer polynomials, asserting each division is exact.
-    Independent of the partition kernels by design.
+    Independent of the partition kernels by design.  Unlike ``betti`` and
+    ``poincare`` it takes n = 0: [0 choose 0]_q = 1, the one partition of
+    the empty box.
     """
-    _check_dims(n, k)
+    _check_dims(n, k, least=0)
     coeffs = [1]
     for i in range(1, k + 1):
         coeffs = _shift_difference(coeffs, n - k + i)

@@ -2,7 +2,7 @@
 
 Counting here follows the usual conventions: the empty partition is the
 unique partition of 0, and "exactly zero parts" admits only weight 0.
-``Partition`` and ``PartsSet`` are frozen dataclasses in canonical order.
+``Partition`` and ``PartsSet`` are immutable values in canonical order.
 Counts are computed by dynamic programming (see ``_dispatch``); the
 enumeration functions exist mainly so tests and the verification sweeps
 can cross-check the counts against something that cannot share a bug with
@@ -18,9 +18,8 @@ run them over the window of one weight and wrap each tuple in a
 ``Partition``.
 """
 
-from dataclasses import dataclass
-
 from charrank import _dispatch
+from charrank._record import Frozen
 from charrank.errors import CapExceeded, check_int
 
 #: ``count_total`` sums the Rademacher series past this weight and reads
@@ -37,8 +36,7 @@ SERIES_CUT = 417
 DEFAULT_ENUMERATION_CAP = 64
 
 
-@dataclass(frozen=True, repr=False)
-class Partition:
+class Partition(Frozen):
     """An integer partition, stored as its parts in non-increasing order.
 
     Accepts the parts in any order and canonicalizes; every part must be a
@@ -46,12 +44,12 @@ class Partition:
     they can live in sets and dicts.
     """
 
-    parts: tuple = ()
+    __match_args__ = ("parts",)
 
-    def __post_init__(self):
-        collected = list(self.parts)
+    def __init__(self, parts=()):
+        collected = list(parts)
         check_int(ValueError, 1, "each part", *collected)
-        object.__setattr__(self, "parts", tuple(sorted(collected, reverse=True)))
+        self._assign(tuple(sorted(collected, reverse=True)))
 
     @classmethod
     def _canonical(cls, parts):
@@ -75,16 +73,15 @@ class Partition:
         return f"Partition({list(self.parts)!r})"
 
 
-@dataclass(frozen=True, repr=False)
-class PartsSet:
+class PartsSet(Frozen):
     """A finite, nonempty set of distinct positive integers — the allowed
     part values for the restricted counts below.  Kept in ascending order.
     """
 
-    members: tuple
+    __match_args__ = ("members",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", _as_members(self.members))
+    def __init__(self, members):
+        self._assign(_as_members(members))
         if not self.members:
             raise ValueError("a PartsSet needs at least one value")
 

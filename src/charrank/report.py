@@ -7,8 +7,9 @@ instance may compare several quantities, and any mismatch is recorded as
 one CheckFailure tagged with the comparison that broke.
 """
 
-from dataclasses import dataclass, field
 from enum import Enum
+
+from charrank._record import Frozen, Record
 
 
 class Identity(Enum):
@@ -31,22 +32,28 @@ class Identity(Enum):
     PARTITION_FUNCTION_CROSSCHECK = "partition-function"
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(Frozen):
     """One counterexample: the parameters that produced it and the two
     values that should have agreed (rendered as strings for display)."""
 
-    params: tuple
-    lhs: object
-    rhs: object
+    __match_args__ = ("params", "lhs", "rhs")
+
+    def __init__(self, params, lhs, rhs):
+        self._assign(params, lhs, rhs)
 
 
-@dataclass
-class VerificationReport:
-    identity_id: Identity
-    swept_ranges: dict
-    checked: int = 0
-    failures: list = field(default_factory=list)
+class VerificationReport(Record):
+    """The result of one sweep, filled in as it runs, so unlike the other
+    records it can be changed and has no hash.  ``failures`` starts as a
+    new empty list unless one is given."""
+
+    __match_args__ = ("identity_id", "swept_ranges", "checked", "failures")
+
+    def __init__(self, identity_id, swept_ranges, checked=0, failures=None):
+        self.identity_id = identity_id
+        self.swept_ranges = swept_ranges
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self):

@@ -110,13 +110,13 @@ class TestGaplessForm:
     def test_is_the_sum_of_grassmannian_betti_numbers(self):
         # the paper's sum over s of b_(d - lo*s)(G_s(R^(hi - lo + s))),
         # read off the q-binomial oracle, which shares no code with
-        # count_box; s = 0 adds nothing at d >= 1
+        # count_box; s = 0 (the empty box when lo == hi) adds nothing at d >= 1
         for lo in range(1, 9):
             for hi in range(lo, 9):
                 profile = free_profile(range(lo, hi + 1))
                 for d in range(1, 41):
                     expected = 0
-                    for s in range(1, d // lo + 1):
+                    for s in range(d // lo + 1):
                         betti = gaussian_binomial(hi - lo + s, s)
                         if d - lo * s < len(betti):
                             expected += betti[d - lo * s]

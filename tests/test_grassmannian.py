@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from math import comb
 
+from charrank import _dispatch
 from charrank.errors import InvalidDimensions
 from charrank.grassmannian import PoincareTable, betti, gaussian_binomial, poincare
 from charrank.oracles import gaussian_triangle
@@ -105,6 +106,20 @@ class TestGaussianBinomial:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(InvalidDimensions):
             gaussian_binomial(4, 5)
+        with pytest.raises(InvalidDimensions, match="plane dimension"):
+            gaussian_binomial(0, 1)
+        with pytest.raises(InvalidDimensions, match="integer >= 0, got -1"):
+            gaussian_binomial(-1, 0)
+
+    def test_empty_box(self):
+        # [0 choose 0]_q = 1, as the kernels count the 0 x 0 box, while the
+        # manifold queries still need n >= 1
+        assert gaussian_binomial(0, 0) == (1,)
+        assert count_box(0, 0, 0) == 1
+        assert _dispatch.box_table(0, 0) == [1]
+        for query in (lambda: betti(0, 0, 0), lambda: poincare(0, 0)):
+            with pytest.raises(InvalidDimensions, match="integer >= 1, got 0"):
+                query()
 
 
 class TestGaussianTriangle:

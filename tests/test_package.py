@@ -86,13 +86,24 @@ def test_a_resolved_name_is_kept_in_the_namespace():
 
 
 # Run through ``cli.main`` in a fresh interpreter; print the output, then
-# the charrank submodules that were loaded, as JSON.
+# the exit code and every module that was loaded, as JSON.
 MODULES_OF = (
     "import json, sys\n"
     "from charrank.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('charrank.'))]))"
+    "print(json.dumps([code, sorted(sys.modules)]))"
 )
+
+#: The modules of an interpreter started the same way that runs nothing.
+BARE = "import json, sys\nprint(json.dumps(sorted(sys.modules)))"
+
+
+def run_command(argv):
+    """The text output, exit code and loaded modules of one command."""
+    text, record = fresh(MODULES_OF, *argv.split()).rsplit("\n", 2)[:2]
+    code, loaded = json.loads(record)
+    return text, code, set(loaded)
+
 
 #: What a count, betti or bound command has no use for.
 VERIFICATION_STACK = {
@@ -109,17 +120,31 @@ VERIFICATION_STACK = {
     ],
 )
 def test_commands_leave_the_verification_stack_unloaded(argv, output):
-    text, record = fresh(MODULES_OF, *argv.split()).rsplit("\n", 2)[:2]
-    code, loaded = json.loads(record)
+    text, code, loaded = run_command(argv)
     assert (code, text) == (0, output)
     assert "charrank.cli" in loaded
-    assert not VERIFICATION_STACK & set(loaded)
+    assert not VERIFICATION_STACK & loaded
 
 
 def test_verify_loads_what_it_runs():
-    text, record = fresh(MODULES_OF, "verify", "eq4", "--max-j", "3").split("overall: ")
-    code, loaded = json.loads(record.split("\n", 1)[1])
+    text, code, loaded = run_command("verify eq4 --max-j 3")
     assert code == 0
-    assert text == "eq4: pass (checked=3, failures=0)\n"
-    assert VERIFICATION_STACK <= set(loaded)
+    assert text == "eq4: pass (checked=3, failures=0)\noverall: pass"
+    assert VERIFICATION_STACK <= loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count total 5",
+        "betti 6 3",
+        "bound --set 1,2 --dim inf --charrank inf --degree 5",
+        "verify eq4 --max-j 3",
+    ],
+)
+def test_commands_load_neither_dataclasses_nor_inspect(argv):
+    # against a bare start, not a fixed list: a site hook may import either
+    _, code, loaded = run_command(argv)
+    assert code == 0
+    assert not {"dataclasses", "inspect"} & (loaded - set(json.loads(fresh(BARE))))
 
