@@ -11,13 +11,16 @@ results are exact at any size.
 Two dynamic programs serve the six table entry points:
 
 * ``_part_rows``, the 2-D table indexed by (parts used, weight), serves
-  only ``set_exact_counts``.  It is updated one row per slice statement
-  instead of one cell per interpreter step, and each slice covers only the
-  weights that row can reach: with parts added in ascending order, p parts
-  weigh at least p times the least part and at most p times the newest.
-  ``set_exact_counts`` refuses (``TableTooLarge``) a table past
-  ``MAX_TABLE_CELLS`` entries before it builds one; the compiled twin,
-  whose tables stop at 417 x 417, hands it every larger call.
+  only ``set_exact_counts``.  Each row is one int, the count for weight w
+  in a slot of ``bits`` bits from bit w * bits on (Kronecker substitution),
+  so adding a part to a row is one shift, one add and one mask of big
+  integers instead of one interpreter step per cell.  The sums run mod
+  2**(width * bits), as the compiled twin's run mod 2**64; they are exact
+  because every count a slot ever holds fits in it.  ``set_exact_counts``
+  proves that before it picks the width, and refuses (``TableTooLarge``)
+  a table past ``MAX_TABLE_CELLS`` entries before it builds one; the
+  compiled twin, whose tables stop at 417 x 417, hands it every larger
+  call.
 * ``_accumulate``, the 1-D table indexed by weight, adds parts with no
   bound on their number.  It serves ``set_any_table``, each Durfee square
   of ``partition_table``, every box (``_box_row``) and each step of the
@@ -49,17 +52,18 @@ only when the sum is within 1/2 of it, and raises ArithmeticError
 otherwise.  ``count_total`` reads it past weight ``SERIES_CUT``.
 
 Every table path adds and subtracts native integers along an exact
-recurrence, and conjugation and clamping are identities of partition
-counts, so the results equal those of the plain cell-by-cell loops at any
-size.  All functions are pure: each call builds its own tables and no
-module state is ever mutated, so concurrent use from multiple threads is
-safe by construction.
+recurrence (the 2-D one in slots that provably hold every count), and
+conjugation and clamping are identities of partition counts, so the
+results equal those of the plain cell-by-cell loops at any size.  All
+functions are pure: each call builds its own tables and no module state
+is ever mutated, so concurrent use from multiple threads is safe by
+construction.
 """
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from math import ceil, inf, isqrt, log, log2, pi, sinh, sqrt
-from operator import add, sub
+from math import ceil, comb, isqrt, log, log2, pi, sinh, sqrt
+from operator import sub
 
 from charrank.errors import TableTooLarge
 
@@ -70,10 +74,12 @@ BACKEND = "python"
 #: TableTooLarge.  The 1-D loops of ``box_count``, ``box_sum``,
 #: ``set_any_table`` and ``partition_table`` refuse a call whose row
 #: entries times parts passes it (``_check_row``).  It bounds entries, not
-#: bytes: an entry is a Python int that grows with the count it holds.
-#: The set-any row of parts {1, 2, 3} at weight 2*10**7 passes the bound
-#: and took about 1.8 GB, some 90 bytes an entry.  ROADMAP.md's
-#: memory-budget item prices entries in bytes.
+#: bytes.  A 2-D entry is a slot of the bits its proved bound needs (see
+#: ``set_exact_counts``), but a 1-D row still holds one Python int per
+#: entry, which grows with the count it holds: the set-any row of parts
+#: {1, 2, 3} at weight 2*10**7 passes the bound and took about 1.8 GB,
+#: some 90 bytes an entry.  ROADMAP.md's memory-budget item prices
+#: entries in bytes.
 MAX_TABLE_CELLS = 2**25
 
 # Shortest residue class that ``_accumulate`` runs as one slice statement
@@ -103,35 +109,46 @@ TAIL_BUDGETS = (28, 15)
 EXP_REDUCE = 8
 
 
-def _part_rows(parts, rows: int, width: int) -> list:
+def _part_rows(parts, rows: int, width: int, bits: int) -> list:
     """Rows 0..rows of the counts of partitions into exactly p parts from
-    ``parts``, indexed [p][weight] for weights below ``width``.  ``parts``
-    must be an ascending sequence of positive integers.
+    ``parts``, row p packed into one int: the count for weight w < ``width``
+    in bits [w * bits, (w + 1) * bits).  ``parts`` must be an ascending
+    sequence of positive integers below ``width``, and ``bits`` must hold
+    every count the rows reach.
 
     Adding part v splits on whether v occurs:
 
         f(v, p, w) = f(v-1, p, w) + f(v, p-1, w-v)
 
-    Rows are taken with p ascending, so the row below already holds
-    f(v, p-1, .) when row p reads it.  Once every part up to v is in, row
-    p is zero outside [p * least, p * v], so the pass for v changes row p
-    only on [v + (p-1) * least, p * v] and stops at the first row whose
-    window starts at ``width`` or past it.  Each window is one slice
-    statement; slices stop at ``width`` on their own, so ``hi`` needs no
-    clamp.
+    so row p gains row p - 1 shifted up by v slots.  Rows are taken with p
+    ascending, so the row below already holds f(v, p-1, .) when row p reads
+    it.  Row p - 1 is zero below (p-1) * least, so the pass for v stops at
+    the first row whose shifted row starts at ``width`` or past it.  Each
+    row is cut to ``width`` slots: the sums run mod 2**(width * bits), and
+    carries and shifts only move up, so a slot below ``width`` never sees
+    what is cut off above it.
     """
-    table = [[0] * width for _ in range(rows + 1)]
-    table[0][0] = 1
+    table = [1] + [0] * rows
+    mask = (1 << width * bits) - 1
     for v in parts:
-        if v >= width:
-            break
-        lo, hi = v, v + 1  # row 1's window, end exclusive
-        for below, row in zip(table, table[1:]):
-            if lo >= width:
-                break
-            row[lo:hi] = map(add, row[lo:hi], below[lo - v : hi - v])
-            lo, hi = lo + parts[0], hi + v
+        shift = v * bits
+        below = table[0]
+        for p in range(1, min(rows, (width - 1 - v) // parts[0] + 1) + 1):
+            below = table[p] = (table[p] + (below << shift)) & mask
     return table
+
+
+def _slot_bounds(c: int, smax: int, k: int) -> tuple:
+    """Three bit counts X, each putting every count of partitions of a
+    weight w <= c into p <= smax parts, from a set of k parts all <= c,
+    below 2**(X + 1): from p(c), from the choices of the p - 1 least
+    parts, and from the multisets of p parts (see ``set_exact_counts``).
+    ``smax`` and ``k`` are at least 1."""
+    return (
+        int(pi * sqrt(2 * c / 3) / log(2)) + 1,
+        (smax - 1) * c.bit_length(),
+        comb(smax + k - 1, k - 1).bit_length(),
+    )
 
 
 def _accumulate(dp: list, parts, times: int = 1) -> list:
@@ -253,6 +270,27 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
     for every s in 0..b (a list of length b+1).
 
     ``parts`` must be a strictly ascending tuple of positive integers.
+
+    No more than smax = min(b, c // least) parts fit in c, and they weigh
+    at most smax times the greatest part: past that only the empty
+    partition of 0 counts, and no table is built.  Otherwise each row of
+    ``_part_rows`` packs its c + 1 counts in slots of 1 + X bits, X the
+    least of the three bounds of ``_slot_bounds``.  Each slot counts the
+    partitions of some w <= c into some p <= smax parts, from the parts
+    added so far, and each bound puts every such count below 2**(X + 1):
+
+    * p(w) <= p(c) < e**(pi sqrt(2c/3)) (Apostol, *Introduction to Analytic
+      Number Theory*, Thm 14.5), taken in floats: X is the floor of the
+      exponent in base 2, plus one, so a rounding error below 1 still
+      leaves it above the exponent less one;
+    * the p - 1 least parts of a partition into p parts are each at most c
+      and fix the greatest one: at most c**(smax - 1) <= 2**X partitions;
+    * a partition into p parts from the k parts <= c is a multiset of p of
+      them: at most C(smax + k - 1, k - 1) < 2**X partitions.
+
+    The table then holds (smax + 1) * (c + 1) * (1 + X) bits at most.  The
+    last two bounds keep that small where p(c) alone would not: one part
+    from {1, 2} at weight 10**7 would need slots of some 11,700 bits.
     """
     if b < 0 or c < 0:
         raise ValueError("number of parts and weight must be nonnegative")
@@ -263,8 +301,12 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
             f"a table of {smax + 1}x{c + 1} counts exceeds the limit of "
             f"{MAX_TABLE_CELLS} cells"
         )
-    table = _part_rows(parts, smax, c + 1)
-    return [row[c] for row in table] + [0] * (b - smax)
+    if smax == 0 or c > smax * parts[-1]:
+        return [int(c == 0)] + [0] * b
+    k = bisect_right(parts, c)  # larger parts add nothing
+    bits = 1 + min(_slot_bounds(c, smax, k))
+    table = _part_rows(parts[:k], smax, c + 1, bits)
+    return [row >> c * bits for row in table] + [0] * (b - smax)
 
 
 def set_any_table(parts: tuple, top: int) -> list:

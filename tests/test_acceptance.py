@@ -196,10 +196,8 @@ PY_MUTANTS = {
         "g = hi - lo + s", "g = hi - lo + s + 1", ("box_sum", (1, 2, 4))
     ),
     "box_sum first term": ("if s >= first:", "if s > first:", ("box_sum", (1, 2, 4))),
-    "set_exact_counts": (  # drops the last row's count and keeps the length
-        "row in table] + [0] * (b - smax)",
-        "row in table[:-1]] + [0] * (b - smax + 1)",
-        ("set_exact_counts", ((1, 2), 2, 4)),
+    "set_exact_counts reach": (  # a weight that smax greatest parts fill counts 0
+        "c > smax * parts[-1]", "c >= smax * parts[-1]", ("set_exact_counts", ((1, 2), 2, 4))
     ),
     "set_any_table": (
         "[0] * top, parts)", "[0] * top, parts[1:])", ("set_any_table", ((1, 2), 3))
@@ -228,11 +226,25 @@ PY_MUTANTS = {
     "1-D short run one pass short": (
         "(v,) * times)", "(v,) * (times - 1))", ("partition_table", (5,))
     ),
-    "2-D row start": (  # row p's window starts p - 1 weights late
-        "lo + parts[0], hi", "lo + parts[0] + 1, hi", ("set_exact_counts", ((1, 2), 2, 3))
+    "2-D shift": (  # part v shifts the row below one slot short
+        "shift = v * bits", "shift = (v - 1) * bits", ("set_exact_counts", ((1, 2), 2, 4))
     ),
-    "2-D row window": (  # each window stops one short of p * v
-        "lo, hi = v, v + 1", "lo, hi = v, v", ("set_exact_counts", ((1, 2), 2, 4))
+    "2-D row below": (  # each row adds its own shifted self
+        "(below << shift)", "(table[p] << shift)", ("set_exact_counts", ((1, 2), 2, 4))
+    ),
+    # Halving the slot width is caught where the slots have one bit, one
+    # part from up to two kinds; where they have more, the bounds are loose
+    # enough that the sweeps' counts still fit in half of them.  Loosening
+    # one of the three bounds survives, such as the Apostol bound without
+    # its + 1 or the multisets bound with one kind fewer: neither is tight,
+    # so the slots still hold every count.
+    "2-D slot width": (
+        "bits = 1 + min(_slot_bounds(c, smax, k))",
+        "bits = (1 + min(_slot_bounds(c, smax, k))) // 2",
+        ("set_exact_counts", ((1, 2), 1, 2)),
+    ),
+    "2-D last row": (  # each pass stops one row short
+        "min(rows,", "min(rows - 1,", ("set_exact_counts", ((1, 2), 2, 4))
     ),
     "Selberg sign": (  # (-1)^l flipped: every A_k(n), and so p(n), negated
         "sm - cm if l & 1 else sm + cm", "sm + cm if l & 1 else sm - cm",

@@ -13,17 +13,23 @@ box counts.  The rest covers both branches of ``_accumulate`` on either side
 of ``CLASS_CUT``, its runs of equal parts against their passes one at a
 time, the Durfee squares of ``partition_table`` (runs of two parts) on
 either side of each square's cut between those branches and of each change
-of isqrt(n), the size guards of the 1-D kernels, and the reachable windows
-of ``_part_rows`` against the plain loop over whole rows.  The Rademacher
-series is held to the pentagonal recurrence, its ball arithmetic to
-mpmath at a higher precision, and its certificate to refusing a sum it
-cannot bound within 1/2 of an integer.
+of isqrt(n), and the size guards of the 1-D kernels.  Every slot of the
+packed rows of ``_part_rows`` is held to the plain loop over whole rows,
+the three bounds on their slot width to p(c) and to brute force, and
+``set_exact_counts`` to building no table out of reach and to a memory
+ceiling.  The Rademacher series is held to the pentagonal recurrence, its
+ball arithmetic to mpmath at a higher precision, and its certificate to
+refusing a sum it cannot bound within 1/2 of an integer.
 """
+
+import tracemalloc
+from itertools import combinations_with_replacement
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.functions.combinatorial.numbers import partition as sympy_partition
 
 from charrank import _kernels_py
 from charrank.errors import TableTooLarge
@@ -276,15 +282,104 @@ def plain_part_rows(parts, rows, width):
     return table
 
 
+def unpack(row, width, bits):
+    """The ``width`` slots of ``bits`` bits each of a packed row."""
+    assert row >> width * bits == 0, "the row runs past its last slot"
+    return [row >> w * bits & (1 << bits) - 1 for w in range(width)]
+
+
+def check_part_rows(parts, rows, width):
+    # slots no wider than the largest count: every carry out of one would
+    # corrupt the next
+    expected = plain_part_rows(parts, rows, width)
+    bits = max(map(max, expected)).bit_length()
+    table = _kernels_py._part_rows(parts, rows, width, bits)
+    assert [unpack(row, width, bits) for row in table] == expected
+
+
 @given(
     st.sets(st.integers(1, 30), max_size=6),
     st.integers(0, 12),
     st.integers(1, 60),
 )
 def test_part_rows_windows_match_plain_loop(members, rows, width):
-    parts = tuple(sorted(members))
-    expected = plain_part_rows(parts, rows, width)
-    assert _kernels_py._part_rows(parts, rows, width) == expected
+    check_part_rows(tuple(sorted(v for v in members if v < width)), rows, width)
+
+
+def test_part_rows_past_the_word_size_boundary():
+    # weights past 416, which the compiled kernels hand to these, and
+    # counts past 64 bits
+    check_part_rows((1, 2, 3, 5, 8, 13), 40, 430)
+
+
+def test_apostol_slot_bound_holds_p():
+    # p(c) < e^(pi sqrt(2c/3)): the bound holds p(c) even without the
+    # slot's spare bit
+    table = pentagonal_partition_table(5000)
+    for c in range(5001):
+        assert table[c] < 2 ** _kernels_py._slot_bounds(c, 1, 1)[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(5001, 10**6))
+def test_apostol_slot_bound_holds_p_far_out(c):
+    assert sympy_partition(c) < 2 ** _kernels_py._slot_bounds(c, 1, 1)[0]
+
+
+@pytest.mark.parametrize("members", [(1,), (2,), (1, 2), (1, 3, 4), (2, 3, 5), tuple(range(1, 7))])
+def test_composition_and_multiset_slot_bounds_hold_every_count(members):
+    # every multiset of up to 6 parts, counted by weight and size
+    counts = {}
+    for p in range(7):
+        for multiset in combinations_with_replacement(members, p):
+            key = p, sum(multiset)
+            counts[key] = counts.get(key, 0) + 1
+    for smax in range(1, 7):
+        for c in range(1, 19):
+            kinds = sum(v <= c for v in members)
+            if not kinds:
+                continue
+            largest = max(n for (p, w), n in counts.items() if p <= smax and w <= c)
+            _, compositions, multisets = _kernels_py._slot_bounds(c, smax, kinds)
+            assert largest <= 2**compositions
+            assert largest < 2**multisets
+
+
+def no_table(*args):
+    raise AssertionError("the table was built")
+
+
+@pytest.mark.parametrize(
+    "parts, b, c",
+    [
+        ((1, 2), 1, 10**7),  # one part: a slot sized from p(c) alone needs a 15 GB row
+        ((1,), 0, 2**25 - 1),  # row 0 alone, at the cell limit
+        (tuple(range(1, 9)), 7, 4 * 10**6),  # 7 parts of at most 8
+    ],
+)
+def test_set_exact_counts_out_of_reach_builds_no_table(monkeypatch, parts, b, c):
+    monkeypatch.setattr(_kernels_py, "_part_rows", no_table)
+    assert _kernels_py.set_exact_counts(parts, b, c) == [0] * (b + 1)
+
+
+@pytest.mark.parametrize(
+    "parts, b, c",
+    [
+        ((1, 3000), 100, 300000),  # 100 parts 3000, and no other way
+        ((1, 10**6), 20, 10**6 + 19),  # 19 ones and a million
+    ],
+)
+def test_set_exact_counts_peak_memory(parts, b, c):
+    # tracemalloc sees this call's own allocations only; as lists of
+    # lists these tables peaked at 238 and 168 MiB
+    tracemalloc.start()
+    try:
+        counts = _kernels_py.set_exact_counts(parts, b, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [0] * b + [1]
+    assert peak < 64 * 2**20
 
 
 # Square s of partition_table divides a body of n - s*s + 1 weights as a
