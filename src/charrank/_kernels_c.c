@@ -193,13 +193,14 @@ box_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 /* The paper's sum over s of the counts of w - lo*s in an m-by-s box, m =
  * hi - lo, on one row cut to the weights left: [m+s, s]_q = [m+s-1, s-1]_q
  * (1 - q^(m+s)) / (1 - q^s).  Each entry and the sum count partitions of w.
- * Terms with m*s < w - lo*s are zero; s = 0 adds the empty partition. */
+ * Terms with m*s < w - lo*s are zero, so the row starts as the m-by-s0 box,
+ * s0 = ceil(w/hi) - 1 (0 for w = 0); s = 0 adds the empty partition. */
 static PyObject *
 box_sum(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     long lo = nargs == 3 ? clamp(args[0], U64_SAFE_WEIGHT + 1) : -1,
          hi = nargs == 3 ? clamp(args[1], U64_SAFE_WEIGHT + 1) : -1,
-         w = nargs == 3 ? clamp(args[2], U64_SAFE_WEIGHT + 1) : -1;
+         w = nargs == 3 ? clamp(args[2], U64_SAFE_WEIGHT + 1) : -1, m, s0;
     uint64_t *dp, total = w == 0;
 
     if (lo < 1 || hi < lo || hi > U64_SAFE_WEIGHT
@@ -207,10 +208,14 @@ box_sum(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return delegate("box_sum", args, nargs);
     if ((dp = calloc((size_t)w + 1, sizeof *dp)) == NULL)
         return PyErr_NoMemory();
+    m = hi - lo;
+    s0 = w > 0 ? (w - 1) / hi : 0;
     Py_BEGIN_ALLOW_THREADS
-    for (long s = 1; lo * s <= w; s++) {
+    series(dp, w - lo * s0 + 1, (m > s0 ? m : s0) + 1, m + s0, NULL,
+           m < s0 ? m : s0);
+    for (long s = s0 + 1; lo * s <= w; s++) {
         series(dp, w - lo * s + 1, hi - lo + s, hi - lo + s, &s, 1);
-        total += hi * s >= w ? dp[w - lo * s] : 0;
+        total += dp[w - lo * s];
     }
     Py_END_ALLOW_THREADS
     free(dp);

@@ -200,8 +200,9 @@ def _box_row(a: int, b: int, width: int) -> list:
     below ``width`` is one slice subtraction; dividing by 1 - q^i adds part i.
 
     The row is a palindrome: taking each partition's complement in the box
-    maps weight w to a*b - w.  So no caller asks for more than its lower
-    half: ``box_count`` folds its weight into it and ``box_table`` mirrors it.
+    maps weight w to a*b - w.  So ``box_count`` folds its weight into the
+    lower half and ``box_table`` mirrors it.  ``box_sum`` seeds its chain
+    with a row that may run past the middle, and past a*b, where it is 0.
     """
     a, b = min(a, b), max(a, b)
     dp = [1] + [0] * (width - 1)
@@ -247,21 +248,25 @@ def box_sum(lo: int, hi: int, weight: int) -> int:
     to the weight - lo*s + 1 entries that term s and the later ones read;
     the numerator factor is one slice subtraction and 1 - q^s adds part s.
     An m-by-s box holds at most m*s, so the terms below
-    s = ceil(weight/hi) are zero and only later ones are added.
+    s = ceil(weight/hi) are zero.  The chain therefore starts at its first
+    nonzero term: it is seeded with the row it would hold after step
+    s = ceil(weight/hi) - 1, the m-by-s box row ``_box_row`` builds in one
+    pass, and walks only the steps from ceil(weight/hi) on.  When hi is
+    close to lo this skips the longest rows of the chain.
     """
     if weight < 0 or lo < 1 or hi < lo:
         raise ValueError("box_sum needs 1 <= lo <= hi and a nonnegative weight")
     _check_row(weight + 1, weight // lo)
     first = -(-weight // hi)
-    dp = [1] + [0] * weight
-    total = dp[-1]  # s = 0: only the empty partition, of weight 0
-    for s in range(1, weight // lo + 1):
+    seed = max(first - 1, 0)
+    dp = _box_row(hi - lo, seed, weight - lo * seed + 1)  # the row after step seed
+    total = int(weight == 0)  # s = 0: only the empty partition; 1..seed add 0
+    for s in range(seed + 1, weight // lo + 1):
         del dp[weight - lo * s + 1 :]
         g = hi - lo + s
         dp[g:] = map(sub, dp[g:], dp)  # reads dp[:len(dp) - g] before writing
         _accumulate(dp, (s,))
-        if s >= first:
-            total += dp[-1]
+        total += dp[-1]
     return total
 
 

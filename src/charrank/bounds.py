@@ -94,7 +94,9 @@ def _box_sum(lo, hi, weight):
     weight - lo*s in an (hi - lo) x s box, for s from ceil(weight/hi) to
     floor(weight/lo), outside which the box holds none.  The ``box_sum``
     kernel chains the terms: each Gaussian binomial [hi - lo + s, s]_q is
-    the one before it times (1 - q^(hi - lo + s)) / (1 - q^s)."""
+    the one before it times (1 - q^(hi - lo + s)) / (1 - q^s).  The chain
+    is seeded at its first nonzero term, with the box row of the step
+    before s = ceil(weight/hi), so it never walks the zero terms."""
     return _dispatch.box_sum(lo, hi, weight)
 
 

@@ -10,7 +10,7 @@ for [n choose k]_q by exact polynomial division.  It shares no code with
 the counting kernels, but their box counts rest on the same formula, so the
 sweeps check those counts on other recurrences: ``grassmannian-tables``
 against ``oracles.gaussian_triangle`` (the q-Pascal rule, additions only),
-``oracle`` against explicit enumeration and ``eq5``, whose any-parts form
+``oracle`` against brute-force multisets and ``eq5``, whose any-parts form
 compares ``count_box`` with the 2-D set-exact table.
 """
 

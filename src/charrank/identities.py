@@ -4,9 +4,12 @@ This module is the one place that knows which identities exist, which
 grid each sweeps and how one instance of each is checked.  Each
 ``verify_*`` function checks one parameter tuple and returns a
 VerificationReport; a sweep loops over its grid and absorbs those reports.
-The two sweeps that enumerate partitions, bijection and oracle, enumerate
-once per grid cell for all its weights instead, and check each weight's
-bucket as one instance.
+The bijection and oracle sweeps check a whole grid cell, every weight of
+it, at once instead, and count each weight as one instance.  Only the
+bijection sweep runs the window enumerators of ``partitions``; the oracle
+sweep counts a cell's multisets by brute force
+(``oracles.multiset_weights``) and compares that row with the public
+counts in one list comparison, weight by weight only when they differ.
 ``verify_sweep`` runs one identity's sweep, and ``run_all`` runs every
 sweep at its default ranges (what the CLI's ``verify all`` does).
 ``SWEEP_ORDER`` and ``RANGE_KEYS`` name the identities and the range
@@ -33,11 +36,11 @@ from charrank.bounds import (
 from charrank.bijection import _verify_weights
 from charrank.errors import PreconditionViolation, check_int
 from charrank.grassmannian import poincare
-from charrank.oracles import gaussian_triangle, pentagonal_partition_table
+from charrank.oracles import gaussian_triangle, multiset_weights, pentagonal_partition_table
 from charrank.partitions import (
+    DEFAULT_ENUMERATION_CAP,
     PartsSet,
-    _box_parts,
-    _set_exact_parts,
+    _check_cap,
     count_box,
     count_set_any,
     count_set_at_most,
@@ -131,34 +134,36 @@ def _sweep_bijection(report, max_mu, max_x, max_j):
 
 def _sweep_oracle(report, max_part, max_parts, max_weight):
     weights = range(max_weight + 1)
+
+    def check(params, counts, found):
+        # one list comparison per cell; a cell that differs is compared
+        # weight by weight, so its failures are recorded one per weight
+        report.checked += len(counts)
+        if counts != found:
+            for c in weights:
+                report.compare(params + (("weight", c),), counts[c], found[c])
+
+    # each cell is refused where the window enumerators would refuse it
     for a in range(max_part + 1):
         for b in range(max_parts + 1):
-            found = _box_parts(a, b, 0, max_weight)
-            for c in weights:
-                report.checked += 1
-                params = (
-                    ("subject", "box"),
-                    ("max_part", a),
-                    ("max_parts", b),
-                    ("weight", c),
-                )
-                report.compare(params, count_box(a, b, c), len(found[c]))
+            _check_cap(a, b, weights, DEFAULT_ENUMERATION_CAP)
+            check(
+                (("subject", "box"), ("max_part", a), ("max_parts", b)),
+                [count_box(a, b, c) for c in weights],
+                multiset_weights(range(a + 1), b, max_weight),
+            )
     values = range(1, max_part + 1)
     for size in range(1, max_part + 1):
         for members in combinations(values, size):
             label = ",".join(map(str, members))
             parts = PartsSet(members)  # validated once, not on every count
             for b in range(max_parts + 1):
-                found = _set_exact_parts(members, b, 0, max_weight)
-                for c in weights:
-                    report.checked += 1
-                    params = (
-                        ("subject", "set-exact"),
-                        ("parts", label),
-                        ("num_parts", b),
-                        ("weight", c),
-                    )
-                    report.compare(params, count_set_exact(parts, b, c), len(found[c]))
+                _check_cap(members[-1], b, range(b, max_weight + 1), DEFAULT_ENUMERATION_CAP)
+                check(
+                    (("subject", "set-exact"), ("parts", label), ("num_parts", b)),
+                    [count_set_exact(parts, b, c) for c in weights],
+                    multiset_weights(members, b, max_weight),
+                )
 
 
 def _sweep_grassmannian(report, max_n):

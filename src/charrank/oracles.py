@@ -1,9 +1,14 @@
-"""Independent cross-check recurrences.
+"""Independent cross-checks: recurrences and brute force.
 
 Deliberately separate from the dynamic-programming kernels so that a bug
 in either implementation cannot hide: these share no code with
-``_kernels_py`` / ``_kernels_c`` and use a different recurrence entirely.
+``_kernels_py`` / ``_kernels_c`` and use a different recurrence entirely,
+or none: ``multiset_weights`` lists every multiset with ``itertools`` and
+sums it.
 """
+
+from collections import Counter
+from itertools import combinations_with_replacement
 
 
 def _check_limit(name, value):
@@ -65,3 +70,31 @@ def gaussian_triangle(max_n):
         row.append((1,))
         rows.append(row)
     return rows
+
+
+def multiset_weights(values, size, top):
+    """How many multisets of ``size`` items from ``values`` (distinct
+    nonnegative integers, repetition allowed) sum to each of 0..top, as a
+    list of top + 1 counts.
+
+    Brute force: ``itertools.combinations_with_replacement`` lists every
+    multiset and each one is summed.  Only what can sum to at most ``top``
+    is listed: a value above top never fits, and a multiset of more than
+    top items sums past top unless zeros pad it, so with 0 among the
+    values ``size`` is cut to top (dropping padding zeros) and without it
+    every count is 0.  A partition into at most b parts, each at most a,
+    is a multiset of b values from 0..a (its parts padded with zeros); one
+    into exactly b parts from a set is a multiset of b of its members.
+    """
+    _check_limit("size", size)
+    _check_limit("top", top)
+    values = list(values)
+    for value in values:
+        _check_limit("each value", value)
+    values = [v for v in values if v <= top]
+    if 0 in values:
+        size = min(size, top)
+    elif size > top:
+        return [0] * (top + 1)
+    counts = Counter(map(sum, combinations_with_replacement(values, size)))
+    return [counts[w] for w in range(top + 1)]

@@ -12,10 +12,11 @@ by weight (``_box_parts``, ``_set_exact_parts``).  The descent carries
 the parts chosen so far as a tuple prefix and lists the last part in a
 loop, without a call per partition.  These two window enumerators own
 the enumeration cap and the empty cases: each checks every weight of its
-window against the cap before it descends.  The sweeps run them once per
-grid cell on part tuples; ``enumerate_box`` and ``enumerate_set_exact``
-run them over the window of one weight and wrap each tuple in a
-``Partition``.
+window against the cap before it descends.  Of the sweeps only the
+bijection sweep runs them, once per grid cell on part tuples (the oracle
+sweep counts multisets with ``oracles.multiset_weights`` instead);
+``enumerate_box`` and ``enumerate_set_exact`` run them over the window of
+one weight and wrap each tuple in a ``Partition``.
 """
 
 from charrank import _dispatch
@@ -201,10 +202,14 @@ def count_total(weight):
 
 
 def _check_cap(largest, slots, weights, cap):
-    """Refuse (``CapExceeded``) the first weight in ``weights`` whose
-    effective search box, largest part times number of parts, both clamped
-    to the weight, exceeds ``cap``, a nonnegative integer."""
+    """Refuse (``CapExceeded``) the first weight in ``weights``, an
+    ascending range, whose effective search box, largest part times number
+    of parts, both clamped to the weight, exceeds ``cap``, a nonnegative
+    integer.  The box grows with the weight, so a range whose last weight
+    passes passes whole."""
     check_int(ValueError, 0, "cap", cap)
+    if not weights or min(largest, weights[-1]) * min(slots, weights[-1]) <= cap:
+        return
     for weight in weights:
         rows, cols = min(largest, weight), min(slots, weight)
         if rows * cols > cap:

@@ -117,7 +117,7 @@ def test_criterion_5_counts_match_enumeration():
     ok = report.passed and report.checked == ORACLE_GRID
     _conclude(
         5,
-        f"every count equals its brute-force enumeration (boxes to 6x6, "
+        f"every count equals brute force by itertools multisets (boxes to 6x6, "
         f"sets within {{1..6}}, weights to 36): {report.checked} instances, "
         f"{len(report.failures)} failures",
         ok,
@@ -193,9 +193,11 @@ PY_MUTANTS = {
         "half[: (a * b + 1) // 2][::-1]", "half[: (a * b + 1) // 2]", ("box_table", (2, 3))
     ),
     "box_sum": (  # each step takes the numerator factor of the next
-        "g = hi - lo + s", "g = hi - lo + s + 1", ("box_sum", (1, 2, 4))
+        "g = hi - lo + s", "g = hi - lo + s + 1", ("box_sum", (1, 3, 6))
     ),
-    "box_sum first term": ("if s >= first:", "if s > first:", ("box_sum", (1, 2, 4))),
+    "box_sum seed": (  # the chain starts one step late and skips term ceil(weight/hi)
+        "max(first - 1, 0)", "max(first, 0)", ("box_sum", (1, 2, 4))
+    ),
     "set_exact_counts reach": (  # a weight that smax greatest parts fill counts 0
         "c > smax * parts[-1]", "c >= smax * parts[-1]", ("set_exact_counts", ((1, 2), 2, 4))
     ),

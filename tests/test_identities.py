@@ -171,9 +171,9 @@ class TestVerifySweep:
         assert report.checked == 160 + 280
 
     def test_oracle_cap_error_is_the_first_refused_instance(self):
-        # the sweep enumerates a whole (max_part, max_parts) cell at once;
-        # its window enumerator checks every weight of the cell, in order,
-        # before it descends
+        # the sweep checks a whole (max_part, max_parts) cell at once: every
+        # weight of the cell, in order, against the enumerators' cap, before
+        # it counts
         def first_refusal():
             for a in range(12):
                 for b in range(7):

@@ -149,6 +149,18 @@ def test_box_sum_agrees_across_word_size_boundary(kernels_c, lo, hi):
         assert kernels_c.box_sum(lo, hi, weight) == _kernels_py.box_sum(lo, hi, weight), weight
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("lo", [1, 3])
+def test_box_sum_agrees_from_each_seed_across_word_size_boundary(kernels_c, lo, seed):
+    # hi is picked so the chain starts from the box row of step seed,
+    # ceil(weight/hi) - 1; from weight 417 on, or with hi past 416, the
+    # call goes to the big-integer route
+    for weight in range(410, 425):
+        hi = -(-weight // (seed + 1))
+        assert -(-weight // hi) - 1 == seed
+        assert kernels_c.box_sum(lo, hi, weight) == _kernels_py.box_sum(lo, hi, weight), weight
+
+
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -285,7 +297,10 @@ C_MUTANTS = {
     "box chain takes the next numerator factor": (
         "hi - lo + s, hi - lo + s, &s",
         "hi - lo + s + 1, hi - lo + s + 1, &s",
-        ("box_sum", (1, 2, 4)),
+        ("box_sum", (1, 3, 6)),
+    ),
+    "box chain seed one step late": (
+        "(w - 1) / hi : 0", "(w - 1) / hi + 1 : 0", ("box_sum", (1, 2, 4))
     ),
 }
 

@@ -8,18 +8,20 @@ adds parts 1..a.  So the box tests cover both orientations, an inert bound
 (no numerator factor), a numerator cut off by the width, and the whole
 numerator, on both halves of the palindromic row: ``box_count`` folds a
 weight in the upper half down and ``box_table`` mirrors the lower half.
-``box_sum`` chains one row up in s and is held to the term-by-term sum of
-box counts.  The rest covers both branches of ``_accumulate`` on either side
-of ``CLASS_CUT``, its runs of equal parts against their passes one at a
-time, the Durfee squares of ``partition_table`` (runs of two parts) on
-either side of each square's cut between those branches and of each change
-of isqrt(n), and the size guards of the 1-D kernels.  Every slot of the
-packed rows of ``_part_rows`` is held to the plain loop over whole rows,
-the three bounds on their slot width to p(c) and to brute force, and
-``set_exact_counts`` to building no table out of reach and to a memory
-ceiling.  The Rademacher series is held to the pentagonal recurrence, its
-ball arithmetic to mpmath at a higher precision, and its certificate to
-refusing a sum it cannot bound within 1/2 of an integer.
+``box_sum`` chains one row up in s from the box row of the step before its
+first nonzero term, and is held to the term-by-term sum of box counts, to
+the chain walked from s = 1, to the set-any count, and to walking no step
+before that term.  The rest covers both branches of ``_accumulate`` on
+either side of ``CLASS_CUT``, its runs of equal parts against their passes
+one at a time, the Durfee squares of ``partition_table`` (runs of two
+parts) on either side of each square's cut between those branches and of
+each change of isqrt(n), and the size guards of the 1-D kernels.  Every
+slot of the packed rows of ``_part_rows`` is held to the plain loop over
+whole rows, the three bounds on their slot width to p(c) and to brute
+force, and ``set_exact_counts`` to building no table out of reach and to
+a memory ceiling.  The Rademacher series is held to the pentagonal
+recurrence, its ball arithmetic to mpmath at a higher precision, and its
+certificate to refusing a sum it cannot bound within 1/2 of an integer.
 """
 
 import tracemalloc
@@ -35,6 +37,7 @@ from charrank import _kernels_py
 from charrank.errors import TableTooLarge
 from charrank.grassmannian import gaussian_binomial
 from charrank.oracles import pentagonal_partition_table
+from charrank.partitions import count_set_any
 
 from _brute import box as brute_box, set_exact as brute_set_exact
 
@@ -162,6 +165,56 @@ def box_sum_terms(lo, hi, weight):
 @given(st.integers(1, 6), st.integers(0, 9), st.integers(0, 70))
 def test_box_sum_is_the_term_by_term_sum(lo, span, weight):
     assert _kernels_py.box_sum(lo, lo + span, weight) == box_sum_terms(lo, lo + span, weight)
+
+
+def unseeded_chain(lo, hi, weight):
+    """The chain of ``box_sum`` walked from s = 1, cell by cell: the row of
+    [m+s, s]_q, m = hi - lo, is the one of [m+s-1, s-1]_q times
+    (1 - q^(m+s)) / (1 - q^s), cut to the weight - lo*s + 1 entries left."""
+    row, total = [1] + [0] * weight, int(weight == 0)
+    for s in range(1, weight // lo + 1):
+        row = row[: weight - lo * s + 1]
+        g = hi - lo + s
+        for w in range(len(row) - 1, g - 1, -1):
+            row[w] -= row[w - g]
+        for w in range(s, len(row)):
+            row[w] += row[w - s]
+        total += row[-1]
+    return total
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 12), st.integers(0, 14), st.integers(0, 90))
+def test_box_sum_is_the_unseeded_chain(lo, span, weight):
+    assert _kernels_py.box_sum(lo, lo + span, weight) == unseeded_chain(lo, lo + span, weight)
+
+
+@pytest.mark.parametrize("lo, hi, weight", [(1, 2, 3000), (3, 5, 2000), (1, 8, 1000)])
+def test_box_sum_is_the_set_any_count_at_large_weights(lo, hi, weight):
+    # ceil(weight/hi) = 1500, 400 and 125: the seed skips most of the chain
+    assert _kernels_py.box_sum(lo, hi, weight) == count_set_any(range(lo, hi + 1), weight)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, weight", [(1, 2, 40), (3, 5, 200), (1, 8, 100), (2, 9, 9), (1, 30, 30), (4, 6, 0)]
+)
+def test_box_sum_walks_only_the_steps_from_its_first_nonzero_term(monkeypatch, lo, hi, weight):
+    # the seed's box row adds its parts in one call; then each step
+    # s = ceil(weight/hi)..weight // lo adds part s in one call
+    calls = []
+
+    def counting(dp, parts, times=1):
+        calls.append(tuple(parts))
+        return real(dp, parts, times)
+
+    real = _kernels_py._accumulate
+    monkeypatch.setattr(_kernels_py, "_accumulate", counting)
+    expected = unseeded_chain(lo, hi, weight)
+    assert _kernels_py.box_sum(lo, hi, weight) == expected
+    first = -(-weight // hi)
+    seed = max(first - 1, 0)
+    steps = [(s,) for s in range(max(first, 1), weight // lo + 1)]
+    assert calls == [tuple(range(1, min(hi - lo, seed) + 1))] + steps
 
 
 @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 5), (2, 2), (3, 7), (1, 40), (5, 5)])

@@ -7,6 +7,7 @@ from sympy.functions.combinatorial.numbers import partition as sympy_partition
 
 from charrank import _dispatch, _kernels_py
 from charrank.errors import CapExceeded, TableTooLarge
+from charrank.identities import default_grid
 from charrank.oracles import pentagonal_partition_table
 from charrank.partitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -392,6 +393,24 @@ class TestEnumeration:
                             lambda w: brute_set_exact(members, b, w),
                             lambda parts: len(parts) == b and set(parts) <= set(members),
                         )
+
+    def test_windows_of_the_oracle_grid_have_the_counted_lengths(self):
+        # the oracle sweep's default grid, on which the sweep compared these
+        # buckets with the public counts before it counted multisets instead
+        grid = default_grid("oracle")
+        weights = range(grid["max_weight"] + 1)
+        for a in range(grid["max_part"] + 1):
+            for b in range(grid["max_parts"] + 1):
+                found = _box_parts(a, b, 0, weights[-1])
+                assert [len(bucket) for bucket in found] == [count_box(a, b, c) for c in weights]
+        values = range(1, grid["max_part"] + 1)
+        for size in values:
+            for members in combinations(values, size):
+                for b in range(grid["max_parts"] + 1):
+                    found = _set_exact_parts(members, b, 0, weights[-1])
+                    assert [len(bucket) for bucket in found] == [
+                        count_set_exact(members, b, c) for c in weights
+                    ]
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
