@@ -17,19 +17,18 @@ Two dynamic programs serve the six table entry points:
   integers instead of one interpreter step per cell.  The sums run mod
   2**(width * bits), as the compiled twin's run mod 2**64; they are exact
   because every count a slot ever holds fits in it.  ``set_exact_counts``
-  proves that before it picks the width, and refuses (``TableTooLarge``)
-  a table past ``MAX_TABLE_CELLS`` entries before it builds one; the
-  compiled twin, whose tables stop at 417 x 417, hands it every larger
-  call.
+  proves that before it picks the width; the compiled twin, whose tables
+  stop at 417 x 417, hands it every larger call.
 * ``_accumulate``, the 1-D table indexed by weight, adds parts with no
   bound on their number.  It serves ``set_any_table``, each Durfee square
   of ``partition_table``, every box (``_box_row``) and each step of the
   chained box sum ``box_sum``.  It runs one slice statement per residue
   class, or a scalar loop when the classes are short (``CLASS_CUT``); a
   run of equal parts chains its prefix sums inside that one statement.
-  ``box_count``, ``box_sum``, ``set_any_table`` and ``partition_table``
-  refuse (``TableTooLarge``) a call whose row entries times parts passes
-  ``MAX_TABLE_CELLS`` before they build the row.
+
+All six refuse a call by one rule, ``_check_row``, before they build a
+list: its row of weights times the parts it adds may not pass
+``MAX_TABLE_CELLS``.
 
 ``partition_table`` sums Euler's 1/(q;q)_inf by Durfee squares,
 sum_s q^(s^2) / (q;q)_s^2 (Andrews, *The Theory of Partitions*, ch. 2):
@@ -69,17 +68,16 @@ from charrank.errors import TableTooLarge
 
 BACKEND = "python"
 
-#: Most entries a 2-D set-exact table or a box table may hold (2**25);
-#: ``set_exact_counts`` and ``box_table`` refuse a larger one with
-#: TableTooLarge.  The 1-D loops of ``box_count``, ``box_sum``,
-#: ``set_any_table`` and ``partition_table`` refuse a call whose row
-#: entries times parts passes it (``_check_row``).  It bounds entries, not
-#: bytes.  A 2-D entry is a slot of the bits its proved bound needs (see
-#: ``set_exact_counts``), but a 1-D row still holds one Python int per
-#: entry, which grows with the count it holds: the set-any row of parts
-#: {1, 2, 3} at weight 2*10**7 passes the bound and took about 1.8 GB,
-#: some 90 bytes an entry.  ROADMAP.md's memory-budget item prices
-#: entries in bytes.
+#: Most row entries times parts a table call may price at (2**25); past it
+#: ``_check_row`` refuses the call with TableTooLarge.  The 2-D table of
+#: ``set_exact_counts`` prices its c + 1 weights times its rows, one per
+#: number of parts; ``box_table`` its a*b + 1 weights times min(a, b).
+#: It bounds entries, not bytes.  A 2-D entry is a slot of the bits its
+#: proved bound needs (see ``set_exact_counts``), but a 1-D row still
+#: holds one Python int per entry, which grows with the count it holds:
+#: the set-any row of parts {1, 2, 3} at weight 2*10**7 passes the bound
+#: and took about 1.8 GB, some 90 bytes an entry.  ROADMAP.md's
+#: memory-budget item prices entries in bytes.
 MAX_TABLE_CELLS = 2**25
 
 # Shortest residue class that ``_accumulate`` runs as one slice statement
@@ -183,9 +181,9 @@ def _accumulate(dp: list, parts, times: int = 1) -> list:
 
 
 def _check_row(entries: int, parts: int) -> None:
-    """Refuse (TableTooLarge) a 1-D call that adds ``parts`` parts to a row
-    of ``entries`` weights, before any list is built, once the product
-    passes ``MAX_TABLE_CELLS``."""
+    """Refuse (TableTooLarge) a call that adds ``parts`` parts to a row of
+    ``entries`` weights, before any list is built, once the product passes
+    ``MAX_TABLE_CELLS``: the one size rule of every table entry point."""
     if entries * parts > MAX_TABLE_CELLS:
         raise TableTooLarge(
             f"a row of {entries} weights times {parts} parts exceeds the limit of "
@@ -227,10 +225,7 @@ def box_table(a: int, b: int) -> list:
     """Partition counts in an a-by-b box, one entry per weight 0..a*b."""
     if a < 0 or b < 0:
         raise ValueError("box dimensions must be nonnegative")
-    if a * b >= MAX_TABLE_CELLS:
-        raise TableTooLarge(
-            f"a table of {a}x{b} box counts exceeds the limit of {MAX_TABLE_CELLS} entries"
-        )
+    _check_row(a * b + 1, min(a, b))
     half = _box_row(a, b, a * b // 2 + 1)
     return half + half[: (a * b + 1) // 2][::-1]  # the row is a palindrome
 
@@ -278,7 +273,8 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
 
     No more than smax = min(b, c // least) parts fit in c, and they weigh
     at most smax times the greatest part: past that only the empty
-    partition of 0 counts, and no table is built.  Otherwise each row of
+    partition of 0 counts, and no table is built; ``_check_row`` prices
+    the smax + 1 rows of c + 1 weights before that test.  Otherwise each row of
     ``_part_rows`` packs its c + 1 counts in slots of 1 + X bits, X the
     least of the three bounds of ``_slot_bounds``.  Each slot counts the
     partitions of some w <= c into some p <= smax parts, from the parts
@@ -301,11 +297,7 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
         raise ValueError("number of parts and weight must be nonnegative")
     # more than c // least parts outweigh c; with no part only row 0 counts
     smax = min(b, c // parts[0]) if parts else 0
-    if (smax + 1) * (c + 1) > MAX_TABLE_CELLS:
-        raise TableTooLarge(
-            f"a table of {smax + 1}x{c + 1} counts exceeds the limit of "
-            f"{MAX_TABLE_CELLS} cells"
-        )
+    _check_row(c + 1, smax + 1)
     if smax == 0 or c > smax * parts[-1]:
         return [int(c == 0)] + [0] * b
     k = bisect_right(parts, c)  # larger parts add nothing

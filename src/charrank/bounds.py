@@ -12,10 +12,10 @@ nonzero Stiefel-Whitney classes, so the mod-2 Betti number b_j is at most
 the number of degree-j monomials in generators of those degrees — a
 restricted partition count.  ``betti_upper_bound`` evaluates that count
 directly; ``betti_upper_bound_gapless`` evaluates the equivalent sum of
-Betti numbers of real Grassmannians (``_box_sum``, which the identity
-checks share) when the truncated degree set has no gaps.  That sum runs
-on the ``box_sum`` kernel, which walks one Gaussian-binomial row up in s
-instead of building a new box row for every term.
+Betti numbers of real Grassmannians when the truncated degree set has no
+gaps.  That sum runs on the ``box_sum`` kernel, which the identity checks
+call too; it walks one Gaussian-binomial row up in s instead of building
+a new box row for every term.
 """
 
 from charrank import _dispatch
@@ -74,7 +74,10 @@ def betti_upper_bound_gapless(profile, degree):
     Requires the degrees of the profile that are <= ``degree`` to form a
     consecutive run {lo, .., hi} (NotGapless otherwise).  The count then
     transports to partitions in boxes: summing over the number of parts s,
-    partitions of degree - lo*s into at most s parts each at most hi - lo.
+    partitions of degree - lo*s into at most s parts each at most hi - lo,
+    the paper's sum of b_(degree - lo*s)(G_s(R^(hi - lo + s))).  The box
+    holds none outside ceil(degree/hi) <= s <= degree // lo, and the
+    ``box_sum`` kernel starts its chain at the first of them.
     """
     _check_degree(profile, degree)
     usable = profile.s_set.truncated(degree)
@@ -85,19 +88,7 @@ def betti_upper_bound_gapless(profile, degree):
         raise NotGapless(
             f"degrees {list(usable)} are not consecutive; use betti_upper_bound"
         )
-    return _box_sum(lo, hi, degree)
-
-
-def _box_sum(lo, hi, weight):
-    """Partitions of ``weight`` with parts in {lo..hi}, as the paper's sum
-    over s of b_(weight - lo*s)(G_s(R^(hi - lo + s))): box partitions of
-    weight - lo*s in an (hi - lo) x s box, for s from ceil(weight/hi) to
-    floor(weight/lo), outside which the box holds none.  The ``box_sum``
-    kernel chains the terms: each Gaussian binomial [hi - lo + s, s]_q is
-    the one before it times (1 - q^(hi - lo + s)) / (1 - q^s).  The chain
-    is seeded at its first nonzero term, with the box row of the step
-    before s = ceil(weight/hi), so it never walks the zero terms."""
-    return _dispatch.box_sum(lo, hi, weight)
+    return _dispatch.box_sum(lo, hi, degree)
 
 
 def monomial_count(parts, degree):

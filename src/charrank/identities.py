@@ -29,7 +29,6 @@ from charrank import _dispatch
 from charrank.bounds import (
     UNBOUNDED,
     BundleProfile,
-    _box_sum,
     betti_upper_bound,
     betti_upper_bound_gapless,
 )
@@ -61,15 +60,15 @@ def _single_report(identity, params):
 def verify_eq3(min_part, max_part, weight):
     """Check, for one (min_part, max_part, weight), that partitions of
     ``weight`` with parts in {min_part..max_part} (any number of parts)
-    match the box counts of the reduced weights, summed by
-    ``bounds._box_sum``."""
+    match the box counts of the reduced weights, summed by the
+    ``box_sum`` kernel."""
     check_int(ValueError, 1, "min_part", min_part)
     check_int(ValueError, min_part, "max_part", max_part)
     check_int(ValueError, 1, "weight", weight)
     params = (("min_part", min_part), ("max_part", max_part), ("weight", weight))
     report = _single_report(Identity.EQ3, params)
     lhs = count_set_any(range(min_part, max_part + 1), weight)
-    report.compare(params, lhs, _box_sum(min_part, max_part, weight))
+    report.compare(params, lhs, _dispatch.box_sum(min_part, max_part, weight))
     return report
 
 
@@ -79,14 +78,14 @@ def verify_eq4(weight):
     check_int(ValueError, 1, "weight", weight)
     params = (("weight", weight),)
     report = _single_report(Identity.EQ4, params)
-    report.compare(params, count_total(weight), _box_sum(1, weight, weight))
+    report.compare(params, count_total(weight), _dispatch.box_sum(1, weight, weight))
     return report
 
 
 def verify_eq5(num_degrees, weight):
     """Check the tail form: for weight > num_degrees, partitions of
     ``weight`` with parts at most ``num_degrees`` match the box counts
-    summed from s = ceil(weight/num_degrees) by ``bounds._box_sum``.
+    summed from s = ceil(weight/num_degrees) by the ``box_sum`` kernel.
 
     The any-parts form checks the left side, which counts on the 1-D
     set-any table, and ``count_box(num_degrees, weight, weight)`` against
@@ -98,7 +97,8 @@ def verify_eq5(num_degrees, weight):
     report = _single_report(Identity.EQ5, params)
     degrees = range(1, num_degrees + 1)
     lhs = count_set_any(degrees, weight)
-    report.compare(params + (("check", "tail form"),), lhs, _box_sum(1, num_degrees, weight))
+    tail = _dispatch.box_sum(1, num_degrees, weight)
+    report.compare(params + (("check", "tail form"),), lhs, tail)
     table = count_set_at_most(degrees, weight - 1, weight) + 1
     any_parts = params + (("check", "any-parts form"),)
     report.compare(any_parts, lhs, table)

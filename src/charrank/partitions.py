@@ -168,8 +168,10 @@ def count_set_at_most(parts, max_parts, weight):
     ``weight``, so from that many on the bound never binds: the count is
     the coefficient of q^weight in prod_{v in parts} 1 / (1 - q^v), one
     entry of the 1-D ``set_any_table``.  A bound below it binds, and the
-    count sums the rows of the 2-D ``set_exact_counts`` table (refused
-    with ``TableTooLarge`` past ``_kernels_py.MAX_TABLE_CELLS`` entries).
+    count sums the rows of the 2-D ``set_exact_counts`` table.  Both
+    kernels refuse (``TableTooLarge``) a call whose row of weights times
+    parts (for the 2-D table, its rows) passes
+    ``_kernels_py.MAX_TABLE_CELLS``.
     """
     members = _as_members(parts)
     check_int(ValueError, 0, "max_parts", max_parts)
@@ -180,10 +182,12 @@ def count_set_at_most(parts, max_parts, weight):
 
 
 def count_set_any(parts, weight):
-    """Partitions of ``weight`` into any number of parts from ``parts``."""
+    """Partitions of ``weight`` into any number of parts from ``parts``:
+    one entry of the 1-D ``set_any_table``, as ``count_set_at_most`` reads
+    it for a bound that never binds."""
     members = _as_members(parts)
     check_int(ValueError, 0, "weight", weight)
-    return count_set_at_most(members, weight, weight)  # weight parts never bind
+    return _dispatch.set_any_table(members, weight)[weight]
 
 
 def count_total(weight):

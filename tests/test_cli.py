@@ -167,6 +167,18 @@ class TestBetti:
         assert (code, out) == (2, "")
         assert "exceeds the limit" in err
 
+    def test_half_row_past_the_limit_is_a_usage_error(self, capsys, monkeypatch):
+        # 250001 weights times 500 parts: the whole table is refused by the
+        # rule that refuses its middle degree, betti 1000 500 125000
+        def no_row(*args):
+            raise AssertionError("the box row was built")
+
+        monkeypatch.setattr(_kernels_py, "_box_row", no_row)
+        for argv in (("betti", "1000", "500"), ("betti", "1000", "500", "125000")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "exceeds the limit" in err
+
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "betti", "4", "2")
         assert (code, out) == (0, "1 1 2 1 1\n")

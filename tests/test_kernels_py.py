@@ -15,7 +15,7 @@ before that term.  The rest covers both branches of ``_accumulate`` on
 either side of ``CLASS_CUT``, its runs of equal parts against their passes
 one at a time, the Durfee squares of ``partition_table`` (runs of two
 parts) on either side of each square's cut between those branches and of
-each change of isqrt(n), and the size guards of the 1-D kernels.  Every
+each change of isqrt(n), and the one size rule of every table kernel.  Every
 slot of the packed rows of ``_part_rows`` is held to the plain loop over
 whole rows, the three bounds on their slot width to p(c) and to brute
 force, and ``set_exact_counts`` to building no table out of reach and to
@@ -109,14 +109,6 @@ def test_box_table_too_large_is_refused_before_it_is_built(monkeypatch):
         _kernels_py.box_table(5 * 10**4, 10**5)
 
 
-def test_box_table_limit_is_on_the_entries(monkeypatch):
-    # a 4 x 8 box has 33 weights 0..32
-    monkeypatch.setattr(_kernels_py, "MAX_TABLE_CELLS", 33)
-    assert _kernels_py.box_table(4, 8) == list(gaussian_binomial(12, 4))
-    with pytest.raises(TableTooLarge):
-        _kernels_py.box_table(3, 11)
-
-
 @pytest.mark.parametrize(
     "kernel, args, entries, parts",
     [
@@ -125,15 +117,31 @@ def test_box_table_limit_is_on_the_entries(monkeypatch):
         ("box_sum", (2, 5, 30), 31, 15),
         ("set_any_table", ((2, 3, 40), 30), 31, 2),  # 40 adds nothing
         ("partition_table", (30,), 31, 10),  # squares 1..5, two parts each
+        ("box_table", (4, 8), 33, 4),  # the whole row, weights 0..32
+        ("set_exact_counts", ((2, 3), 3, 7), 8, 4),  # rows of 0..3 parts
     ],
 )
 def test_1d_limit_is_on_entries_times_parts(monkeypatch, kernel, args, entries, parts):
+    # every table entry point prices its call by the one rule of _check_row
     expected = getattr(_kernels_py, kernel)(*args)
     monkeypatch.setattr(_kernels_py, "MAX_TABLE_CELLS", entries * parts)
     assert getattr(_kernels_py, kernel)(*args) == expected
     monkeypatch.setattr(_kernels_py, "MAX_TABLE_CELLS", entries * parts - 1)
     with pytest.raises(TableTooLarge, match="exceeds the limit"):
         getattr(_kernels_py, kernel)(*args)
+
+
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(1, 2000))
+def test_box_table_is_refused_wherever_box_count_is_at_its_middle(a, b, limit):
+    # box_count at weight a*b // 2 builds the same lower half of the row
+    # that box_table mirrors, and its price is never above the table's
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels_py, "MAX_TABLE_CELLS", limit)
+        try:
+            _kernels_py.box_count(a, b, a * b // 2)
+        except TableTooLarge:
+            with pytest.raises(TableTooLarge):
+                _kernels_py.box_table(a, b)
 
 
 @pytest.mark.parametrize(

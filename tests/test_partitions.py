@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import partition as sympy_partition
 
-from charrank import _dispatch, _kernels_py
+from charrank import _dispatch, _kernels_py, partitions
 from charrank.errors import CapExceeded, TableTooLarge
 from charrank.identities import default_grid
 from charrank.oracles import pentagonal_partition_table
@@ -168,6 +168,23 @@ class TestCountSet:
         assert count_set_any({2}, 7) == 0
         assert count_set_any({1, 2}, 4) == 3
         assert count_set_any({5, 7}, 0) == 1
+
+    def test_any_reads_the_set_any_table_without_the_at_most_route(self, monkeypatch):
+        # weight parts never bind, so the at-most count at that bound is the
+        # same entry; count_set_any reads it without going through it
+        cases = [
+            (members, w)
+            for size in range(7)
+            for members in combinations(range(1, 7), size)
+            for w in range(31)
+        ]
+        expected = [count_set_at_most(members, w, w) for members, w in cases]
+
+        def no_route(*args):
+            raise AssertionError("count_set_at_most was called")
+
+        monkeypatch.setattr(partitions, "count_set_at_most", no_route)
+        assert [count_set_any(members, w) for members, w in cases] == expected
 
     def test_exact_matches_brute_force(self):
         members = (1, 3, 4)
