@@ -19,12 +19,18 @@ Two dynamic programs serve the six table entry points:
   because every count a slot ever holds fits in it.  ``set_exact_counts``
   proves that before it picks the width; the compiled twin, whose tables
   stop at 417 x 417, hands it every larger call.
-* ``_accumulate``, the 1-D table indexed by weight, adds parts with no
-  bound on their number.  It serves ``set_any_table``, each Durfee square
-  of ``partition_table``, every box (``_box_row``) and each step of the
-  chained box sum ``box_sum``.  It runs one slice statement per residue
-  class, or a scalar loop when the classes are short (``CLASS_CUT``); a
-  run of equal parts chains its prefix sums inside that one statement.
+* the 1-D table indexed by weight adds parts with no bound on their
+  number.  A box row (``_box_row``: every box, and the chained box sum
+  ``box_sum``) is one int in such slots too: a numerator factor
+  1 - q^g is one shift, subtract and mask, and ``_divide`` divides by
+  1 - q^v in ceil(log2(width / v)) shift-add-masks, as
+  prod_j (1 + q^(2^j v)) = 1 / (1 - q^v) mod q^width.  Its slots need
+  only the bits of the box total or less (``_box_bits``), and a point
+  query reads one slot.  ``set_any_table`` and each Durfee square of
+  ``partition_table``, whose counts reach p(w), keep a list on
+  ``_accumulate``: one slice statement per residue class, or a scalar
+  loop when the classes are short (``CLASS_CUT``); a run of equal parts
+  chains its prefix sums inside that one statement.
 
 All six refuse a call by one rule, ``_check_row``, before they build a
 list: its row of weights times the parts it adds may not pass
@@ -51,7 +57,7 @@ only when the sum is within 1/2 of it, and raises ArithmeticError
 otherwise.  ``count_total`` reads it past weight ``SERIES_CUT``.
 
 Every table path adds and subtracts native integers along an exact
-recurrence (the 2-D one in slots that provably hold every count), and
+recurrence (the packed ones in slots that provably hold every count), and
 conjugation and clamping are identities of partition counts, so the
 results equal those of the plain cell-by-cell loops at any size.  All
 functions are pure: each call builds its own tables and no module state
@@ -61,8 +67,8 @@ construction.
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from math import ceil, comb, isqrt, log, log2, pi, sinh, sqrt
-from operator import sub
+from math import ceil, comb, factorial, isqrt, log, log2, pi, sinh, sqrt
+from sys import byteorder
 
 from charrank.errors import TableTooLarge
 
@@ -72,9 +78,10 @@ BACKEND = "python"
 #: ``_check_row`` refuses the call with TableTooLarge.  The 2-D table of
 #: ``set_exact_counts`` prices its c + 1 weights times its rows, one per
 #: number of parts; ``box_table`` its a*b + 1 weights times min(a, b).
-#: It bounds entries, not bytes.  A 2-D entry is a slot of the bits its
-#: proved bound needs (see ``set_exact_counts``), but a 1-D row still
-#: holds one Python int per entry, which grows with the count it holds:
+#: It bounds entries, not bytes.  A 2-D or box entry is a slot of the bits
+#: its proved bound needs (``set_exact_counts``, ``_box_bits``), but a
+#: set-any or Durfee row holds one Python int per entry, which grows with
+#: the count it holds:
 #: the set-any row of parts {1, 2, 3} at weight 2*10**7 passes the bound
 #: and took about 1.8 GB, some 90 bytes an entry.  ROADMAP.md's
 #: memory-budget item prices entries in bytes.
@@ -191,11 +198,16 @@ def _check_row(entries: int, parts: int) -> None:
         )
 
 
-def _box_row(a: int, b: int, width: int) -> list:
-    """Counts of partitions in an a-by-b box for weights below ``width``:
-    with a <= b, the coefficients of prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i)
-    (Andrews, *The Theory of Partitions*, Thm 3.1).  Each numerator factor
-    below ``width`` is one slice subtraction; dividing by 1 - q^i adds part i.
+def _box_row(a: int, b: int, width: int, bits: int) -> int:
+    """Counts of partitions in an a-by-b box for weights below ``width``,
+    packed as in ``_part_rows``: with a <= b, the coefficients of
+    prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i) (Andrews, *The Theory of
+    Partitions*, Thm 3.1).  Each numerator factor below ``width`` is one
+    shift, subtract and mask; ``_divide`` divides by each 1 - q^i.
+
+    q -> 2**bits maps Z[q] mod q^width onto the ints mod 2**(width * bits)
+    as a ring, so the row is exact when every count of the box fits in
+    ``bits`` (``_box_bits``), whatever the steps between held.
 
     The row is a palindrome: taking each partition's complement in the box
     maps weight w to a*b - w.  So ``box_count`` folds its weight into the
@@ -203,10 +215,36 @@ def _box_row(a: int, b: int, width: int) -> list:
     with a row that may run past the middle, and past a*b, where it is 0.
     """
     a, b = min(a, b), max(a, b)
-    dp = [1] + [0] * (width - 1)
+    mask = (1 << width * bits) - 1
+    row = 1
     for g in range(b + 1, min(a + b, width - 1) + 1):
-        dp[g:] = map(sub, dp[g:], dp)  # reads dp[:width - g] before writing
-    return _accumulate(dp, range(1, a + 1))
+        row = (row - (row << g * bits)) & mask
+    for i in range(1, a + 1):
+        row = _divide(row, i, width, bits, mask)
+    return row
+
+
+def _divide(row: int, v: int, width: int, bits: int, mask: int) -> int:
+    """A packed row divided by 1 - q^v mod q^width: times 1 + q^(2^j v)
+    for j = 0..J-1, J the least with 2^J v >= width, as their product is
+    (1 - q^(2^J v)) / (1 - q^v)."""
+    while v < width:
+        row = (row + (row << v * bits)) & mask
+        v += v
+    return row
+
+
+def _box_bits(a: int, b: int, c: int) -> int:
+    """Slot bits that hold every count of weight <= c in an a-by-b box.
+    With k = min(a, b), each count is at most the box total C(a+b, k), at
+    most p(c) < 2**(X + 1) (X the Apostol bound of ``_slot_bounds``), and at
+    most the partitions of c + k into exactly k parts: adding k - i to the
+    i-th largest makes the parts distinct, and their k! orders are distinct
+    compositions of c + k(k+1)/2, so there are C(c + k(k+1)/2 - 1, k - 1)
+    / k! or fewer."""
+    k = min(a, b)
+    at_most_k = comb(c + k * (k + 1) // 2 - 1, k - 1) // factorial(k) if k else 1
+    return min(comb(a + b, k).bit_length(), at_most_k.bit_length(), _slot_bounds(c, 1, 1)[0] + 1)
 
 
 def box_count(a: int, b: int, c: int) -> int:
@@ -218,15 +256,30 @@ def box_count(a: int, b: int, c: int) -> int:
         return 0
     c = min(c, a * b - c)  # the row is a palindrome
     _check_row(c + 1, min(a, b))
-    return _box_row(a, b, c + 1)[c]
+    bits = _box_bits(a, b, c)
+    return _box_row(a, b, c + 1, bits) >> c * bits  # the top slot alone
 
 
 def box_table(a: int, b: int) -> list:
-    """Partition counts in an a-by-b box, one entry per weight 0..a*b."""
+    """Partition counts in an a-by-b box, one entry per weight 0..a*b.
+
+    Slots of up to 64 bits are widened to 8, 16, 32 or 64 bits, so the
+    lower half unpacks in one ``memoryview`` cast; wider ones are read
+    from the row's binary digits."""
     if a < 0 or b < 0:
         raise ValueError("box dimensions must be nonnegative")
     _check_row(a * b + 1, min(a, b))
-    half = _box_row(a, b, a * b // 2 + 1)
+    top = a * b // 2  # the lower half ends at weight top
+    bits = _box_bits(a, b, top)
+    if bits <= 64:
+        bits = max(8, 1 << (bits - 1).bit_length())
+    row = _box_row(a, b, top + 1, bits)
+    if bits > 64:
+        digits = f"{row:0{(top + 1) * bits}b}"
+        half = [int(digits[i - bits : i], 2) for i in range(len(digits), 0, -bits)]
+    else:
+        half = memoryview(row.to_bytes((top + 1) * bits // 8, byteorder))
+        half = half.cast("BHIQ"[bits.bit_length() - 4]).tolist()
     return half + half[: (a * b + 1) // 2][::-1]  # the row is a palindrome
 
 
@@ -235,34 +288,41 @@ def box_sum(lo: int, hi: int, weight: int) -> int:
     over s of b_(weight - lo*s)(G_s(R^(m + s))), m = hi - lo: the counts of
     weight - lo*s in an m-by-s box.
 
-    One row walks up in s along
+    One packed row walks up in s along
 
         [m+s, s]_q = [m+s-1, s-1]_q * (1 - q^(m+s)) / (1 - q^s)
 
     (Andrews, *The Theory of Partitions*, ch. 3).  Before step s it is cut
-    to the weight - lo*s + 1 entries that term s and the later ones read;
-    the numerator factor is one slice subtraction and 1 - q^s adds part s.
-    An m-by-s box holds at most m*s, so the terms below
-    s = ceil(weight/hi) are zero.  The chain therefore starts at its first
-    nonzero term: it is seeded with the row it would hold after step
-    s = ceil(weight/hi) - 1, the m-by-s box row ``_box_row`` builds in one
-    pass, and walks only the steps from ceil(weight/hi) on.  When hi is
-    close to lo this skips the longest rows of the chain.
+    to the weight - lo*s + 1 slots that term s and the later ones read,
+    and term s is its top slot.  Its slots hold every count of the largest
+    box, m by weight // lo.  An m-by-s box holds at most m*s, so the terms
+    below s = ceil(weight/hi) are zero: the chain is seeded with the row
+    after step ceil(weight/hi) - 1, the box row ``_box_row`` builds in one
+    pass.  Past s = weight // (lo + 1) no part s and no numerator factor
+    fits in the row: each later term is a slot of the last row, read from
+    its binary digits.
     """
     if weight < 0 or lo < 1 or hi < lo:
         raise ValueError("box_sum needs 1 <= lo <= hi and a nonnegative weight")
     _check_row(weight + 1, weight // lo)
+    m = hi - lo
+    bits = _box_bits(m, weight // lo, weight)
     first = -(-weight // hi)
     seed = max(first - 1, 0)
-    dp = _box_row(hi - lo, seed, weight - lo * seed + 1)  # the row after step seed
+    width = weight - lo * seed + 1
+    row = _box_row(m, seed, width, bits)  # the row after step seed
+    mask = (1 << width * bits) - 1
     total = int(weight == 0)  # s = 0: only the empty partition; 1..seed add 0
-    for s in range(seed + 1, weight // lo + 1):
-        del dp[weight - lo * s + 1 :]
-        g = hi - lo + s
-        dp[g:] = map(sub, dp[g:], dp)  # reads dp[:len(dp) - g] before writing
-        _accumulate(dp, (s,))
-        total += dp[-1]
-    return total
+    for s in range(seed + 1, weight // (lo + 1) + 1):
+        width -= lo
+        mask >>= lo * bits
+        g = m + s
+        if g < width:
+            row -= row << g * bits
+        row = _divide(row, s, width, bits, mask)  # its masks cut the row
+        total += row >> (width - 1) * bits
+    digits, stride = f"{row:0{width * bits}b}", lo * bits  # top slot first
+    return total + sum(int(digits[i : i + bits], 2) for i in range(stride, len(digits), stride))
 
 
 def set_exact_counts(parts: tuple, b: int, c: int) -> list:

@@ -183,21 +183,29 @@ def test_criterion_8_pentagonal_crosscheck():
 # replacement, and a call on which it must disagree with the clean kernel.
 PY_MUTANTS = {
     "box_count": ("if c > a * b:", "if c >= a * b:", ("box_count", (2, 2, 4))),
-    "box_count fold": (  # folds the weight one short of its mirror
-        "c = min(c, a * b - c)", "c = min(c, a * b - c - 1)", ("box_count", (2, 3, 4))
+    # A packed row has no slot below weight 0: a fold one short of the
+    # mirror reaches weight -1 at c = a*b and raises instead of counting
+    # wrong, so this off-by-one points the other way.
+    "box_count fold": (  # folds the weight one past its mirror
+        "c = min(c, a * b - c)", "c = min(c, a * b - c + 1)", ("box_count", (2, 3, 5))
     ),
     "box_table": (  # the lower half stops one weight short
-        "a * b // 2 + 1)", "a * b // 2)", ("box_table", (2, 2))
+        "_box_row(a, b, top + 1, bits)", "_box_row(a, b, top, bits)", ("box_table", (2, 2))
     ),
     "box_table mirror": (  # appends the lower half unreversed
         "half[: (a * b + 1) // 2][::-1]", "half[: (a * b + 1) // 2]", ("box_table", (2, 3))
     ),
     "box_sum": (  # each step takes the numerator factor of the next
-        "g = hi - lo + s", "g = hi - lo + s + 1", ("box_sum", (1, 3, 6))
+        "g = m + s", "g = m + s + 1", ("box_sum", (1, 3, 6))
     ),
-    "box_sum seed": (  # the chain starts one step late and skips term ceil(weight/hi)
-        "max(first - 1, 0)", "max(first, 0)", ("box_sum", (1, 2, 4))
+    "box_sum tail read": (  # each term past the last division reads the slot one weight up
+        "range(stride, len(digits), stride)", "range(stride - bits, len(digits), stride)",
+        ("box_sum", (1, 2, 4)),
     ),
+    # The chain starts one step late and skips term ceil(weight/hi).  Seeded
+    # one step late instead, its row would start below weight 0 where
+    # lo * ceil(weight/hi) > weight + 1, and raise.
+    "box_sum seed": ("range(seed + 1,", "range(seed + 2,", ("box_sum", (1, 2, 4))),
     "set_exact_counts reach": (  # a weight that smax greatest parts fill counts 0
         "c > smax * parts[-1]", "c >= smax * parts[-1]", ("set_exact_counts", ((1, 2), 2, 4))
     ),
@@ -216,6 +224,15 @@ PY_MUTANTS = {
         "range(b + 1, min(a + b,", "range(b + 2, min(a + b,", ("box_table", (3, 3))
     ),
     "numerator skips its last factor": ("width - 1) + 1):", "width - 1)):", ("box_table", (3, 3))),
+    "box division one doubling pass short": (  # each division holds only below about width / 2
+        "while v < width:", "while 2 * v < width:", ("box_table", (3, 3))
+    ),
+    # The bound from partitions into at most k parts is exact for k <= 2,
+    # where the other two are looser: a slot one bit narrower than it
+    # cannot hold the largest count of such a box.
+    "box slot one bit too narrow": (
+        "bits = _box_bits(a, b, c)", "bits = _box_bits(a, b, c) - 1", ("box_count", (2, 5, 4))
+    ),
     "1-D residue branch": (
         "for r in range(v):", "for r in range(1, v):", ("set_any_table", ((1,), 20))
     ),

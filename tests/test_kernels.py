@@ -24,6 +24,7 @@ import charrank
 from charrank import _dispatch, _kernels_py
 from charrank.cli import main as cli_main
 from charrank.grassmannian import gaussian_binomial
+from charrank.oracles import gaussian_triangle
 from charrank.partitions import SERIES_CUT
 
 from _backends import COMPILED, KERNELS, SRC, mutate, serve
@@ -136,6 +137,15 @@ def test_box_table_agrees_across_word_size_boundary(kernels_c, size):
             b = size // a
             expected = list(gaussian_binomial(a + b, min(a, b)))
             assert kernels_c.box_table(a, b) == _kernels_py.box_table(a, b) == expected
+
+
+def test_box_table_is_the_q_pascal_triangle_to_80(kernels_c):
+    # boxes of up to 416 cells on the uint64 path, the larger ones on the
+    # pure kernel's packed rows, in slots past 64 bits from n = 68 on
+    triangle = gaussian_triangle(80)
+    for n, rows in enumerate(triangle):
+        for k, row in enumerate(rows):
+            assert kernels_c.box_table(n - k, k) == list(row), (n, k)
 
 
 @pytest.mark.parametrize(

@@ -2,24 +2,29 @@
 
 These run whether or not the compiled backend is built.  They pin down each
 path of ``_kernels_py``.  Every box goes through ``_box_row``, which orders
-the box so that a <= b and multiplies in the numerator factors (1 - q^g),
-g = b+1..a+b, that fall below the table's width before ``_accumulate``
-adds parts 1..a.  So the box tests cover both orientations, an inert bound
-(no numerator factor), a numerator cut off by the width, and the whole
-numerator, on both halves of the palindromic row: ``box_count`` folds a
-weight in the upper half down and ``box_table`` mirrors the lower half.
+the box so that a <= b, multiplies in the numerator factors (1 - q^g),
+g = b+1..a+b, that fall below the row's width, and divides by 1 - q^i for
+i = 1..a on ``_divide``, all on one int of slots of ``_box_bits`` bits.
+So the box tests cover both orientations, an inert bound (no numerator
+factor), a numerator cut off by the width, and the whole numerator, on
+both halves of the palindromic row: ``box_count`` folds a weight in the
+upper half down and ``box_table`` mirrors the lower half.  Every packed
+box row is held to the cell-by-cell row at the kernel's slot width and at
+the tightest one, the slot width to the largest count of the q-Pascal
+triangle, and ``box_table`` to that triangle past 64-bit slots.
 ``box_sum`` chains one row up in s from the box row of the step before its
 first nonzero term, and is held to the term-by-term sum of box counts, to
-the chain walked from s = 1, to the set-any count, and to walking no step
-before that term.  The rest covers both branches of ``_accumulate`` on
-either side of ``CLASS_CUT``, its runs of equal parts against their passes
-one at a time, the Durfee squares of ``partition_table`` (runs of two
-parts) on either side of each square's cut between those branches and of
-each change of isqrt(n), and the one size rule of every table kernel.  Every
-slot of the packed rows of ``_part_rows`` is held to the plain loop over
-whole rows, the three bounds on their slot width to p(c) and to brute
-force, and ``set_exact_counts`` to building no table out of reach and to
-a memory ceiling.  The Rademacher series is held to the pentagonal
+the chain walked from s = 1, to the set-any count, and to dividing only at
+the steps from that term on that have room for their part.  The rest
+covers both branches of ``_accumulate`` on either side of ``CLASS_CUT``,
+its runs of equal parts against their passes one at a time, the Durfee
+squares of ``partition_table`` (runs of two parts) on either side of each
+square's cut between those branches and of each change of isqrt(n), and
+the one size rule of every table kernel.  Every slot of the packed rows
+of ``_part_rows`` is held to the plain loop over whole rows, the three
+bounds on their slot width to p(c) and to brute force, and
+``set_exact_counts`` to building no table out of reach and to a memory
+ceiling.  The Rademacher series is held to the pentagonal
 recurrence, its ball arithmetic to mpmath at a higher precision, and its
 certificate to refusing a sum it cannot bound within 1/2 of an integer.
 """
@@ -36,7 +41,7 @@ from sympy.functions.combinatorial.numbers import partition as sympy_partition
 from charrank import _kernels_py
 from charrank.errors import TableTooLarge
 from charrank.grassmannian import gaussian_binomial
-from charrank.oracles import pentagonal_partition_table
+from charrank.oracles import gaussian_triangle, pentagonal_partition_table
 from charrank.partitions import count_set_any
 
 from _brute import box as brute_box, set_exact as brute_set_exact
@@ -157,7 +162,8 @@ def test_1d_work_too_large_is_refused_before_it_runs(monkeypatch, kernel, args):
     def no_row(*args):
         raise AssertionError("the 1-D loop ran")
 
-    monkeypatch.setattr(_kernels_py, "_accumulate", no_row)
+    for loop in ("_accumulate", "_box_row", "_divide"):
+        monkeypatch.setattr(_kernels_py, loop, no_row)
     with pytest.raises(TableTooLarge):
         getattr(_kernels_py, kernel)(*args)
 
@@ -207,22 +213,24 @@ def test_box_sum_is_the_set_any_count_at_large_weights(lo, hi, weight):
     "lo, hi, weight", [(1, 2, 40), (3, 5, 200), (1, 8, 100), (2, 9, 9), (1, 30, 30), (4, 6, 0)]
 )
 def test_box_sum_walks_only_the_steps_from_its_first_nonzero_term(monkeypatch, lo, hi, weight):
-    # the seed's box row adds its parts in one call; then each step
-    # s = ceil(weight/hi)..weight // lo adds part s in one call
+    # the seed's box row divides by 1 - q^i, i = 1..min(hi - lo, seed), on
+    # its weight - lo*seed + 1 slots; then each step s = ceil(weight/hi)..
+    # weight // (lo + 1) divides by 1 - q^s on the weight - lo*s + 1 slots
+    # left, and the later steps, with no room for part s, divide by nothing
     calls = []
 
-    def counting(dp, parts, times=1):
-        calls.append(tuple(parts))
-        return real(dp, parts, times)
+    def counting(row, v, width, bits, mask):
+        calls.append((v, width))
+        return real(row, v, width, bits, mask)
 
-    real = _kernels_py._accumulate
-    monkeypatch.setattr(_kernels_py, "_accumulate", counting)
+    real = _kernels_py._divide
+    monkeypatch.setattr(_kernels_py, "_divide", counting)
     expected = unseeded_chain(lo, hi, weight)
     assert _kernels_py.box_sum(lo, hi, weight) == expected
-    first = -(-weight // hi)
-    seed = max(first - 1, 0)
-    steps = [(s,) for s in range(max(first, 1), weight // lo + 1)]
-    assert calls == [tuple(range(1, min(hi - lo, seed) + 1))] + steps
+    seed = max(-(-weight // hi) - 1, 0)
+    parts = [(i, weight - lo * seed + 1) for i in range(1, min(hi - lo, seed) + 1)]
+    steps = [(s, weight - lo * s + 1) for s in range(seed + 1, weight // (lo + 1) + 1)]
+    assert calls == parts + steps
 
 
 @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 5), (2, 2), (3, 7), (1, 40), (5, 5)])
@@ -371,6 +379,63 @@ def test_part_rows_past_the_word_size_boundary():
     # weights past 416, which the compiled kernels hand to these, and
     # counts past 64 bits
     check_part_rows((1, 2, 3, 5, 8, 13), 40, 430)
+
+
+def plain_box_row(a, b, width):
+    """The a-by-b box row cut to ``width`` weights, cell by cell: each
+    numerator factor 1 - q^g, g = max(a, b)+1..a+b, then each part
+    1..min(a, b)."""
+    row = [1] + [0] * (width - 1)
+    for g in range(max(a, b) + 1, a + b + 1):
+        for w in range(width - 1, g - 1, -1):
+            row[w] -= row[w - g]
+    for v in range(1, min(a, b) + 1):
+        for w in range(v, width):
+            row[w] += row[w - v]
+    return row
+
+
+def check_box_row(a, b, width, expected):
+    # at the kernel's slot width and at the tightest one, where the largest
+    # count fills its slot: every carry out of a slot would corrupt the next
+    for bits in (_kernels_py._box_bits(a, b, width - 1), max(expected).bit_length()):
+        assert unpack(_kernels_py._box_row(a, b, width, bits), width, bits) == expected
+
+
+def test_box_row_slots_match_plain_loop_for_every_box_to_30():
+    # widths where the numerator starts, ends and runs whole, and the halves
+    for a in range(31):
+        for b in range(31):
+            full = plain_box_row(a, b, a * b + 1)
+            cuts = {1, 2, max(a, b) + 1, max(a, b) + 2, a + b, a * b // 2 + 1, a * b + 1}
+            for width in sorted(w for w in cuts if 1 <= w <= a * b + 1):
+                check_box_row(a, b, width, full[:width])
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 30), st.integers(0, 30), st.data())
+def test_box_row_slots_match_plain_loop_at_any_width(a, b, data):
+    width = data.draw(st.integers(1, a * b + 1))
+    check_box_row(a, b, width, plain_box_row(a, b, width))
+
+
+def test_box_slot_bound_holds_the_largest_count():
+    # every prefix of every row of the q-Pascal triangle to n = 60
+    triangle = gaussian_triangle(60)
+    for n, rows in enumerate(triangle):
+        for k, row in enumerate(rows):
+            largest = 0
+            for c, count in enumerate(row):
+                largest = max(largest, count)
+                assert _kernels_py._box_bits(n - k, k, c) >= largest.bit_length(), (n, k, c)
+
+
+def test_box_table_is_the_q_pascal_triangle_to_80():
+    # slots past 64 bits from (n, k) = (68, 31) on; C(80, 40) has 77 bits
+    triangle = gaussian_triangle(80)
+    for n, rows in enumerate(triangle):
+        for k, row in enumerate(rows):
+            assert _kernels_py.box_table(n - k, k) == list(row), (n, k)
 
 
 def test_apostol_slot_bound_holds_p():
