@@ -26,24 +26,23 @@ Two dynamic programs serve the six table entry points:
   1 - q^v in ceil(log2(width / v)) shift-add-masks, as
   prod_j (1 + q^(2^j v)) = 1 / (1 - q^v) mod q^width.  Its slots need
   only the bits of the box total or less (``_box_bits``), and a point
-  query reads one slot.  ``set_any_table`` and each Durfee square of
-  ``partition_table``, whose counts reach p(w), keep a list on
-  ``_accumulate``: one slice statement per residue class, or a scalar
-  loop when the classes are short (``CLASS_CUT``); a run of equal parts
-  chains its prefix sums inside that one statement.
+  query reads one slot.  ``set_any_table`` and ``partition_table``, whose
+  counts reach p(w), keep a list of Python ints.  ``set_any_table`` adds
+  its parts on ``_accumulate``: one slice statement per residue class,
+  or a scalar loop when the classes are short (``CLASS_CUT``).  Each
+  Durfee square of ``partition_table`` runs its own loop, below.
 
 All six refuse a call by one rule, ``_check_row``, before they build a
-list: its row of weights times the parts it adds may not pass
-``MAX_TABLE_CELLS``.
+list: its row of weights times the parts it adds, at least one, may not
+pass ``MAX_TABLE_CELLS``.
 
 ``partition_table`` sums Euler's 1/(q;q)_inf by Durfee squares,
 sum_s q^(s^2) / (q;q)_s^2 (Andrews, *The Theory of Partitions*, ch. 2):
 a partition whose largest square has side s is that square, a partition
 into at most s parts right of it and one into parts at most s below it.
-Each square divides by (1 - q^s)^2 as one run of two parts s on
-``_accumulate``, which slices each long enough residue class mod s once,
-sums it twice and writes it back once: about (4/3) n^1.5 additions in all
-instead of n^2 / 2.
+Each square divides by (1 - q^s)^2 in one slice statement per residue
+class mod s, which slices the class once, sums it twice and writes it back
+once: about (4/3) n^1.5 additions in all instead of n^2 / 2.
 It shares no step with Euler's pentagonal-number recurrence, which
 therefore stays in ``oracles`` as the independent cross-check.
 
@@ -87,13 +86,10 @@ BACKEND = "python"
 #: memory-budget item prices entries in bytes.
 MAX_TABLE_CELLS = 2**25
 
-# Shortest residue class that ``_accumulate`` runs as one slice statement
-# for a single part; a run of k equal parts takes it from CLASS_CUT / k on.
+# Shortest residue class that ``_accumulate`` runs as one slice statement.
 # Measured on CPython 3.11 (x86-64) by replaying the calls of ``charrank
 # verify all``: this cut is about even with a scalar loop for every part,
 # while the constant-free cut ``v * v <= len(dp)`` costs about 40 % more.
-# For a run of two, one chained slice against two scalar passes broke even
-# between classes of 8 and 12 weights.
 CLASS_CUT = 16
 
 #: ``partition_number`` rounds its sum at this many fractional bits plus
@@ -156,31 +152,21 @@ def _slot_bounds(c: int, smax: int, k: int) -> tuple:
     )
 
 
-def _accumulate(dp: list, parts, times: int = 1) -> list:
+def _accumulate(dp: list, parts) -> list:
     """Add parts ``parts`` with unlimited multiplicity and no bound on their
-    number to the counts ``dp`` (indexed by weight), in place, each of them
-    ``times`` >= 1 times: divide by (1 - q^v)^times for every v in ``parts``.
+    number to the counts ``dp`` (indexed by weight), in place: divide by
+    1 - q^v for every v in ``parts``.
 
     Each part v runs ``dp[w] += dp[w - v]`` over w ascending, so dp[w - v]
     already counts the partitions using v: a prefix sum along each residue
-    class mod v.  When the classes are long enough, each class is one slice
-    statement that chains the ``times`` ``accumulate`` passes, so a run of
-    equal parts reads and writes each class once.  A class of
-    ``CLASS_CUT`` / ``times`` weights pays for that statement, as the
-    ``times`` passes share it; below that the scalar loop runs the weights
-    one by one, one part of the run at a time.
+    class mod v.  A class of ``CLASS_CUT`` weights or more is one slice
+    statement; below that the scalar loop runs the weights one by one.
     """
     size = len(dp)
-    prefix = accumulate
-    if times > 1:  # most calls add each part once: spare them the range
-        for _ in range(times - 1):
-            prefix = lambda column, inner=prefix: accumulate(inner(column))
     for v in parts:
-        if CLASS_CUT * v <= size * times:
+        if CLASS_CUT * v <= size:
             for r in range(v):
-                dp[r::v] = prefix(dp[r::v])
-        elif times > 1:
-            _accumulate(dp, (v,) * times)  # short classes: the scalar loop below
+                dp[r::v] = accumulate(dp[r::v])
         else:
             for w in range(v, size):
                 dp[w] += dp[w - v]
@@ -190,7 +176,10 @@ def _accumulate(dp: list, parts, times: int = 1) -> list:
 def _check_row(entries: int, parts: int) -> None:
     """Refuse (TableTooLarge) a call that adds ``parts`` parts to a row of
     ``entries`` weights, before any list is built, once the product passes
-    ``MAX_TABLE_CELLS``: the one size rule of every table entry point."""
+    ``MAX_TABLE_CELLS``: the one size rule of every table entry point.  A
+    row is priced as at least one part, since it is built even when no
+    part reaches it."""
+    parts = max(parts, 1)
     if entries * parts > MAX_TABLE_CELLS:
         raise TableTooLarge(
             f"a row of {entries} weights times {parts} parts exceeds the limit of "
@@ -386,18 +375,21 @@ def partition_table(n: int) -> list:
     to 1 and sets T <- 1 + q^(2s-1) T / (1 - q^s)^2, from T = 1.  The
     squares below s shift T by (s-1)^2 more, so the new T is needed only
     up to weight n - (s-1)^2: its body is the old T up to n - s^2, divided
-    by (1 - q^s)^2 on ``_accumulate`` and written from weight 2s-1 on.
-    The old T is zero at weights 1..2s, so one list is updated in place.
+    by (1 - q^s)^2 and written from weight 2s-1 on.  Each residue class
+    mod s is sliced once, summed twice and written back once.  The old T
+    is zero at weights 1..2s, so one list is updated in place.
 
     Deliberately not the pentagonal-number recurrence: that one lives in
     ``oracles`` and serves as the independent cross-check.
     """
     if n < 0:
         raise ValueError("weight must be nonnegative")
-    _check_row(n + 1, 2 * isqrt(n))  # each square adds a run of two parts
+    _check_row(n + 1, 2 * isqrt(n))  # each square adds part s twice
     table = [1] + [0] * n
     for s in range(isqrt(n), 0, -1):
-        body = _accumulate(table[: n + 1 - s * s], (s,), 2)
+        body = table[: n + 1 - s * s]
+        for r in range(s):
+            body[r::s] = accumulate(accumulate(body[r::s]))
         table[2 * s - 1 : 2 * s - 1 + len(body)] = body
     return table
 

@@ -214,9 +214,9 @@ def _sweep_partition_crosscheck(report, max_weight):
         report.checked += 1
         report.compare((("weight", w),), count_total(w), expected[w])
     # The top weight once more through count_box, a route that shares no
-    # step with partition_table's Durfee squares: _box_row adds parts
-    # 1..max_weight on _accumulate (no numerator factor of this box falls
-    # at or below max_weight).
+    # step with partition_table's Durfee squares: _box_row divides by
+    # 1 - q^i for i = 1..max_weight on _divide (no numerator factor of this
+    # box falls at or below max_weight).
     report.compare(
         (("weight", max_weight), ("check", "box")),
         count_box(max_weight, max_weight, max_weight),

@@ -148,14 +148,14 @@ def count_set_exact(parts, num_parts, weight):
 
     Such a partition weighs from num_parts * least to num_parts * greatest
     of ``parts``; outside that window the count is 0 and no kernel runs.
-    An empty ``parts`` is left to the kernels inside the window of the
-    parts 1..weight.
+    With no parts only the empty partition counts.
     """
     members = _as_members(parts)
     check_int(ValueError, 0, "num_parts", num_parts)
     check_int(ValueError, 0, "weight", weight)
-    least, greatest = (members[0], members[-1]) if members else (1, weight)
-    if not num_parts * least <= weight <= num_parts * greatest:
+    if not members:
+        return int(num_parts == weight == 0)
+    if not num_parts * members[0] <= weight <= num_parts * members[-1]:
         return 0
     return _dispatch.set_exact_counts(members, num_parts, weight)[num_parts]
 
@@ -171,12 +171,15 @@ def count_set_at_most(parts, max_parts, weight):
     count sums the rows of the 2-D ``set_exact_counts`` table.  Both
     kernels refuse (``TableTooLarge``) a call whose row of weights times
     parts (for the 2-D table, its rows) passes
-    ``_kernels_py.MAX_TABLE_CELLS``.
+    ``_kernels_py.MAX_TABLE_CELLS``.  When no part is at most ``weight``,
+    only the empty partition can count and no kernel runs.
     """
     members = _as_members(parts)
     check_int(ValueError, 0, "max_parts", max_parts)
     check_int(ValueError, 0, "weight", weight)
-    if not members or max_parts >= weight // members[0]:
+    if not members or members[0] > weight:
+        return int(weight == 0)
+    if max_parts >= weight // members[0]:
         return _dispatch.set_any_table(members, weight)[weight]
     return sum(_dispatch.set_exact_counts(members, max_parts, weight))
 
@@ -184,9 +187,12 @@ def count_set_at_most(parts, max_parts, weight):
 def count_set_any(parts, weight):
     """Partitions of ``weight`` into any number of parts from ``parts``:
     one entry of the 1-D ``set_any_table``, as ``count_set_at_most`` reads
-    it for a bound that never binds."""
+    it for a bound that never binds.  When no part is at most ``weight``,
+    only the empty partition can count and no kernel runs."""
     members = _as_members(parts)
     check_int(ValueError, 0, "weight", weight)
+    if not members or members[0] > weight:
+        return int(weight == 0)
     return _dispatch.set_any_table(members, weight)[weight]
 
 

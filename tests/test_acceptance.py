@@ -239,11 +239,8 @@ PY_MUTANTS = {
     "1-D scalar branch": (
         "for w in range(v, size):", "for w in range(v + 1, size):", ("set_any_table", ((1,), 3))
     ),
-    "1-D run one pass short": (  # a Durfee square's run of two parts s
-        "range(times - 1):", "range(times - 2):", ("partition_table", (20,))
-    ),
-    "1-D short run one pass short": (
-        "(v,) * times)", "(v,) * (times - 1))", ("partition_table", (5,))
+    "Durfee double sum": (  # each square divides by 1 - q^s once, not twice
+        "accumulate(accumulate(body[r::s]))", "accumulate(body[r::s])", ("partition_table", (5,))
     ),
     "2-D shift": (  # part v shifts the row below one slot short
         "shift = v * bits", "shift = (v - 1) * bits", ("set_exact_counts", ((1, 2), 2, 4))
@@ -310,16 +307,13 @@ def test_criterion_9_mutants_cover_every_kernel_and_branch():
     # a rename or rewrite that strands a mutant fails here, not silently
     text = PY_SOURCE.read_text()
     defs = {n.name: n for n in ast.parse(text).body if isinstance(n, ast.FunctionDef)}
-    chain, loop = (n for n in defs["_accumulate"].body if isinstance(n, (ast.If, ast.For)))
-    branch, short = loop.body[0], loop.body[0].orelse[0]
+    branch = next(n for n in defs["_accumulate"].body if isinstance(n, ast.For)).body[0]
     series = {n.target.id: n for n in ast.walk(defs["partition_number"]) if isinstance(n, ast.For)}
     regions = {
         "_box_row": defs["_box_row"],
         "box_sum chain": next(n for n in ast.walk(defs["box_sum"]) if isinstance(n, ast.For)),
         "_accumulate residue branch": branch.body[0],
-        "_accumulate short-run branch": short.body[0],
-        "_accumulate scalar branch": short.orelse[0],
-        "_accumulate run chain": chain,
+        "_accumulate scalar branch": branch.orelse[0],
         "_part_rows": defs["_part_rows"],
         "Durfee loop": next(n for n in ast.walk(defs["partition_table"]) if isinstance(n, ast.For)),
         "series terms": series["k"],

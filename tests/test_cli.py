@@ -93,7 +93,8 @@ class TestCount:
         def no_row(*args):
             raise AssertionError("a table was built")
 
-        monkeypatch.setattr(_kernels_py, "_accumulate", no_row)
+        monkeypatch.setattr(_dispatch, "partition_table", no_row)
+        monkeypatch.setattr(_kernels_py, "partition_table", no_row)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "count", "total", "1000000")
         elapsed = time.perf_counter() - start
@@ -124,6 +125,27 @@ class TestCount:
         assert code == 2
         assert "exceeds the limit" in err
 
+    def test_unreachable_set_any_weight_is_zero_in_little_memory(self):
+        # no part is at most the weight, so no row of 3 * 10**7 weights is
+        # built: it took 472 MB.  The command is the probe's only child, so
+        # RUSAGE_CHILDREN is the command's peak (kB on Linux).
+        probe = (
+            "import json, resource, subprocess, sys\n"
+            "out = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(json.dumps([out.returncode, out.stdout, out.stderr, peak]))"
+        )
+        command = ("-m", "charrank", "count", "set-any", "--parts", "1000000000", "30000000")
+        out = subprocess.run(
+            [sys.executable, "-c", probe, sys.executable, *command],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        *result, peak = json.loads(out.stdout)
+        assert result == [0, "0\n", ""]
+        assert peak < 30 * 1024
+
     def test_unreachable_set_exact_weight_is_zero_without_a_table(self, capsys, monkeypatch):
         # 100000 parts of at most 3 weigh at most 300000
         def no_table(*args):
@@ -150,7 +172,8 @@ class TestCount:
         def no_row(*args):
             raise AssertionError("the 1-D loop ran")
 
-        monkeypatch.setattr(_kernels_py, "_accumulate", no_row)
+        for loop in ("_accumulate", "_box_row", "_divide"):
+            monkeypatch.setattr(_kernels_py, loop, no_row)
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (2, "")
         assert "exceeds the limit" in err

@@ -15,12 +15,13 @@ triangle, and ``box_table`` to that triangle past 64-bit slots.
 ``box_sum`` chains one row up in s from the box row of the step before its
 first nonzero term, and is held to the term-by-term sum of box counts, to
 the chain walked from s = 1, to the set-any count, and to dividing only at
-the steps from that term on that have room for their part.  The rest
-covers both branches of ``_accumulate`` on either side of ``CLASS_CUT``,
-its runs of equal parts against their passes one at a time, the Durfee
-squares of ``partition_table`` (runs of two parts) on either side of each
-square's cut between those branches and of each change of isqrt(n), and
-the one size rule of every table kernel.  Every slot of the packed rows
+the steps from that term on that have room for their part.  Inert boxes
+run long rows at widths on either side of the doubling passes of
+``_divide``.  The rest covers both branches of ``_accumulate`` (which
+serves ``set_any_table``) on either side of ``CLASS_CUT`` against the
+plain loop, the Durfee squares of ``partition_table`` at every weight to
+600 and around each change of isqrt(n), and the one size rule of every
+table kernel.  Every slot of the packed rows
 of ``_part_rows`` is held to the plain loop over whole rows, the three
 bounds on their slot width to p(c) and to brute force, and
 ``set_exact_counts`` to building no table out of reach and to a memory
@@ -71,8 +72,8 @@ def test_box_table_both_orientations(a, b):
 
 @pytest.mark.parametrize("c", [1, 2, 7, 12])
 def test_box_count_inert_bound(c):
-    # a bound clamped to c puts every numerator factor past the table, so
-    # these are _accumulate over parts 1..k alone
+    # a bound clamped to c puts every numerator factor past the row, so
+    # these divide by 1 - q^i for i = 1..k alone
     for k in range(1, c + 1):
         expected = brute_box(k, c, c)
         assert _kernels_py.box_count(k, c, c) == expected  # b == c
@@ -124,6 +125,7 @@ def test_box_table_too_large_is_refused_before_it_is_built(monkeypatch):
         ("partition_table", (30,), 31, 10),  # squares 1..5, two parts each
         ("box_table", (4, 8), 33, 4),  # the whole row, weights 0..32
         ("set_exact_counts", ((2, 3), 3, 7), 8, 4),  # rows of 0..3 parts
+        ("set_any_table", ((40,), 30), 31, 1),  # a row no part reaches is one part
     ],
 )
 def test_1d_limit_is_on_entries_times_parts(monkeypatch, kernel, args, entries, parts):
@@ -162,7 +164,7 @@ def test_1d_work_too_large_is_refused_before_it_runs(monkeypatch, kernel, args):
     def no_row(*args):
         raise AssertionError("the 1-D loop ran")
 
-    for loop in ("_accumulate", "_box_row", "_divide"):
+    for loop in ("_accumulate", "_box_row", "_divide", "accumulate"):
         monkeypatch.setattr(_kernels_py, loop, no_row)
     with pytest.raises(TableTooLarge):
         getattr(_kernels_py, kernel)(*args)
@@ -311,32 +313,33 @@ def test_set_any_table(parts, top):
     assert _kernels_py.set_any_table(parts, top) == expected
 
 
-def accumulate_one_pass_at_a_time(dp, parts, times):
+def plain_accumulate(dp, parts):
+    """``_accumulate`` without the residue classes: each part v adds
+    dp[w - v] into dp[w] for w ascending."""
     for v in parts:
-        for _ in range(times):
-            _kernels_py._accumulate(dp, (v,))
+        for w in range(v, len(dp)):
+            dp[w] += dp[w - v]
     return dp
 
 
-# A run of k parts v takes the residue classes of a row of CLASS_CUT * v / k
-# weights or more, the scalar loop below that.
+# A part v takes the residue classes of a row of CLASS_CUT * v weights or
+# more, the scalar loop below that.
 @pytest.mark.parametrize("v", [1, 3, 7])
 @pytest.mark.parametrize("offset", [-1, 0])
-@pytest.mark.parametrize("times", [1, 2, 4])
-def test_accumulate_run_is_its_passes_one_at_a_time(v, offset, times):
-    dp = [(7 * w) % 11 - 5 for w in range(CUT * v // times + offset)]
-    expected = accumulate_one_pass_at_a_time(list(dp), (v,), times)
-    assert _kernels_py._accumulate(dp, (v,), times) == expected
+def test_accumulate_across_class_cut(v, offset):
+    dp = [(7 * w) % 11 - 5 for w in range(CUT * v + offset)]
+    expected = plain_accumulate(list(dp), (v,))
+    assert _kernels_py._accumulate(dp, (v,)) == expected
 
 
 @given(
     st.lists(st.integers(-50, 50), min_size=1, max_size=150),
     st.lists(st.integers(1, 12), max_size=3),
-    st.integers(1, 3),
 )
-def test_accumulate_runs_match_single_passes(dp, parts, times):
-    expected = accumulate_one_pass_at_a_time(list(dp), parts, times)
-    assert _kernels_py._accumulate(dp, parts, times) == expected
+def test_accumulate_runs_match_single_passes(dp, parts):
+    # parts may repeat: each occurrence is one more pass
+    expected = plain_accumulate(list(dp), parts)
+    assert _kernels_py._accumulate(dp, parts) == expected
 
 
 def plain_part_rows(parts, rows, width):
@@ -508,26 +511,23 @@ def test_set_exact_counts_peak_memory(parts, b, c):
     assert peak < 64 * 2**20
 
 
-# Square s of partition_table divides a body of n - s*s + 1 weights as a
-# run of two parts s, which takes the residue classes of _accumulate when
-# CLASS_CUT * s / 2 fits in the body: from n = s*s + CLASS_CUT*s/2 - 1 on.
-# Besides small weights and weights between cuts, the cases hold a pair
-# across the cut of each square 1..8, and across the cut a single part s
-# would have; below 8 every square runs the scalar loop, and the largest
-# square, isqrt(n), always does.
+# Square s of partition_table divides a body of n - s*s + 1 weights,
+# one residue class mod s at a time.  Besides small weights, the cases give
+# each square 1..8 a body of 8s and of 16s weights, every class whole, and
+# one of a weight less, whose last class is one short.
 @pytest.mark.parametrize(
     "n",
     sorted(
         {0, 1, 63, 64, 65, 128, 197}
-        | {s * s + CUT * s // k - 1 + d for s in range(1, 9) for k in (1, 2) for d in (-1, 0)}
+        | {s * s + m * s - 1 + d for s in range(1, 9) for m in (8, 16) for d in (-1, 0)}
     ),
 )
 def test_partition_table_across_block_cut(n):
     assert _kernels_py.partition_table(n) == pentagonal_partition_table(n)
 
 
-# By the cut above, this sweep crosses the cut of squares 1 to 13 (at
-# n = 8, 19, ..., 272), and isqrt(n) grows at each of the 17 squares.
+# isqrt(n) grows at each of the 17 squares to 300, and each square's body
+# takes every length from one weight up.
 def test_partition_table_every_weight_to_300():
     expected = pentagonal_partition_table(300)
     for n in range(301):
@@ -560,9 +560,8 @@ def test_partition_table_prefix_is_the_smaller_table(n, data):
 
 @pytest.mark.parametrize("k", [63, 64, 65])
 def test_box_count_inert_across_block_cut(k):
-    # no numerator factor (the bound c is inert), then parts up to k at
-    # weight 200: parts up to 12 take the residue classes of the 201
-    # weights, the larger ones the scalar loop
+    # no numerator factor (the bound c is inert), then parts 1..k over a
+    # row of 201 weights, in either orientation
     c = 200
     expected = q_box(k, c, c)
     assert _kernels_py.box_count(k, c, c) == expected
@@ -572,11 +571,10 @@ def test_box_count_inert_across_block_cut(k):
 @pytest.mark.parametrize("v", [1, 2, 7, 16])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_box_count_inert_across_class_cut(v, offset):
-    # no numerator factor (the bound c is inert), then parts 1..v into a
-    # table of CLASS_CUT * v + offset weights: the parts below v take the
-    # residue classes, and v itself takes them at offset 0 and 1 but the
-    # scalar loop at offset -1
-    c = CUT * v + offset - 1
+    # no numerator factor (the bound c is inert), then parts 1..v over a
+    # row of 16v + offset weights: _divide takes part v in 4 doubling
+    # passes at offset -1 and 0, and in 5 at offset 1
+    c = 16 * v + offset - 1
     expected = q_box(v, c, c)
     assert _kernels_py.box_count(v, c, c) == expected
     assert _kernels_py.box_count(c, v, c) == expected

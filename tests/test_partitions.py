@@ -279,6 +279,25 @@ class TestCountSet:
         assert count_set_any((), 0) == 1
         assert count_set_any((), 5) == 0
 
+    def test_no_part_within_the_weight_runs_no_kernel(self, monkeypatch):
+        # only the empty partition can count, so no row of the weights is
+        # built: the set-any row of 10**8 weights would hold 800 MB, and
+        # the set-exact call with no parts was refused as too large
+        def no_row(*args):
+            raise AssertionError("a kernel ran")
+
+        for name in ("set_any_table", "set_exact_counts"):
+            monkeypatch.setattr(_dispatch, name, no_row)
+        for name in ("_accumulate", "_part_rows"):
+            monkeypatch.setattr(_kernels_py, name, no_row)
+        for members in ((), (10**9,), (10**8 + 1, 10**9)):
+            assert count_set_any(members, 10**8) == 0
+            assert count_set_at_most(members, 5, 10**8) == 0
+            assert count_set_exact(members, 1, 10**8) == 0
+            assert count_set_any(members, 0) == 1
+            assert count_set_at_most(members, 0, 0) == 1
+        assert count_set_exact((), 0, 0) == 1
+
     def test_accepts_parts_set_and_iterables(self):
         expected = count_set_exact((2, 3), 2, 5)
         assert count_set_exact(PartsSet([3, 2]), 2, 5) == expected
