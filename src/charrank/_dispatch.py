@@ -7,7 +7,7 @@ results.
 Seven module-level names are rebindable on purpose: the verification
 tests swap in deliberately broken kernels to prove the checks can fail.
 Six of them, ``box_count``, ``box_table``, ``box_sum``,
-``set_exact_counts``, ``set_any_table`` and ``partition_table``, come
+``set_exact_counts``, ``set_any_count`` and ``partition_table``, come
 from the serving backend.  The seventh, ``partition_number`` (the
 Rademacher series for p(n)), is pure Python on both backends: it works on
 big integers from its first term, so the compiled module has no twin of it.
@@ -24,7 +24,7 @@ box_count = _backend.box_count
 box_table = _backend.box_table
 box_sum = _backend.box_sum
 set_exact_counts = _backend.set_exact_counts
-set_any_table = _backend.set_any_table
+set_any_count = _backend.set_any_count
 partition_table = _backend.partition_table
 partition_number = _kernels_py.partition_number
 

@@ -11,7 +11,7 @@
  * Two loops serve the six entry points.  The 2-D ``part_rows`` serves only
  * set-exact counts.  The 1-D ``series`` serves the other five, whose counts
  * are coefficients of prod_g (1 - q^g) / prod_v (1 - q^v): a box is a
- * Gaussian binomial, and set-any tables and p(n) have no numerator.  Four
+ * Gaussian binomial, and set-any counts and p(n) have no numerator.  Four
  * return through ``series_result``; ``box_sum`` chains one ``series`` per
  * term.  Each call owns its tables and touches no Python object while it
  * fills them, so it releases the GIL: threads run in parallel. */
@@ -247,7 +247,7 @@ set_exact_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
-set_any_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+set_any_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     long top = -1, n, parts[U64_SAFE_WEIGHT];
 
@@ -255,8 +255,8 @@ set_any_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         top = clamp(args[1], U64_SAFE_WEIGHT + 1);
     if (top < 0 || top > U64_SAFE_WEIGHT
         || (n = read_parts(args[0], top, parts)) < 0)
-        return delegate("set_any_table", args, nargs);
-    return series_result(top, 1, 0, parts, n, 0);
+        return delegate("set_any_count", args, nargs);
+    return series_result(top, 1, 0, parts, n, 1);
 }
 
 static PyObject *
@@ -278,8 +278,8 @@ static PyMethodDef methods[] = {
     FASTCALL(box_sum, "Partitions of w into parts lo..hi, as a sum of boxes."),
     FASTCALL(set_exact_counts,
              "Partitions of c into exactly s parts from parts, for s in 0..b."),
-    FASTCALL(set_any_table,
-             "Partitions into any number of parts from parts, by weight 0..top."),
+    FASTCALL(set_any_count,
+             "Partitions of weight into any number of parts from parts."),
     FASTCALL(partition_table, "Unrestricted partition numbers p(0..n)."),
     {NULL, NULL, 0, NULL}};
 

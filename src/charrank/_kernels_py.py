@@ -21,20 +21,20 @@ Two dynamic programs serve the six table entry points:
   stop at 417 x 417, hands it every larger call.
 * the 1-D table indexed by weight adds parts with no bound on their
   number.  A box row (``_box_row``: every box, and the chained box sum
-  ``box_sum``) is one int in such slots too: a numerator factor
-  1 - q^g is one shift, subtract and mask, and ``_divide`` divides by
-  1 - q^v in ceil(log2(width / v)) shift-add-masks, as
-  prod_j (1 + q^(2^j v)) = 1 / (1 - q^v) mod q^width.  Its slots need
-  only the bits of the box total or less (``_box_bits``), and a point
-  query reads one slot.  ``set_any_table`` and ``partition_table``, whose
-  counts reach p(w), keep a list of Python ints.  ``set_any_table`` adds
-  its parts on ``_accumulate``: one slice statement per residue class,
-  or a scalar loop when the classes are short (``CLASS_CUT``).  Each
-  Durfee square of ``partition_table`` runs its own loop, below.
+  ``box_sum``) and a set-any row (``set_any_count``) are one int in such
+  slots too: a numerator factor 1 - q^g is one shift, subtract and mask,
+  and ``_divide`` divides by 1 - q^v in ceil(log2(width / v))
+  shift-add-masks, as prod_j (1 + q^(2^j v)) = 1 / (1 - q^v) mod q^width.
+  A box slot needs only the bits of the box total or less (``_box_bits``),
+  a set-any slot those of p(w) or of its k - 1 least multiplicities, and
+  a point query reads one slot.  Only ``partition_table``, whose counts
+  are all of p(0..n), keeps a list of Python ints: each of its Durfee
+  squares runs its own loop, below.
 
 All six refuse a call by one rule, ``_check_row``, before they build a
-list: its row of weights times the parts it adds, at least one, may not
-pass ``MAX_TABLE_CELLS``.
+row: its weights times the parts it adds, at least one, may not pass
+``MAX_TABLE_CELLS``.  ``set_any_count`` and ``box_sum`` answer a call
+that no part fits before they price it.
 
 ``partition_table`` sums Euler's 1/(q;q)_inf by Durfee squares,
 sum_s q^(s^2) / (q;q)_s^2 (Andrews, *The Theory of Partitions*, ch. 2):
@@ -77,20 +77,16 @@ BACKEND = "python"
 #: ``_check_row`` refuses the call with TableTooLarge.  The 2-D table of
 #: ``set_exact_counts`` prices its c + 1 weights times its rows, one per
 #: number of parts; ``box_table`` its a*b + 1 weights times min(a, b).
-#: It bounds entries, not bytes.  A 2-D or box entry is a slot of the bits
-#: its proved bound needs (``set_exact_counts``, ``_box_bits``), but a
-#: set-any or Durfee row holds one Python int per entry, which grows with
-#: the count it holds:
-#: the set-any row of parts {1, 2, 3} at weight 2*10**7 passes the bound
-#: and took about 1.8 GB, some 90 bytes an entry.  ROADMAP.md's
-#: memory-budget item prices entries in bytes.
+#: It bounds entries, not bytes.  A 2-D, box or set-any entry is a slot of
+#: the bits its proved bound needs (``set_exact_counts``, ``_box_bits``,
+#: ``set_any_count``), and a Durfee row holds one Python int per entry.
+#: ``charrank count set-any --parts 1,2,3 20000000`` is refused; at
+#: 11,184,809, the largest weight the bound passes for those parts, it
+#: peaked at 467 MB in a child process (CPython 3.11, x86-64): some 42
+#: bytes an entry, as the row of 49-bit slots is held several times over
+#: by the temporaries of ``_divide``.  ROADMAP.md's memory-budget item
+#: prices entries in bytes.
 MAX_TABLE_CELLS = 2**25
-
-# Shortest residue class that ``_accumulate`` runs as one slice statement.
-# Measured on CPython 3.11 (x86-64) by replaying the calls of ``charrank
-# verify all``: this cut is about even with a scalar loop for every part,
-# while the constant-free cut ``v * v <= len(dp)`` costs about 40 % more.
-CLASS_CUT = 16
 
 #: ``partition_number`` rounds its sum at this many fractional bits plus
 #: the bit length of its number of terms.
@@ -152,30 +148,9 @@ def _slot_bounds(c: int, smax: int, k: int) -> tuple:
     )
 
 
-def _accumulate(dp: list, parts) -> list:
-    """Add parts ``parts`` with unlimited multiplicity and no bound on their
-    number to the counts ``dp`` (indexed by weight), in place: divide by
-    1 - q^v for every v in ``parts``.
-
-    Each part v runs ``dp[w] += dp[w - v]`` over w ascending, so dp[w - v]
-    already counts the partitions using v: a prefix sum along each residue
-    class mod v.  A class of ``CLASS_CUT`` weights or more is one slice
-    statement; below that the scalar loop runs the weights one by one.
-    """
-    size = len(dp)
-    for v in parts:
-        if CLASS_CUT * v <= size:
-            for r in range(v):
-                dp[r::v] = accumulate(dp[r::v])
-        else:
-            for w in range(v, size):
-                dp[w] += dp[w - v]
-    return dp
-
-
 def _check_row(entries: int, parts: int) -> None:
     """Refuse (TableTooLarge) a call that adds ``parts`` parts to a row of
-    ``entries`` weights, before any list is built, once the product passes
+    ``entries`` weights, before any row is built, once the product passes
     ``MAX_TABLE_CELLS``: the one size rule of every table entry point.  A
     row is priced as at least one part, since it is built even when no
     part reaches it."""
@@ -293,15 +268,16 @@ def box_sum(lo: int, hi: int, weight: int) -> int:
     """
     if weight < 0 or lo < 1 or hi < lo:
         raise ValueError("box_sum needs 1 <= lo <= hi and a nonnegative weight")
+    if weight < lo:  # no part fits: only the empty partition of 0 counts
+        return int(weight == 0)
     _check_row(weight + 1, weight // lo)
     m = hi - lo
     bits = _box_bits(m, weight // lo, weight)
-    first = -(-weight // hi)
-    seed = max(first - 1, 0)
+    seed = -(-weight // hi) - 1  # the step before the first nonzero term
     width = weight - lo * seed + 1
     row = _box_row(m, seed, width, bits)  # the row after step seed
     mask = (1 << width * bits) - 1
-    total = int(weight == 0)  # s = 0: only the empty partition; 1..seed add 0
+    total = 0  # terms 0..seed are zero
     for s in range(seed + 1, weight // (lo + 1) + 1):
         width -= lo
         mask >>= lo * bits
@@ -355,17 +331,33 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
     return [row >> c * bits for row in table] + [0] * (b - smax)
 
 
-def set_any_table(parts: tuple, top: int) -> list:
-    """Counts of partitions into any number of parts from ``parts``, for
-    every weight 0..top (a list of length top+1): the coefficients of
-    prod_{v in parts} 1 / (1 - q^v).
+def set_any_count(parts: tuple, weight: int) -> int:
+    """Partitions of ``weight`` into any number of parts from ``parts``:
+    the coefficient of q^weight in prod_{v in parts} 1 / (1 - q^v).
 
     ``parts`` must be a strictly ascending tuple of positive integers.
+
+    One packed row of weight + 1 slots, as ``_box_row``'s, is divided by
+    1 - q^v on ``_divide`` for each of the k parts v <= weight, and the
+    count is its top slot; with no such part only the empty partition
+    counts, and no row is built.  By the ring map of ``_box_row`` the row
+    is exact when its slots hold every count of partitions of w <= weight
+    into the k parts.  Each is at most p(weight) < 2**(X + 1) (X the
+    Apostol bound of ``_slot_bounds``), and at most (weight + 1)**(k - 1)
+    <= 2**((k - 1) L), L the bit length of weight + 1, as the
+    multiplicities of the k - 1 least parts fix that of the greatest.
     """
-    if top < 0:
+    if weight < 0:
         raise ValueError("weight must be nonnegative")
-    _check_row(top + 1, bisect_right(parts, top))  # larger parts add nothing
-    return _accumulate([1] + [0] * top, parts)
+    k = bisect_right(parts, weight)  # larger parts add nothing
+    if not k:
+        return int(weight == 0)
+    _check_row(weight + 1, k)
+    bits = 1 + min(_slot_bounds(weight, 1, 1)[0], (k - 1) * (weight + 1).bit_length())
+    row, mask = 1, (1 << (weight + 1) * bits) - 1
+    for v in parts[:k]:
+        row = _divide(row, v, weight + 1, bits, mask)
+    return row >> weight * bits  # the top slot alone
 
 
 def partition_table(n: int) -> list:

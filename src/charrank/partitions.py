@@ -166,13 +166,13 @@ def count_set_at_most(parts, max_parts, weight):
 
     Two routes give the count.  No more than weight // least parts fit in
     ``weight``, so from that many on the bound never binds: the count is
-    the coefficient of q^weight in prod_{v in parts} 1 / (1 - q^v), one
-    entry of the 1-D ``set_any_table``.  A bound below it binds, and the
-    count sums the rows of the 2-D ``set_exact_counts`` table.  Both
-    kernels refuse (``TableTooLarge``) a call whose row of weights times
-    parts (for the 2-D table, its rows) passes
-    ``_kernels_py.MAX_TABLE_CELLS``.  When no part is at most ``weight``,
-    only the empty partition can count and no kernel runs.
+    the coefficient of q^weight in prod_{v in parts} 1 / (1 - q^v), which
+    the 1-D ``set_any_count`` reads from one slot of its row.  A bound
+    below it binds, and the count sums the rows of the 2-D
+    ``set_exact_counts`` table.  Both kernels refuse (``TableTooLarge``) a
+    call whose row of weights times parts (for the 2-D table, its rows)
+    passes ``_kernels_py.MAX_TABLE_CELLS``.  When no part is at most
+    ``weight``, only the empty partition can count and no kernel runs.
     """
     members = _as_members(parts)
     check_int(ValueError, 0, "max_parts", max_parts)
@@ -180,20 +180,20 @@ def count_set_at_most(parts, max_parts, weight):
     if not members or members[0] > weight:
         return int(weight == 0)
     if max_parts >= weight // members[0]:
-        return _dispatch.set_any_table(members, weight)[weight]
+        return _dispatch.set_any_count(members, weight)
     return sum(_dispatch.set_exact_counts(members, max_parts, weight))
 
 
 def count_set_any(parts, weight):
     """Partitions of ``weight`` into any number of parts from ``parts``:
-    one entry of the 1-D ``set_any_table``, as ``count_set_at_most`` reads
-    it for a bound that never binds.  When no part is at most ``weight``,
-    only the empty partition can count and no kernel runs."""
+    the top slot of the 1-D ``set_any_count`` row, as ``count_set_at_most``
+    takes it for a bound that never binds.  When no part is at most
+    ``weight``, only the empty partition can count and no kernel runs."""
     members = _as_members(parts)
     check_int(ValueError, 0, "weight", weight)
     if not members or members[0] > weight:
         return int(weight == 0)
-    return _dispatch.set_any_table(members, weight)[weight]
+    return _dispatch.set_any_count(members, weight)
 
 
 def count_total(weight):

@@ -209,8 +209,11 @@ PY_MUTANTS = {
     "set_exact_counts reach": (  # a weight that smax greatest parts fill counts 0
         "c > smax * parts[-1]", "c >= smax * parts[-1]", ("set_exact_counts", ((1, 2), 2, 4))
     ),
-    "set_any_table": (
-        "[0] * top, parts)", "[0] * top, parts[1:])", ("set_any_table", ((1, 2), 3))
+    "set_any_count skips its least part": (
+        "for v in parts[:k]:", "for v in parts[1:k]:", ("set_any_count", ((1, 2), 3))
+    ),
+    "set_any_count reads the slot one weight down": (
+        "row >> weight * bits", "row >> (weight - 1) * bits", ("set_any_count", ((1, 2), 3))
     ),
     "partition_table": (  # the Durfee loop stops at s = 2
         "range(isqrt(n), 0, -1)", "range(isqrt(n), 1, -1)", ("partition_table", (5,))
@@ -232,12 +235,6 @@ PY_MUTANTS = {
     # cannot hold the largest count of such a box.
     "box slot one bit too narrow": (
         "bits = _box_bits(a, b, c)", "bits = _box_bits(a, b, c) - 1", ("box_count", (2, 5, 4))
-    ),
-    "1-D residue branch": (
-        "for r in range(v):", "for r in range(1, v):", ("set_any_table", ((1,), 20))
-    ),
-    "1-D scalar branch": (
-        "for w in range(v, size):", "for w in range(v + 1, size):", ("set_any_table", ((1,), 3))
     ),
     "Durfee double sum": (  # each square divides by 1 - q^s once, not twice
         "accumulate(accumulate(body[r::s]))", "accumulate(body[r::s])", ("partition_table", (5,))
@@ -307,13 +304,13 @@ def test_criterion_9_mutants_cover_every_kernel_and_branch():
     # a rename or rewrite that strands a mutant fails here, not silently
     text = PY_SOURCE.read_text()
     defs = {n.name: n for n in ast.parse(text).body if isinstance(n, ast.FunctionDef)}
-    branch = next(n for n in defs["_accumulate"].body if isinstance(n, ast.For)).body[0]
     series = {n.target.id: n for n in ast.walk(defs["partition_number"]) if isinstance(n, ast.For)}
     regions = {
         "_box_row": defs["_box_row"],
         "box_sum chain": next(n for n in ast.walk(defs["box_sum"]) if isinstance(n, ast.For)),
-        "_accumulate residue branch": branch.body[0],
-        "_accumulate scalar branch": branch.orelse[0],
+        "set-any divisions": next(
+            n for n in ast.walk(defs["set_any_count"]) if isinstance(n, ast.For)
+        ),
         "_part_rows": defs["_part_rows"],
         "Durfee loop": next(n for n in ast.walk(defs["partition_table"]) if isinstance(n, ast.For)),
         "series terms": series["k"],

@@ -172,7 +172,7 @@ class TestCount:
         def no_row(*args):
             raise AssertionError("the 1-D loop ran")
 
-        for loop in ("_accumulate", "_box_row", "_divide"):
+        for loop in ("_box_row", "_divide"):
             monkeypatch.setattr(_kernels_py, loop, no_row)
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (2, "")

@@ -103,16 +103,14 @@ class TestEq5:
         assert "any-parts form" in checks
 
     def test_any_parts_form_catches_a_defective_set_any_route(self, monkeypatch):
-        # the left side counts on the 1-D set-any table; the any-parts form
+        # the left side counts on the 1-D set-any row; the any-parts form
         # holds it against the 2-D set-exact table, which stays sound here
-        true_table = _dispatch.set_any_table
+        true_count = _dispatch.set_any_count
 
-        def corrupted(parts, top):
-            table = true_table(parts, top)
-            table[top] += 1
-            return table
+        def corrupted(parts, weight):
+            return true_count(parts, weight) + 1
 
-        monkeypatch.setattr(_dispatch, "set_any_table", corrupted)
+        monkeypatch.setattr(_dispatch, "set_any_count", corrupted)
         report = verify_sweep("eq5", {"max_k": 3, "max_j": 8})
         checks = {dict(failure.params)["check"] for failure in report.failures}
         assert "any-parts form" in checks

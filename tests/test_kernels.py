@@ -100,11 +100,13 @@ def test_set_exact_counts_agree(kernels_c, members, b, c):
     )
 
 
-@given(st.sets(st.integers(1, 90), min_size=0, max_size=6), st.integers(0, 80))
-def test_set_any_table_agrees(kernels_c, members, top):
-    # parts from 1 to 90 cover a least part above 1 and parts above top
+@given(st.sets(st.integers(1, 90), min_size=0, max_size=6))
+def test_set_any_count_agrees(kernels_c, members):
+    # parts from 1 to 90 cover a least part above 1 and parts above the weight
     parts = tuple(sorted(members))
-    assert kernels_c.set_any_table(parts, top) == _kernels_py.set_any_table(parts, top)
+    for weight in range(81):
+        expected = _kernels_py.set_any_count(parts, weight)
+        assert kernels_c.set_any_count(parts, weight) == expected, weight
 
 
 @given(st.integers(0, 120))
@@ -190,13 +192,25 @@ def test_set_exact_counts_agree_across_word_size_boundary(kernels_c, parts, b):
 @pytest.mark.parametrize(
     "parts", [(), (1,), (3, 5, 7), tuple(range(1, 9)), PRIMES, (2, 400, 416, 417, 500)]
 )
-def test_set_any_table_agrees_across_word_size_boundary(kernels_c, parts):
+def test_set_any_count_agrees_across_word_size_boundary(kernels_c, parts):
     # every entry counts partitions of its weight, so the compiled path
-    # stays exact up to top 416 and hands 417 on to the big-integer route
-    for top in range(410, 425):
-        assert kernels_c.set_any_table(parts, top) == _kernels_py.set_any_table(
-            parts, top
-        ), top
+    # stays exact up to weight 416 and hands 417 on to the big-integer route
+    for weight in range(410, 425):
+        expected = _kernels_py.set_any_count(parts, weight)
+        assert kernels_c.set_any_count(parts, weight) == expected, weight
+
+
+@pytest.mark.parametrize("weight", [0, 416, 417, 3 * 10**7, 2**25 + 1])
+def test_box_sum_with_no_part_within_the_weight_builds_no_row(kernels_c, monkeypatch, weight):
+    # the compiled backend hands a lo past 416 to the pure kernel, which
+    # answers before it prices or builds a row
+    def no_row(*args):
+        raise AssertionError("a row was built")
+
+    for loop in ("_box_row", "_divide"):
+        monkeypatch.setattr(_kernels_py, loop, no_row)
+    for backend in (kernels_c, _kernels_py):
+        assert backend.box_sum(10**9, 10**9, weight) == int(weight == 0)
 
 
 def test_box_count_beyond_fast_path_is_exact(kernels_c):
@@ -223,7 +237,7 @@ def test_huge_bounds_are_clamped_not_overflowed(kernels_c):
         ("set_exact_counts", ((1, 2), -1, 3)),
         ("set_exact_counts", ((1, 2), 3, -1)),
         ("partition_table", (-1,)),
-        ("set_any_table", ((1, 2), -1)),
+        ("set_any_count", ((1, 2), -1)),
     ],
 )
 def test_negative_argument_raises_the_same_error(kernels_c, kernel, args):
@@ -302,7 +316,7 @@ C_MUTANTS = {
         "if (c > a * b)", "if (c >= a * b)", ("box_count", (2, 2, 4))
     ),
     "parts reader drops the top part": (
-        "if (v > top)", "if (v >= top)", ("set_any_table", ((1, 2), 2))
+        "if (v > top)", "if (v >= top)", ("set_any_count", ((1, 2), 2))
     ),
     "box chain takes the next numerator factor": (
         "hi - lo + s, hi - lo + s, &s",

@@ -17,15 +17,16 @@ first nonzero term, and is held to the term-by-term sum of box counts, to
 the chain walked from s = 1, to the set-any count, and to dividing only at
 the steps from that term on that have room for their part.  Inert boxes
 run long rows at widths on either side of the doubling passes of
-``_divide``.  The rest covers both branches of ``_accumulate`` (which
-serves ``set_any_table``) on either side of ``CLASS_CUT`` against the
-plain loop, the Durfee squares of ``partition_table`` at every weight to
-600 and around each change of isqrt(n), and the one size rule of every
-table kernel.  Every slot of the packed rows
-of ``_part_rows`` is held to the plain loop over whole rows, the three
-bounds on their slot width to p(c) and to brute force, and
-``set_exact_counts`` to building no table out of reach and to a memory
-ceiling.  The Rademacher series is held to the pentagonal
+``_divide``.  ``set_any_count`` divides one packed row on ``_divide`` too,
+and is held to brute force at every weight of a few part sets, to the
+plain coin-change loop, and its slot width to the largest count of its
+row.  The rest covers the Durfee squares of ``partition_table`` at every
+weight to 600 and around each change of isqrt(n), the one size rule of
+every table kernel, and the calls no part fits, which build no row.
+Every slot of the packed rows of ``_part_rows`` is held to the plain loop
+over whole rows, the three bounds on their slot width to p(c) and to
+brute force, and ``set_exact_counts`` to building no table out of reach
+and to a memory ceiling.  The Rademacher series is held to the pentagonal
 recurrence, its ball arithmetic to mpmath at a higher precision, and its
 certificate to refusing a sum it cannot bound within 1/2 of an integer.
 """
@@ -46,8 +47,6 @@ from charrank.oracles import gaussian_triangle, pentagonal_partition_table
 from charrank.partitions import count_set_any
 
 from _brute import box as brute_box, set_exact as brute_set_exact
-
-CUT = _kernels_py.CLASS_CUT
 
 
 def q_box(a, b, c):
@@ -121,11 +120,10 @@ def test_box_table_too_large_is_refused_before_it_is_built(monkeypatch):
         ("box_count", (3, 8, 20), 5, 3),  # folds 20 to 24 - 20 = 4
         ("box_count", (40, 2, 30), 31, 2),  # clamps 40 to 30
         ("box_sum", (2, 5, 30), 31, 15),
-        ("set_any_table", ((2, 3, 40), 30), 31, 2),  # 40 adds nothing
+        ("set_any_count", ((2, 3, 40), 30), 31, 2),  # 40 adds nothing
         ("partition_table", (30,), 31, 10),  # squares 1..5, two parts each
         ("box_table", (4, 8), 33, 4),  # the whole row, weights 0..32
         ("set_exact_counts", ((2, 3), 3, 7), 8, 4),  # rows of 0..3 parts
-        ("set_any_table", ((40,), 30), 31, 1),  # a row no part reaches is one part
     ],
 )
 def test_1d_limit_is_on_entries_times_parts(monkeypatch, kernel, args, entries, parts):
@@ -156,7 +154,7 @@ def test_box_table_is_refused_wherever_box_count_is_at_its_middle(a, b, limit):
     [
         ("box_count", (10**6, 10**6, 10**6)),
         ("box_sum", (1, 2, 10**7)),
-        ("set_any_table", ((1, 2, 3), 2 * 10**7)),
+        ("set_any_count", ((1, 2, 3), 2 * 10**7)),
         ("partition_table", (10**6,)),
     ],
 )
@@ -164,10 +162,33 @@ def test_1d_work_too_large_is_refused_before_it_runs(monkeypatch, kernel, args):
     def no_row(*args):
         raise AssertionError("the 1-D loop ran")
 
-    for loop in ("_accumulate", "_box_row", "_divide", "accumulate"):
+    for loop in ("_box_row", "_divide", "accumulate"):
         monkeypatch.setattr(_kernels_py, loop, no_row)
     with pytest.raises(TableTooLarge):
         getattr(_kernels_py, kernel)(*args)
+
+
+@pytest.mark.parametrize(
+    "kernel, args, expected",
+    [
+        ("set_any_count", ((40,), 30), 0),
+        ("set_any_count", ((40,), 0), 1),
+        ("set_any_count", ((), 10**9), 0),
+        ("box_sum", (5, 9, 0), 1),
+        ("box_sum", (10**9, 10**9, 3 * 10**7), 0),  # once a 32 MiB row
+        ("box_sum", (10**9, 10**9, 2**25 + 1), 0),  # once refused as too large
+    ],
+)
+def test_no_part_within_the_weight_builds_no_row(monkeypatch, kernel, args, expected):
+    # only the empty partition of 0 can count, so the call is answered
+    # before it is priced, let alone built
+    def no_row(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(_kernels_py, "MAX_TABLE_CELLS", 0)
+    for loop in ("_box_row", "_divide"):
+        monkeypatch.setattr(_kernels_py, loop, no_row)
+    assert getattr(_kernels_py, kernel)(*args) == expected
 
 
 def box_sum_terms(lo, hi, weight):
@@ -265,7 +286,7 @@ def test_box_count_empty_cases():
         ("box_count", (3, -1, 3)),
         ("set_exact_counts", ((1, 2), -1, 3)),
         ("set_exact_counts", ((1, 2), 3, -1)),
-        ("set_any_table", ((1, 2), -1)),
+        ("set_any_count", ((1, 2), -1)),
     ],
 )
 def test_negative_argument_is_refused(kernel, args):
@@ -303,43 +324,51 @@ def test_set_exact_counts(parts, b, c):
         ((3, 5, 8), 40),  # least > 1
         ((2, 3, 40, 41), 12),  # parts above top
         ((7,), 0),
-        (tuple(range(1, 10)), 60),  # residue classes of at least CLASS_CUT
+        (tuple(range(1, 10)), 60),  # more parts than doubling passes
     ],
 )
-def test_set_any_table(parts, top):
-    expected = [
-        sum(brute_set_exact(parts, s, c) for s in range(c + 1)) for c in range(top + 1)
-    ]
-    assert _kernels_py.set_any_table(parts, top) == expected
+def test_set_any_count(parts, top):
+    for c in range(top + 1):
+        expected = sum(brute_set_exact(parts, s, c) for s in range(c + 1))
+        assert _kernels_py.set_any_count(parts, c) == expected, c
 
 
-def plain_accumulate(dp, parts):
-    """``_accumulate`` without the residue classes: each part v adds
-    dp[w - v] into dp[w] for w ascending."""
+def coin_change(parts, top):
+    """Partitions into parts from ``parts`` for every weight 0..top, cell
+    by cell: each part v adds row[w - v] into row[w] for w ascending."""
+    row = [1] + [0] * top
     for v in parts:
-        for w in range(v, len(dp)):
-            dp[w] += dp[w - v]
-    return dp
+        for w in range(v, top + 1):
+            row[w] += row[w - v]
+    return row
 
 
-# A part v takes the residue classes of a row of CLASS_CUT * v weights or
-# more, the scalar loop below that.
-@pytest.mark.parametrize("v", [1, 3, 7])
-@pytest.mark.parametrize("offset", [-1, 0])
-def test_accumulate_across_class_cut(v, offset):
-    dp = [(7 * w) % 11 - 5 for w in range(CUT * v + offset)]
-    expected = plain_accumulate(list(dp), (v,))
-    assert _kernels_py._accumulate(dp, (v,)) == expected
+@given(st.sets(st.integers(1, 40), max_size=8), st.integers(0, 600))
+def test_set_any_count_is_the_coin_change_count(members, weight):
+    parts = tuple(sorted(members))
+    assert _kernels_py.set_any_count(parts, weight) == coin_change(parts, weight)[weight]
 
 
-@given(
-    st.lists(st.integers(-50, 50), min_size=1, max_size=150),
-    st.lists(st.integers(1, 12), max_size=3),
+@pytest.mark.parametrize(
+    "parts", [(1,), (1, 2), (2, 3), (1, 2, 3), (3, 5, 7), tuple(range(1, 7)), tuple(range(1, 21))]
 )
-def test_accumulate_runs_match_single_passes(dp, parts):
-    # parts may repeat: each occurrence is one more pass
-    expected = plain_accumulate(list(dp), parts)
-    assert _kernels_py._accumulate(dp, parts) == expected
+def test_set_any_slot_bound_holds_the_largest_count(monkeypatch, parts):
+    # the slot width the kernel hands _divide holds every count of its row;
+    # where only the least part fits, its one bit is all the counts need
+    widths = []
+
+    def spy(row, v, width, bits, mask):
+        widths.append(bits)
+        return real(row, v, width, bits, mask)
+
+    real = _kernels_py._divide
+    monkeypatch.setattr(_kernels_py, "_divide", spy)
+    counts = coin_change(parts, 200)
+    for w in range(parts[0], 201):
+        widths.clear()
+        assert _kernels_py.set_any_count(parts, w) == counts[w]
+        assert set(widths) == {widths[0]}
+        assert widths[0] >= max(counts[: w + 1]).bit_length(), w
 
 
 def plain_part_rows(parts, rows, width):
@@ -570,7 +599,7 @@ def test_box_count_inert_across_block_cut(k):
 
 @pytest.mark.parametrize("v", [1, 2, 7, 16])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_box_count_inert_across_class_cut(v, offset):
+def test_box_count_inert_across_a_doubling_pass(v, offset):
     # no numerator factor (the bound c is inert), then parts 1..v over a
     # row of 16v + offset weights: _divide takes part v in 4 doubling
     # passes at offset -1 and 0, and in 5 at offset 1

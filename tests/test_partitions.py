@@ -169,7 +169,7 @@ class TestCountSet:
         assert count_set_any({1, 2}, 4) == 3
         assert count_set_any({5, 7}, 0) == 1
 
-    def test_any_reads_the_set_any_table_without_the_at_most_route(self, monkeypatch):
+    def test_any_reads_the_set_any_count_without_the_at_most_route(self, monkeypatch):
         # weight parts never bind, so the at-most count at that bound is the
         # same entry; count_set_any reads it without going through it
         cases = [
@@ -280,15 +280,15 @@ class TestCountSet:
         assert count_set_any((), 5) == 0
 
     def test_no_part_within_the_weight_runs_no_kernel(self, monkeypatch):
-        # only the empty partition can count, so no row of the weights is
-        # built: the set-any row of 10**8 weights would hold 800 MB, and
-        # the set-exact call with no parts was refused as too large
+        # only the empty partition can count, so no kernel runs and no row
+        # of the weights is built: the set-exact call with no parts was
+        # once refused as too large
         def no_row(*args):
             raise AssertionError("a kernel ran")
 
-        for name in ("set_any_table", "set_exact_counts"):
+        for name in ("set_any_count", "set_exact_counts"):
             monkeypatch.setattr(_dispatch, name, no_row)
-        for name in ("_accumulate", "_part_rows"):
+        for name in ("_divide", "_part_rows"):
             monkeypatch.setattr(_kernels_py, name, no_row)
         for members in ((), (10**9,), (10**8 + 1, 10**9)):
             assert count_set_any(members, 10**8) == 0
