@@ -31,10 +31,12 @@ Two dynamic programs serve the six table entry points:
   are all of p(0..n), keeps a list of Python ints: each of its Durfee
   squares runs its own loop, below.
 
-All six refuse a call by one rule, ``_check_row``, before they build a
-row: its weights times the parts it adds, at least one, may not pass
-``MAX_TABLE_CELLS``.  ``set_any_count`` and ``box_sum`` answer a call
-that no part fits before they price it.
+All seven entry points refuse a call by one rule, ``_check_row``, before
+they build a row or sum a term: its weights times the parts it adds, at
+least one, may not pass ``MAX_TABLE_CELLS``.  The series is priced as a
+row of its n + 1 weights and one part, so it serves n up to 2**25 - 1.
+``set_any_count`` and ``box_sum`` answer a call that no part fits before
+they price it.
 
 ``partition_table`` sums Euler's 1/(q;q)_inf by Durfee squares,
 sum_s q^(s^2) / (q;q)_s^2 (Andrews, *The Theory of Partitions*, ch. 2):
@@ -73,10 +75,11 @@ from charrank.errors import TableTooLarge
 
 BACKEND = "python"
 
-#: Most row entries times parts a table call may price at (2**25); past it
+#: Most row entries times parts a kernel call may price at (2**25); past it
 #: ``_check_row`` refuses the call with TableTooLarge.  The 2-D table of
 #: ``set_exact_counts`` prices its c + 1 weights times its rows, one per
-#: number of parts; ``box_table`` its a*b + 1 weights times min(a, b).
+#: number of parts; ``box_table`` its a*b + 1 weights times min(a, b);
+#: ``partition_number`` its n + 1 weights times one part.
 #: It bounds entries, not bytes.  A 2-D, box or set-any entry is a slot of
 #: the bits its proved bound needs (``set_exact_counts``, ``_box_bits``,
 #: ``set_any_count``), and a Durfee row holds one Python int per entry.
@@ -135,23 +138,16 @@ def _part_rows(parts, rows: int, width: int, bits: int) -> list:
     return table
 
 
-def _slot_bounds(c: int, smax: int, k: int) -> tuple:
-    """Three bit counts X, each putting every count of partitions of a
-    weight w <= c into p <= smax parts, from a set of k parts all <= c,
-    below 2**(X + 1): from p(c), from the choices of the p - 1 least
-    parts, and from the multisets of p parts (see ``set_exact_counts``).
-    ``smax`` and ``k`` are at least 1."""
-    return (
-        int(pi * sqrt(2 * c / 3) / log(2)) + 1,
-        (smax - 1) * c.bit_length(),
-        comb(smax + k - 1, k - 1).bit_length(),
-    )
+def _apostol_bits(c: int) -> int:
+    """A bit count X with p(w) <= p(c) < 2**(X + 1) for every w <= c, by
+    Apostol's bound on p(c) (see ``set_exact_counts``)."""
+    return int(pi * sqrt(2 * c / 3) / log(2)) + 1
 
 
 def _check_row(entries: int, parts: int) -> None:
     """Refuse (TableTooLarge) a call that adds ``parts`` parts to a row of
     ``entries`` weights, before any row is built, once the product passes
-    ``MAX_TABLE_CELLS``: the one size rule of every table entry point.  A
+    ``MAX_TABLE_CELLS``: the one size rule of every entry point.  A
     row is priced as at least one part, since it is built even when no
     part reaches it."""
     parts = max(parts, 1)
@@ -201,14 +197,14 @@ def _divide(row: int, v: int, width: int, bits: int, mask: int) -> int:
 def _box_bits(a: int, b: int, c: int) -> int:
     """Slot bits that hold every count of weight <= c in an a-by-b box.
     With k = min(a, b), each count is at most the box total C(a+b, k), at
-    most p(c) < 2**(X + 1) (X the Apostol bound of ``_slot_bounds``), and at
-    most the partitions of c + k into exactly k parts: adding k - i to the
+    most p(c) < 2**(X + 1) (X of ``_apostol_bits``), and at most the
+    partitions of c + k into exactly k parts: adding k - i to the
     i-th largest makes the parts distinct, and their k! orders are distinct
     compositions of c + k(k+1)/2, so there are C(c + k(k+1)/2 - 1, k - 1)
     / k! or fewer."""
     k = min(a, b)
     at_most_k = comb(c + k * (k + 1) // 2 - 1, k - 1) // factorial(k) if k else 1
-    return min(comb(a + b, k).bit_length(), at_most_k.bit_length(), _slot_bounds(c, 1, 1)[0] + 1)
+    return min(comb(a + b, k).bit_length(), at_most_k.bit_length(), _apostol_bits(c) + 1)
 
 
 def box_count(a: int, b: int, c: int) -> int:
@@ -256,15 +252,13 @@ def box_sum(lo: int, hi: int, weight: int) -> int:
 
         [m+s, s]_q = [m+s-1, s-1]_q * (1 - q^(m+s)) / (1 - q^s)
 
-    (Andrews, *The Theory of Partitions*, ch. 3).  Before step s it is cut
-    to the weight - lo*s + 1 slots that term s and the later ones read,
-    and term s is its top slot.  Its slots hold every count of the largest
-    box, m by weight // lo.  An m-by-s box holds at most m*s, so the terms
-    below s = ceil(weight/hi) are zero: the chain is seeded with the row
-    after step ceil(weight/hi) - 1, the box row ``_box_row`` builds in one
-    pass.  Past s = weight // (lo + 1) no part s and no numerator factor
-    fits in the row: each later term is a slot of the last row, read from
-    its binary digits.
+    (Andrews, *The Theory of Partitions*, ch. 3), for every s up to
+    weight // lo.  Before step s it is cut to the weight - lo*s + 1 slots
+    that term s and the later ones read, and term s is its top slot.  Its
+    slots hold every count of the largest box, m by weight // lo.  An
+    m-by-s box holds at most m*s, so the terms below s = ceil(weight/hi)
+    are zero: the chain is seeded with the row after step
+    ceil(weight/hi) - 1, the box row ``_box_row`` builds in one pass.
     """
     if weight < 0 or lo < 1 or hi < lo:
         raise ValueError("box_sum needs 1 <= lo <= hi and a nonnegative weight")
@@ -278,16 +272,16 @@ def box_sum(lo: int, hi: int, weight: int) -> int:
     row = _box_row(m, seed, width, bits)  # the row after step seed
     mask = (1 << width * bits) - 1
     total = 0  # terms 0..seed are zero
-    for s in range(seed + 1, weight // (lo + 1) + 1):
+    for s in range(seed + 1, weight // lo + 1):
         width -= lo
         mask >>= lo * bits
         g = m + s
         if g < width:
             row -= row << g * bits
-        row = _divide(row, s, width, bits, mask)  # its masks cut the row
+        # cut here, as a step with no room for part s runs no doubling pass
+        row = _divide(row & mask, s, width, bits, mask)
         total += row >> (width - 1) * bits
-    digits, stride = f"{row:0{width * bits}b}", lo * bits  # top slot first
-    return total + sum(int(digits[i : i + bits], 2) for i in range(stride, len(digits), stride))
+    return total
 
 
 def set_exact_counts(parts: tuple, b: int, c: int) -> list:
@@ -299,11 +293,12 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
     No more than smax = min(b, c // least) parts fit in c, and they weigh
     at most smax times the greatest part: past that only the empty
     partition of 0 counts, and no table is built; ``_check_row`` prices
-    the smax + 1 rows of c + 1 weights before that test.  Otherwise each row of
-    ``_part_rows`` packs its c + 1 counts in slots of 1 + X bits, X the
-    least of the three bounds of ``_slot_bounds``.  Each slot counts the
-    partitions of some w <= c into some p <= smax parts, from the parts
-    added so far, and each bound puts every such count below 2**(X + 1):
+    the smax + 1 rows of c + 1 weights, and the column of b + 1 counts,
+    before that test.  Otherwise each row of ``_part_rows`` packs its c + 1
+    counts in slots of 1 + X bits, X the least of three bounds, the first
+    from ``_apostol_bits``.  Each slot counts the partitions of some
+    w <= c into some p <= smax parts, from the parts added so far, and
+    each bound puts every such count below 2**(X + 1):
 
     * p(w) <= p(c) < e**(pi sqrt(2c/3)) (Apostol, *Introduction to Analytic
       Number Theory*, Thm 14.5), taken in floats: X is the floor of the
@@ -323,10 +318,13 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
     # more than c // least parts outweigh c; with no part only row 0 counts
     smax = min(b, c // parts[0]) if parts else 0
     _check_row(c + 1, smax + 1)
+    _check_row(b + 1, 1)
     if smax == 0 or c > smax * parts[-1]:
         return [int(c == 0)] + [0] * b
     k = bisect_right(parts, c)  # larger parts add nothing
-    bits = 1 + min(_slot_bounds(c, smax, k))
+    bits = 1 + min(
+        _apostol_bits(c), (smax - 1) * c.bit_length(), comb(smax + k - 1, k - 1).bit_length()
+    )
     table = _part_rows(parts[:k], smax, c + 1, bits)
     return [row >> c * bits for row in table] + [0] * (b - smax)
 
@@ -342,8 +340,8 @@ def set_any_count(parts: tuple, weight: int) -> int:
     count is its top slot; with no such part only the empty partition
     counts, and no row is built.  By the ring map of ``_box_row`` the row
     is exact when its slots hold every count of partitions of w <= weight
-    into the k parts.  Each is at most p(weight) < 2**(X + 1) (X the
-    Apostol bound of ``_slot_bounds``), and at most (weight + 1)**(k - 1)
+    into the k parts.  Each is at most p(weight) < 2**(X + 1) (X of
+    ``_apostol_bits``), and at most (weight + 1)**(k - 1)
     <= 2**((k - 1) L), L the bit length of weight + 1, as the
     multiplicities of the k - 1 least parts fix that of the greatest.
     """
@@ -353,7 +351,7 @@ def set_any_count(parts: tuple, weight: int) -> int:
     if not k:
         return int(weight == 0)
     _check_row(weight + 1, k)
-    bits = 1 + min(_slot_bounds(weight, 1, 1)[0], (k - 1) * (weight + 1).bit_length())
+    bits = 1 + min(_apostol_bits(weight), (k - 1) * (weight + 1).bit_length())
     row, mask = 1, (1 << (weight + 1) * bits) - 1
     for v in parts[:k]:
         row = _divide(row, v, weight + 1, bits, mask)
@@ -533,12 +531,15 @@ def partition_number(n: int) -> int:
     of ``TAIL_BUDGETS``, and then the next, until the sum lies within
     1/2 - E of an integer, E the remainder bound plus the rounding error.
     A sum that is still not that close raises ArithmeticError: the result
-    is never returned unchecked.
+    is never returned unchecked.  ``_check_row`` prices the call as a
+    one-part row of the n + 1 weights, as the table kernels are priced, and
+    refuses it past n = 2**25 - 1 before any term is summed.
     """
     if n < 0:
         raise ValueError("weight must be nonnegative")
     if n < 2:
         return 1  # the remainder bound needs n >= 2
+    _check_row(n + 1, 1)
     d = 24 * n - 1
     bits = SERIES_BITS + _terms_for(n, TAIL_BUDGETS[-1] / 64).bit_length()
 

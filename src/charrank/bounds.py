@@ -83,12 +83,11 @@ def betti_upper_bound_gapless(profile, degree):
     usable = profile.s_set.truncated(degree)
     if not usable:
         return 0
-    lo, hi = usable[0], usable[-1]
-    if hi - lo + 1 != len(usable):
+    if not PartsSet(usable).is_gapless():
         raise NotGapless(
             f"degrees {list(usable)} are not consecutive; use betti_upper_bound"
         )
-    return _dispatch.box_sum(lo, hi, degree)
+    return _dispatch.box_sum(usable[0], usable[-1], degree)
 
 
 def monomial_count(parts, degree):

@@ -172,14 +172,13 @@ def count_set_at_most(parts, max_parts, weight):
     ``set_exact_counts`` table.  Both kernels refuse (``TableTooLarge``) a
     call whose row of weights times parts (for the 2-D table, its rows)
     passes ``_kernels_py.MAX_TABLE_CELLS``.  When no part is at most
-    ``weight``, only the empty partition can count and no kernel runs.
+    ``weight``, the bound never binds: ``set_any_count`` answers that only
+    the empty partition can count, and builds no row.
     """
     members = _as_members(parts)
     check_int(ValueError, 0, "max_parts", max_parts)
     check_int(ValueError, 0, "weight", weight)
-    if not members or members[0] > weight:
-        return int(weight == 0)
-    if max_parts >= weight // members[0]:
+    if not members or max_parts >= weight // members[0]:
         return _dispatch.set_any_count(members, weight)
     return sum(_dispatch.set_exact_counts(members, max_parts, weight))
 
@@ -188,11 +187,10 @@ def count_set_any(parts, weight):
     """Partitions of ``weight`` into any number of parts from ``parts``:
     the top slot of the 1-D ``set_any_count`` row, as ``count_set_at_most``
     takes it for a bound that never binds.  When no part is at most
-    ``weight``, only the empty partition can count and no kernel runs."""
+    ``weight``, the kernel answers that only the empty partition can count,
+    and builds no row."""
     members = _as_members(parts)
     check_int(ValueError, 0, "weight", weight)
-    if not members or members[0] > weight:
-        return int(weight == 0)
     return _dispatch.set_any_count(members, weight)
 
 

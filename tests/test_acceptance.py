@@ -179,6 +179,11 @@ def test_criterion_8_pentagonal_crosscheck():
     )
 
 
+#: The three bounds on a 2-D slot, as ``set_exact_counts`` states them.
+SLOT_BOUNDS = (
+    "_apostol_bits(c), (smax - 1) * c.bit_length(), comb(smax + k - 1, k - 1).bit_length()"
+)
+
 # Each Python mutant: the text of ``_kernels_py.py`` it replaces, the
 # replacement, and a call on which it must disagree with the clean kernel.
 PY_MUTANTS = {
@@ -197,10 +202,6 @@ PY_MUTANTS = {
     ),
     "box_sum": (  # each step takes the numerator factor of the next
         "g = m + s", "g = m + s + 1", ("box_sum", (1, 3, 6))
-    ),
-    "box_sum tail read": (  # each term past the last division reads the slot one weight up
-        "range(stride, len(digits), stride)", "range(stride - bits, len(digits), stride)",
-        ("box_sum", (1, 2, 4)),
     ),
     # The chain starts one step late and skips term ceil(weight/hi).  Seeded
     # one step late instead, its row would start below weight 0 where
@@ -252,8 +253,8 @@ PY_MUTANTS = {
     # its + 1 or the multisets bound with one kind fewer: neither is tight,
     # so the slots still hold every count.
     "2-D slot width": (
-        "bits = 1 + min(_slot_bounds(c, smax, k))",
-        "bits = (1 + min(_slot_bounds(c, smax, k))) // 2",
+        f"bits = 1 + min(\n        {SLOT_BOUNDS}\n    )",
+        f"bits = (1 + min(\n        {SLOT_BOUNDS}\n    )) // 2",
         ("set_exact_counts", ((1, 2), 1, 2)),
     ),
     "2-D last row": (  # each pass stops one row short

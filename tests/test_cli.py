@@ -178,6 +178,16 @@ class TestCount:
         assert (code, out) == (2, "")
         assert "exceeds the limit" in err
 
+    def test_oversized_series_is_a_usage_error(self, capsys, monkeypatch):
+        # the series for p(10**8) is priced as a row of 10**8 + 1 weights
+        def no_series(*args):
+            raise AssertionError("the series ran")
+
+        monkeypatch.setattr(_kernels_py, "_pi", no_series)
+        code, out, err = run_cli(capsys, "count", "total", "100000000")
+        assert (code, out) == (2, "")
+        assert "exceeds the limit" in err
+
 
 class TestBetti:
     def test_oversized_table_is_a_usage_error(self, capsys, monkeypatch):

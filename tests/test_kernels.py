@@ -23,9 +23,10 @@ from setuptools.command.build_ext import build_ext
 import charrank
 from charrank import _dispatch, _kernels_py
 from charrank.cli import main as cli_main
+from charrank.errors import TableTooLarge
 from charrank.grassmannian import gaussian_binomial
-from charrank.oracles import gaussian_triangle
-from charrank.partitions import SERIES_CUT
+from charrank.oracles import gaussian_triangle, pentagonal_partition_table
+from charrank.partitions import SERIES_CUT, count_total
 
 from _backends import COMPILED, KERNELS, SRC, mutate, serve
 
@@ -211,6 +212,23 @@ def test_box_sum_with_no_part_within_the_weight_builds_no_row(kernels_c, monkeyp
         monkeypatch.setattr(_kernels_py, loop, no_row)
     for backend in (kernels_c, _kernels_py):
         assert backend.box_sum(10**9, 10**9, weight) == int(weight == 0)
+
+
+def test_series_is_priced_as_a_one_part_row(kernels_c, monkeypatch):
+    # past SERIES_CUT count_total sums the pure series on both backends;
+    # its n + 1 weights are priced before any term is summed
+    def no_series(*args):
+        raise AssertionError("the series ran")
+
+    expected = pentagonal_partition_table(999)[999]
+    monkeypatch.setattr(_kernels_py, "MAX_TABLE_CELLS", 1000)
+    for backend in (kernels_c, _kernels_py):
+        with monkeypatch.context() as patch:
+            serve(patch, backend)
+            assert count_total(999) == expected
+            patch.setattr(_kernels_py, "_pi", no_series)
+            with pytest.raises(TableTooLarge, match="a row of 1001 weights times 1 parts"):
+                count_total(1000)
 
 
 def test_box_count_beyond_fast_path_is_exact(kernels_c):

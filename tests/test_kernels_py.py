@@ -13,9 +13,9 @@ box row is held to the cell-by-cell row at the kernel's slot width and at
 the tightest one, the slot width to the largest count of the q-Pascal
 triangle, and ``box_table`` to that triangle past 64-bit slots.
 ``box_sum`` chains one row up in s from the box row of the step before its
-first nonzero term, and is held to the term-by-term sum of box counts, to
-the chain walked from s = 1, to the set-any count, and to dividing only at
-the steps from that term on that have room for their part.  Inert boxes
+first nonzero term to its last, s = weight // lo, and is held to the
+term-by-term sum of box counts, to the chain walked from s = 1, to the
+set-any count, and to dividing at each step from that term on.  Inert boxes
 run long rows at widths on either side of the doubling passes of
 ``_divide``.  ``set_any_count`` divides one packed row on ``_divide`` too,
 and is held to brute force at every weight of a few part sets, to the
@@ -25,14 +25,17 @@ weight to 600 and around each change of isqrt(n), the one size rule of
 every table kernel, and the calls no part fits, which build no row.
 Every slot of the packed rows of ``_part_rows`` is held to the plain loop
 over whole rows, the three bounds on their slot width to p(c) and to
-brute force, and ``set_exact_counts`` to building no table out of reach
-and to a memory ceiling.  The Rademacher series is held to the pentagonal
-recurrence, its ball arithmetic to mpmath at a higher precision, and its
-certificate to refusing a sum it cannot bound within 1/2 of an integer.
+brute force, and the kernel's width to the least of them, and
+``set_exact_counts`` to building no table out of reach, to pricing its
+column of b + 1 counts and to a memory ceiling.  The Rademacher series is
+held to the pentagonal recurrence, its ball arithmetic to mpmath at a
+higher precision, and its certificate to refusing a sum it cannot bound
+within 1/2 of an integer.
 """
 
 import tracemalloc
 from itertools import combinations_with_replacement
+from math import comb
 
 import mpmath
 import pytest
@@ -238,8 +241,8 @@ def test_box_sum_is_the_set_any_count_at_large_weights(lo, hi, weight):
 def test_box_sum_walks_only_the_steps_from_its_first_nonzero_term(monkeypatch, lo, hi, weight):
     # the seed's box row divides by 1 - q^i, i = 1..min(hi - lo, seed), on
     # its weight - lo*seed + 1 slots; then each step s = ceil(weight/hi)..
-    # weight // (lo + 1) divides by 1 - q^s on the weight - lo*s + 1 slots
-    # left, and the later steps, with no room for part s, divide by nothing
+    # weight // lo divides by 1 - q^s on the weight - lo*s + 1 slots left,
+    # which runs no doubling pass once part s no longer fits
     calls = []
 
     def counting(row, v, width, bits, mask):
@@ -252,7 +255,7 @@ def test_box_sum_walks_only_the_steps_from_its_first_nonzero_term(monkeypatch, l
     assert _kernels_py.box_sum(lo, hi, weight) == expected
     seed = max(-(-weight // hi) - 1, 0)
     parts = [(i, weight - lo * seed + 1) for i in range(1, min(hi - lo, seed) + 1)]
-    steps = [(s, weight - lo * s + 1) for s in range(seed + 1, weight // (lo + 1) + 1)]
+    steps = [(s, weight - lo * s + 1) for s in range(seed + 1, weight // lo + 1)]
     assert calls == parts + steps
 
 
@@ -475,32 +478,47 @@ def test_apostol_slot_bound_holds_p():
     # slot's spare bit
     table = pentagonal_partition_table(5000)
     for c in range(5001):
-        assert table[c] < 2 ** _kernels_py._slot_bounds(c, 1, 1)[0]
+        assert table[c] < 2 ** _kernels_py._apostol_bits(c)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(5001, 10**6))
 def test_apostol_slot_bound_holds_p_far_out(c):
-    assert sympy_partition(c) < 2 ** _kernels_py._slot_bounds(c, 1, 1)[0]
+    assert sympy_partition(c) < 2 ** _kernels_py._apostol_bits(c)
 
 
 @pytest.mark.parametrize("members", [(1,), (2,), (1, 2), (1, 3, 4), (2, 3, 5), tuple(range(1, 7))])
-def test_composition_and_multiset_slot_bounds_hold_every_count(members):
-    # every multiset of up to 6 parts, counted by weight and size
+def test_composition_and_multiset_slot_bounds_hold_every_count(monkeypatch, members):
+    # every multiset of up to 6 parts, counted by weight and size, against
+    # the bounds set_exact_counts states; a spy reads the slot width the
+    # kernel hands _part_rows, one more than the least of its three bounds
     counts = {}
     for p in range(7):
         for multiset in combinations_with_replacement(members, p):
             key = p, sum(multiset)
             counts[key] = counts.get(key, 0) + 1
+    widths = []
+
+    def spy(parts, rows, width, bits):
+        widths.append(bits)
+        return real(parts, rows, width, bits)
+
+    real = _kernels_py._part_rows
+    monkeypatch.setattr(_kernels_py, "_part_rows", spy)
     for smax in range(1, 7):
         for c in range(1, 19):
             kinds = sum(v <= c for v in members)
             if not kinds:
                 continue
             largest = max(n for (p, w), n in counts.items() if p <= smax and w <= c)
-            _, compositions, multisets = _kernels_py._slot_bounds(c, smax, kinds)
+            compositions = (smax - 1) * c.bit_length()
+            multisets = comb(smax + kinds - 1, kinds - 1).bit_length()
             assert largest <= 2**compositions
             assert largest < 2**multisets
+            if smax * members[0] <= c <= smax * members[-1]:  # the kernel builds its table
+                _kernels_py.set_exact_counts(members, smax, c)
+                bounds = (_kernels_py._apostol_bits(c), compositions, multisets)
+                assert widths[-1] == 1 + min(bounds), (smax, c)
 
 
 def no_table(*args):
@@ -518,6 +536,17 @@ def no_table(*args):
 def test_set_exact_counts_out_of_reach_builds_no_table(monkeypatch, parts, b, c):
     monkeypatch.setattr(_kernels_py, "_part_rows", no_table)
     assert _kernels_py.set_exact_counts(parts, b, c) == [0] * (b + 1)
+
+
+def test_set_exact_counts_prices_its_column(monkeypatch):
+    # the column of b + 1 counts is priced as a one-part row, with a table
+    # (6 rows of 6 weights) and without one (c = 0 builds none)
+    monkeypatch.setattr(_kernels_py, "MAX_TABLE_CELLS", 100)
+    assert _kernels_py.set_exact_counts((1,), 99, 5) == [0] * 5 + [1] + [0] * 94
+    assert _kernels_py.set_exact_counts((1,), 99, 0) == [1] + [0] * 99
+    for c in (5, 0):
+        with pytest.raises(TableTooLarge, match="a row of 101 weights times 1 parts"):
+            _kernels_py.set_exact_counts((1,), 100, c)
 
 
 @pytest.mark.parametrize(
