@@ -98,7 +98,10 @@ delegate(const char *name, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* A list of ``len`` ints, table[at], table[at + step], .. for the first n
- * and zeros after them.  Frees ``table``, which the caller owns. */
+ * and zeros after them.  Frees ``table``, which the caller owns.  The zeros
+ * keep set_exact_counts' column b + 1 long when smax < b: no public call
+ * asks for that, but a parts reader that drops a part then yields a wrong
+ * count, a failed check, instead of an IndexError in count_set_exact. */
 static PyObject *
 to_list(uint64_t *table, long at, long step, long n, long len)
 {

@@ -312,6 +312,13 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
     The table then holds (smax + 1) * (c + 1) * (1 + X) bits at most.  The
     last two bounds keep that small where p(c) alone would not: one part
     from {1, 2} at weight 10**7 would need slots of some 11,700 bits.
+
+    The column is padded with zeros from smax + 1 to b + 1 counts.  Every
+    call of ``count_set_exact`` has b == smax, so the padding serves a
+    kernel that reads fewer parts than it was given: the compiled mutant
+    "parts reader drops the top part" then answers a wrong 0 at
+    ``[num_parts]``, which ``verify all`` reports as a failed check,
+    instead of raising IndexError on a short column.
     """
     if b < 0 or c < 0:
         raise ValueError("number of parts and weight must be nonnegative")

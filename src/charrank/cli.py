@@ -106,8 +106,7 @@ def _range_help(key):
     for identity in SWEEP_ORDER:
         grid = default_grid(identity)
         if key in grid:
-            default = "unset" if grid[key] is None else grid[key]
-            takers.append(f"{identity.value} (default {default})")
+            takers.append(f"{identity.value} (default {grid[key]})")
     return ", ".join(takers)
 
 

@@ -118,9 +118,8 @@ def _sweep_eq4(report, max_j):
         report.absorb(verify_eq4(j))
 
 
-def _sweep_eq5(report, max_k, max_j, k=None):
-    fixed = [k] if k is not None else range(1, max_k + 1)
-    for num_degrees in fixed:
+def _sweep_eq5(report, max_k, max_j):
+    for num_degrees in range(1, max_k + 1):
         for j in range(num_degrees + 1, max_j + 1):
             report.absorb(verify_eq5(num_degrees, j))
 
@@ -232,12 +231,12 @@ def _sweep_partition_crosscheck(report, max_weight):
 
 
 #: Every identity with its sweep and default grid, in the order ``run_all``
-#: (and the CLI's ``verify all``) runs them.  A grid key whose default is
-#: None fixes one value instead of bounding the grid.
+#: (and the CLI's ``verify all``) runs them.  Every grid key is a
+#: nonnegative bound.
 _SWEEPS = {
     Identity.EQ3: (_sweep_eq3, {"max_mu": 10, "max_j": 30}),
     Identity.EQ4: (_sweep_eq4, {"max_j": 30}),
-    Identity.EQ5: (_sweep_eq5, {"max_k": 8, "k": None, "max_j": 30}),
+    Identity.EQ5: (_sweep_eq5, {"max_k": 8, "max_j": 30}),
     Identity.BIJECTION_ROUND_TRIP: (_sweep_bijection, {"max_mu": 8, "max_x": 8, "max_j": 32}),
     Identity.ORACLE_EQUIVALENCE: (_sweep_oracle, {"max_part": 6, "max_parts": 6, "max_weight": 36}),
     Identity.GRASSMANNIAN_TABLES: (_sweep_grassmannian, {"max_n": 24}),
@@ -252,11 +251,7 @@ RANGE_KEYS = tuple(dict.fromkeys(key for _, grid in _SWEEPS.values() for key in 
 
 
 def default_grid(identity_id):
-    """The default range parameters of one identity's sweep, as a new dict.
-
-    A key whose value is None fixes one value when given instead of
-    bounding the grid (eq5's ``k``).
-    """
+    """The default range parameters of one identity's sweep, as a new dict."""
     return dict(_SWEEPS[Identity(identity_id)][1])
 
 
@@ -264,8 +259,9 @@ def verify_sweep(identity_id, ranges=None):
     """Sweep one identity over a parameter grid and report.
 
     ``identity_id`` is an Identity or its string value; ``ranges`` may
-    override any of that identity's default range parameters (unknown keys
-    are rejected).  A grid with no instances raises ValueError.
+    override any of that identity's default range parameters, each with a
+    nonnegative int (unknown keys are rejected).  A grid with no instances
+    raises ValueError.
     """
     identity = Identity(identity_id)
     sweep, grid = _SWEEPS[identity]
@@ -277,13 +273,11 @@ def verify_sweep(identity_id, ranges=None):
                 f"unknown range parameter(s) for {identity.value}: {', '.join(unknown)}"
             )
         for key, value in ranges.items():
-            # a key without a default fixes a number of degrees, which the
-            # tail form divides by; a grid bound may be 0
-            check_int(ValueError, 1 if grid[key] is None else 0, key, value)
+            check_int(ValueError, 0, key, value)
         merged.update(ranges)
     report = VerificationReport(
         identity_id=identity,
-        swept_ranges={k: str(v) for k, v in sorted(merged.items()) if v is not None},
+        swept_ranges={k: str(v) for k, v in sorted(merged.items())},
     )
     sweep(report, **merged)
     if report.checked == 0:
@@ -291,12 +285,7 @@ def verify_sweep(identity_id, ranges=None):
     return report
 
 
-def run_all(overrides=None):
+def run_all():
     """Run every sweep at its default ranges and return the reports in
-    SWEEP_ORDER.
-
-    ``overrides`` maps an Identity or its string value to the ranges that
-    ``verify_sweep`` takes for it; an unknown identity raises ValueError.
-    """
-    overrides = {Identity(key): ranges for key, ranges in (overrides or {}).items()}
-    return [verify_sweep(identity, overrides.get(identity)) for identity in SWEEP_ORDER]
+    SWEEP_ORDER."""
+    return [verify_sweep(identity) for identity in SWEEP_ORDER]

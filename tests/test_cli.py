@@ -329,14 +329,18 @@ class TestVerify:
         assert (code, out) == (0, "identity,checked,failures,status\neq4,9,0,pass\n")
 
     def test_empty_grid_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "eq5", "--k", "2", "--max-j", "1")
+        code, _, err = run_cli(capsys, "verify", "eq5", "--max-k", "1", "--max-j", "1")
         assert code == 2
         assert "empty parameter grid" in err
 
     def test_eq5_zero_k_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "eq5", "--k", "0")
+        code, _, err = run_cli(capsys, "verify", "eq5", "--max-k", "0")
         assert code == 2
-        assert "k must be an integer >= 1" in err
+        assert "empty parameter grid" in err
+        # eq5 takes no single k: --max-k bounds its grid
+        code, _, err = run_cli(capsys, "verify", "eq5", "--k", "3")
+        assert code == 2
+        assert "unrecognized arguments: --k 3" in err
 
     def test_unknown_range_flag_for_identity(self, capsys):
         code, _, err = run_cli(capsys, "verify", "eq4", "--max-mu", "4")
@@ -516,7 +520,7 @@ class TestVerify:
             entry = entries["--" + key.replace("_", "-")]
             named = re.findall(r"([\w-]+)\s+\(default\s+(\w+)\)", entry)
             expected = [
-                (identity.value, str(default_grid(identity)[key]).replace("None", "unset"))
+                (identity.value, str(default_grid(identity)[key]))
                 for identity in SWEEP_ORDER
                 if key in default_grid(identity)
             ]
@@ -594,7 +598,6 @@ TINY_RANGES = {
     "max_mu": 3,
     "max_j": 7,
     "max_k": 3,
-    "k": 2,
     "max_x": 2,
     "max_part": 2,
     "max_parts": 3,
@@ -604,17 +607,12 @@ TINY_RANGES = {
 
 
 def _range_flag_cases():
-    """Per identity, its grid bounds; where it has a fixed value (eq5's
-    k), the bounds with that value too."""
-    cases = []
-    for identity in SWEEP_ORDER:
-        grid = default_grid(identity)
-        bounds = {key: TINY_RANGES[key] for key, default in grid.items() if default is not None}
-        cases.append(pytest.param(identity, bounds, id=identity.value))
-        fixed = {key: TINY_RANGES[key] for key, default in grid.items() if default is None}
-        if fixed:
-            cases.append(pytest.param(identity, {**bounds, **fixed}, id=identity.value + "-fixed"))
-    return cases
+    """Per identity, its grid bounds at their TINY_RANGES values."""
+    return [
+        pytest.param(identity, {key: TINY_RANGES[key] for key in default_grid(identity)},
+                     id=identity.value)
+        for identity in SWEEP_ORDER
+    ]
 
 
 def test_tiny_ranges_cover_every_range_key():

@@ -129,19 +129,19 @@ class TestVerifySweep:
         assert report.checked == grid
 
     def test_eq5_fixed_k(self):
-        report = verify_sweep(Identity.EQ5, {"k": 3, "max_j": 10})
-        assert report.checked == 7  # j from 4 to 10
-        assert report.swept_ranges["k"] == "3"
+        # eq5's grid is bounded by max_k; a single k is verify_eq5's job
+        with pytest.raises(ValueError, match="unknown range parameter.*: k$"):
+            verify_sweep(Identity.EQ5, {"k": 3, "max_j": 10})
 
     def test_empty_grid_is_an_error(self):
         with pytest.raises(ValueError, match="empty parameter grid"):
-            verify_sweep(Identity.EQ5, {"k": 2, "max_j": 1})
+            verify_sweep(Identity.EQ5, {"max_k": 1, "max_j": 1})
         with pytest.raises(ValueError, match="empty parameter grid"):
             verify_sweep(Identity.EQ4, {"max_j": 0})
 
     def test_eq5_zero_degrees_is_an_error(self):
-        with pytest.raises(ValueError, match="k must be an integer >= 1"):
-            verify_sweep(Identity.EQ5, {"k": 0})
+        with pytest.raises(ValueError, match="empty parameter grid"):
+            verify_sweep(Identity.EQ5, {"max_k": 0})
 
     def test_unknown_range_key_is_an_error(self):
         with pytest.raises(ValueError, match="unknown range"):
@@ -200,7 +200,7 @@ class TestVerifySweep:
 
     def test_default_grid_is_a_copy(self):
         grid = default_grid("eq5")
-        assert grid == default_grid(Identity.EQ5) == {"max_k": 8, "k": None, "max_j": 30}
+        assert grid == default_grid(Identity.EQ5) == {"max_k": 8, "max_j": 30}
         grid["max_j"] = 5
         assert default_grid(Identity.EQ5)["max_j"] == 30
         assert verify_sweep(Identity.EQ5).swept_ranges["max_j"] == "30"
@@ -223,38 +223,9 @@ class TestVerifySweep:
 
 class TestRunAll:
     def test_runs_every_identity_once(self):
-        reports = run_all(
-            {
-                Identity.EQ3: {"max_mu": 3, "max_j": 8},
-                Identity.EQ5: {"max_k": 2, "max_j": 8},
-                Identity.BIJECTION_ROUND_TRIP: {"max_mu": 3, "max_x": 3, "max_j": 8},
-                Identity.ORACLE_EQUIVALENCE: {"max_part": 3, "max_parts": 3, "max_weight": 9},
-                Identity.GRASSMANNIAN_TABLES: {"max_n": 6},
-                Identity.BOUND_SHARPNESS: {"max_k": 3, "max_j": 8},
-                Identity.PARTITION_FUNCTION_CROSSCHECK: {"max_weight": 30},
-            }
-        )
+        reports = run_all()
         assert tuple(r.identity_id for r in reports) == SWEEP_ORDER
         assert all(r.passed for r in reports)
-        assert all(r.checked >= 1 for r in reports)
-
-    def test_accepts_string_keys(self):
-        small = {
-            "eq3": {"max_mu": 2, "max_j": 3},
-            "eq4": {"max_j": 3},
-            "eq5": {"max_k": 2, "max_j": 4},
-            "bijection": {"max_mu": 2, "max_x": 2, "max_j": 4},
-            "oracle": {"max_part": 2, "max_parts": 2, "max_weight": 4},
-            "grassmannian-tables": {"max_n": 3},
-            "sharpness": {"max_k": 2, "max_j": 4},
-            "partition-function": {"max_weight": 10},
-        }
-        reports = run_all(small)
         assert [r.checked for r in reports] == [
-            verify_sweep(identity, small[identity.value]).checked for identity in SWEEP_ORDER
+            verify_sweep(identity).checked for identity in SWEEP_ORDER
         ]
-        assert reports[0].checked == 8  # 1 <= nu <= mu <= 2, nu <= j <= 3
-
-    def test_unknown_key_is_an_error(self):
-        with pytest.raises(ValueError, match="bogus"):
-            run_all({"eq3": {"max_mu": 2, "max_j": 3}, "bogus": {}})

@@ -580,7 +580,7 @@ def test_set_exact_counts_peak_memory(parts, b, c):
         | {s * s + m * s - 1 + d for s in range(1, 9) for m in (8, 16) for d in (-1, 0)}
     ),
 )
-def test_partition_table_across_block_cut(n):
+def test_partition_table_whole_and_short_residue_classes(n):
     assert _kernels_py.partition_table(n) == pentagonal_partition_table(n)
 
 
@@ -617,7 +617,7 @@ def test_partition_table_prefix_is_the_smaller_table(n, data):
 
 
 @pytest.mark.parametrize("k", [63, 64, 65])
-def test_box_count_inert_across_block_cut(k):
+def test_box_count_inert_63_to_65_parts(k):
     # no numerator factor (the bound c is inert), then parts 1..k over a
     # row of 201 weights, in either orientation
     c = 200

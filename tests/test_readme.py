@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from charrank.cli import main
+from charrank.identities import RANGE_KEYS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w+)\n(.*?)^```", README, re.M | re.S)
@@ -48,6 +49,12 @@ def test_every_result_comment_is_collected():
 def test_cli_example(capsys, command, result):
     code = main(shlex.split(command)[1:])
     assert (code, capsys.readouterr().out.strip()) == (0, result)
+
+
+def test_verify_flags_are_the_range_keys():
+    (listed,) = re.findall(r"Grid bounds are\s+overridable per identity \(([^)]*)\)", README)
+    flags = re.findall(r"`(--[\w-]+)`", listed)
+    assert sorted(flags) == sorted("--" + key.replace("_", "-") for key in RANGE_KEYS)
 
 
 def test_library_examples_in_order():
