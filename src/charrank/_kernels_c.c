@@ -8,10 +8,10 @@
  * number of arguments) goes to the same-named function of ``_kernels_py``,
  * so big results and errors come from one place.
  *
- * Two loops serve the six entry points.  The 2-D ``part_rows`` serves only
- * set-exact counts.  The 1-D ``series`` serves the other five, whose counts
- * are coefficients of prod_g (1 - q^g) / prod_v (1 - q^v): a box is a
- * Gaussian binomial, and set-any counts and p(n) have no numerator.  Four
+ * Two loops serve the seven entry points.  The 2-D ``part_rows`` serves
+ * only set-exact counts.  The 1-D ``series`` serves the other six, whose
+ * counts are coefficients of prod_g (1 - q^g) / prod_v (1 - q^v): a box is
+ * a Gaussian binomial, and set-any counts and p(n) have no numerator.  Five
  * return through ``series_result``; ``box_sum`` chains one ``series`` per
  * term.  Each call owns its tables and touches no Python object while it
  * fills them, so it releases the GIL: threads run in parallel. */
@@ -272,6 +272,18 @@ partition_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return series_result(n, 1, 0, NULL, n, 0); /* parts above n never fit */
 }
 
+/* p(n) alone, from the same row; past 416 the pure ``partition_count``
+ * picks its own route. */
+static PyObject *
+partition_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long n = nargs == 1 ? clamp(args[0], U64_SAFE_WEIGHT + 1) : -1;
+
+    if (n < 0 || n > U64_SAFE_WEIGHT)
+        return delegate("partition_count", args, nargs);
+    return series_result(n, 1, 0, NULL, n, 1);
+}
+
 #define FASTCALL(name, doc) \
     {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
@@ -284,6 +296,7 @@ static PyMethodDef methods[] = {
     FASTCALL(set_any_count,
              "Partitions of weight into any number of parts from parts."),
     FASTCALL(partition_table, "Unrestricted partition numbers p(0..n)."),
+    FASTCALL(partition_count, "The unrestricted partition number p(n)."),
     {NULL, NULL, 0, NULL}};
 
 static struct PyModuleDef module = {

@@ -19,10 +19,11 @@ All checks go through the public counting API, so a defect in either
 kernel backend surfaces as a failed report rather than a wrong answer
 quietly propagating.  The one exception is the partition-function
 sweep's call of the Rademacher series at its top weight: ``count_total``
-takes that route only past ``SERIES_CUT``, above the default grid.
+takes that route only past ``_kernels_py.SERIES_CUT`` (on the compiled
+backend past 416), above the default grid.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from charrank import _dispatch
@@ -166,8 +167,9 @@ def _sweep_oracle(report, max_part, max_parts, max_weight):
 
 
 def _sweep_grassmannian(report, max_n):
-    expected = gaussian_triangle(max_n)
-    for n in range(1, max_n + 1):
+    # one row of the triangle at a time, from n = 1: row 0 has no Grassmannian
+    rows = islice(gaussian_triangle(max_n), 1, None)
+    for n, expected in enumerate(rows, 1):
         for k in range(n + 1):
             report.checked += 1
             params = (("n", n), ("k", k))
@@ -175,7 +177,7 @@ def _sweep_grassmannian(report, max_n):
             report.compare(
                 params + (("check", "generating polynomial"),),
                 list(table),
-                list(expected[n][k]),
+                list(expected[k]),
             )
             report.compare(
                 params + (("check", "palindrome"),), list(table), list(table[::-1])
@@ -222,7 +224,7 @@ def _sweep_partition_crosscheck(report, max_weight):
         expected[max_weight],
     )
     # And once through the Rademacher series, which count_total takes only
-    # past SERIES_CUT.  A sum it cannot certify is a failed check.
+    # past _kernels_py.SERIES_CUT.  A sum it cannot certify is a failed check.
     try:
         series = _dispatch.partition_number(max_weight)
     except ArithmeticError as exc:

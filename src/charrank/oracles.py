@@ -47,7 +47,8 @@ def pentagonal_partition_table(limit):
 
 def gaussian_triangle(max_n):
     """Coefficient tuples of every q-binomial [n choose k]_q with
-    0 <= k <= n <= max_n, indexed [n][k], by the q-Pascal rule
+    0 <= k <= n <= max_n, one row [n choose 0..n]_q at a time for
+    n = 0..max_n, by the q-Pascal rule
 
         [n, k] = [n-1, k-1] + q^k [n-1, k],   [n, 0] = [n, n] = 1
 
@@ -56,20 +57,27 @@ def gaussian_triangle(max_n):
     adds one pair with each of its k ones).  Additions only: no product
     formula and no division, unlike ``gaussian_binomial`` and the box
     kernels.
+
+    ``max_n`` is checked at the call.  The rows are then yielded lazily,
+    each built from the one before it alone, so no more than two are held:
+    the whole triangle has about max_n**4 / 24 coefficients.
     """
     _check_limit("max_n", max_n)
-    rows = [[(1,)]]
+    return _triangle_rows(max_n)
+
+
+def _triangle_rows(max_n):
+    row = [(1,)]
+    yield row
     for n in range(1, max_n + 1):
-        above = rows[-1]
-        row = [(1,)]
+        above, row = row, [(1,)]
         for k in range(1, n):
             coeffs = list(above[k - 1]) + [0] * (n - k)
             for i, c in enumerate(above[k], k):
                 coeffs[i] += c
             row.append(tuple(coeffs))
         row.append((1,))
-        rows.append(row)
-    return rows
+        yield row
 
 
 def multiset_weights(values, size, top):

@@ -23,15 +23,6 @@ from charrank import _dispatch
 from charrank._record import Frozen
 from charrank.errors import CapExceeded, check_int
 
-#: ``count_total`` sums the Rademacher series past this weight and reads
-#: the Durfee table at or below it.  The compiled backend fills that table
-#: in machine words up to weight 416 and hands 417 to the pure one, so
-#: weight 417 still crosses that seam on the table.  The pure series
-#: already beats the pure table there, and more so further on: 0.27
-#: against 0.41 ms at 417, 0.39 against 1.1 ms at 813 and 0.69 against
-#: 7.4 ms at 2940 (best of 9, CPython 3.11, x86-64).
-SERIES_CUT = 417
-
 #: Default bound on the effective search box (largest part x number of
 #: parts) accepted by the enumeration functions.
 DEFAULT_ENUMERATION_CAP = 64
@@ -195,18 +186,15 @@ def count_set_any(parts, weight):
 
 
 def count_total(weight):
-    """The unrestricted partition number p(weight).
-
-    Two routes give it.  At or below ``SERIES_CUT`` it is the last entry
-    of the Durfee-square table p(0..weight) (``partition_table``), which
-    the compiled backend fills in machine words up to weight 416.  Past
-    the cut it is the Hardy-Ramanujan-Rademacher series
-    (``partition_number``), whose sum is certified to round to p(weight).
+    """The unrestricted partition number p(weight), one point query of the
+    serving backend (``partition_count``).  Each backend picks its own
+    route: the compiled one sums one row of machine words up to weight 416;
+    the pure one reads its Durfee squares up to ``_kernels_py.SERIES_CUT``
+    and sums the Hardy-Ramanujan-Rademacher series past it, which is
+    certified to round to p(weight), and serves the compiled one past 416.
     """
     check_int(ValueError, 0, "weight", weight)
-    if weight > SERIES_CUT:
-        return _dispatch.partition_number(weight)
-    return _dispatch.partition_table(weight)[weight]
+    return _dispatch.partition_count(weight)
 
 
 def _check_cap(largest, slots, weights, cap):

@@ -11,7 +11,13 @@ from charrank import _dispatch, _kernels_py
 SRC = Path(__file__).resolve().parents[1] / "src" / "charrank"
 #: The entry points both backends have.
 COMPILED = (
-    "box_count", "box_table", "box_sum", "set_exact_counts", "set_any_count", "partition_table"
+    "box_count",
+    "box_table",
+    "box_sum",
+    "set_exact_counts",
+    "set_any_count",
+    "partition_table",
+    "partition_count",
 )
 #: Every ``_dispatch`` entry point: the Rademacher series is pure Python
 #: on both backends.

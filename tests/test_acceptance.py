@@ -240,6 +240,9 @@ PY_MUTANTS = {
     "Durfee double sum": (  # each square divides by 1 - q^s once, not twice
         "accumulate(accumulate(body[r::s]))", "accumulate(body[r::s])", ("partition_table", (5,))
     ),
+    "point query reads one weight down": (  # p(n - 1) for p(n) below the cut
+        "partition_table(n)[n]", "partition_table(n)[n - 1]", ("partition_count", (5,))
+    ),
     "2-D shift": (  # part v shifts the row below one slot short
         "shift = v * bits", "shift = (v - 1) * bits", ("set_exact_counts", ((1, 2), 2, 4))
     ),
@@ -272,6 +275,9 @@ PY_MUTANTS = {
     ),
     "series prefactor": (  # 4 / (24n) instead of 4 / (24n - 1)
         "(2 * tm // d,", "(2 * tm // (d + 1),", ("partition_number", (200,))
+    ),
+    "Selberg fold drops its doubling": (  # each odd k sums only l < k
+        "sm, sr = fold * sm, fold * sr", "sm, sr = sm, sr", ("partition_number", (200,))
     ),
 }
 

@@ -21,6 +21,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_child(*argv):
+    """Exit code, output, error output and peak resident memory in kB (on
+    Linux) of ``python -m charrank`` with ``argv``: the command is the
+    probe's only child, so RUSAGE_CHILDREN is the command's peak."""
+    probe = (
+        "import json, resource, subprocess, sys\n"
+        "out = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(json.dumps([out.returncode, out.stdout, out.stderr, peak]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, sys.executable, "-m", "charrank", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
 def _corrupt_box_sum(monkeypatch):
     """Make the box sum for parts {1..3} at weight 6 one too large, so eq3
     fails."""
@@ -127,22 +146,8 @@ class TestCount:
 
     def test_unreachable_set_any_weight_is_zero_in_little_memory(self):
         # no part is at most the weight, so no row of 3 * 10**7 weights is
-        # built: it took 472 MB.  The command is the probe's only child, so
-        # RUSAGE_CHILDREN is the command's peak (kB on Linux).
-        probe = (
-            "import json, resource, subprocess, sys\n"
-            "out = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
-            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
-            "print(json.dumps([out.returncode, out.stdout, out.stderr, peak]))"
-        )
-        command = ("-m", "charrank", "count", "set-any", "--parts", "1000000000", "30000000")
-        out = subprocess.run(
-            [sys.executable, "-c", probe, sys.executable, *command],
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 0, out.stderr
-        *result, peak = json.loads(out.stdout)
+        # built: it took 472 MB
+        *result, peak = run_child("count", "set-any", "--parts", "1000000000", "30000000")
         assert result == [0, "0\n", ""]
         assert peak < 30 * 1024
 
@@ -308,6 +313,15 @@ class TestVerify:
         assert code == 0
         assert "eq4: pass (checked=12, failures=0)" in out
         assert out.endswith("overall: pass\n")
+
+    def test_grassmannian_sweep_holds_one_row_of_the_triangle(self):
+        # the whole q-Pascal triangle to n = 60 peaked at 36 MB, about
+        # 18 MB over the interpreter and the import; one row at a time the
+        # command peaks near 18 MB (CPython 3.11, x86-64)
+        *result, peak = run_child("verify", "grassmannian-tables", "--max-n", "60")
+        out = "grassmannian-tables: pass (checked=1890, failures=0)\noverall: pass\n"
+        assert result == [0, out, ""]
+        assert peak < 26 * 1024
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(

@@ -124,15 +124,15 @@ class TestGaussianBinomial:
 
 class TestGaussianTriangle:
     def test_matches_the_product_formula(self):
-        rows = gaussian_triangle(24)
+        rows = list(gaussian_triangle(24))
         assert [len(row) for row in rows] == list(range(1, 26))
         for n in range(1, 25):
             for k in range(n + 1):
                 assert rows[n][k] == gaussian_binomial(n, k), (n, k)
 
     def test_smallest_triangles(self):
-        assert gaussian_triangle(0) == [[(1,)]]
-        assert gaussian_triangle(2) == [[(1,)], [(1,), (1,)], [(1,), (1, 1), (1,)]]
+        assert list(gaussian_triangle(0)) == [[(1,)]]
+        assert list(gaussian_triangle(2)) == [[(1,)], [(1,), (1,)], [(1,), (1, 1), (1,)]]
 
     @pytest.mark.parametrize("max_n", [-1, 2.0, True, "3"])
     def test_rejects_bad_limits(self, max_n):

@@ -22,11 +22,12 @@ from setuptools.command.build_ext import build_ext
 
 import charrank
 from charrank import _dispatch, _kernels_py
+from charrank._kernels_py import SERIES_CUT
 from charrank.cli import main as cli_main
 from charrank.errors import TableTooLarge
 from charrank.grassmannian import gaussian_binomial
 from charrank.oracles import gaussian_triangle, pentagonal_partition_table
-from charrank.partitions import SERIES_CUT, count_total
+from charrank.partitions import count_total
 
 from _backends import COMPILED, KERNELS, SRC, mutate, serve
 
@@ -123,6 +124,14 @@ def test_partition_table_agrees_across_word_size_boundary(kernels_c, n):
     assert kernels_c.partition_table(n) == _kernels_py.partition_table(n)
 
 
+def test_partition_count_is_the_pentagonal_table(kernels_c):
+    # every weight to 600 crosses the pure cut and the compiled seam at 416
+    expected = pentagonal_partition_table(600)
+    assert [kernels_c.partition_count(n) for n in range(601)] == expected
+    for n in (SERIES_CUT - 1, SERIES_CUT, SERIES_CUT + 1, 416, 417):
+        assert kernels_c.partition_count(n) == _kernels_py.partition_count(n) == expected[n]
+
+
 @pytest.mark.parametrize(
     "a, b", [(416, 416), (5, 100), (100, 5), (20, 30), (300, 300), (205, 400), (424, 3)]
 )
@@ -215,8 +224,9 @@ def test_box_sum_with_no_part_within_the_weight_builds_no_row(kernels_c, monkeyp
 
 
 def test_series_is_priced_as_a_one_part_row(kernels_c, monkeypatch):
-    # past SERIES_CUT count_total sums the pure series on both backends;
-    # its n + 1 weights are priced before any term is summed
+    # past 416 count_total sums the pure series on both backends (the
+    # compiled partition_count hands the weight to the pure one); its
+    # n + 1 weights are priced before any term is summed
     def no_series(*args):
         raise AssertionError("the series ran")
 
@@ -256,6 +266,7 @@ def test_huge_bounds_are_clamped_not_overflowed(kernels_c):
         ("set_exact_counts", ((1, 2), 3, -1)),
         ("partition_table", (-1,)),
         ("set_any_count", ((1, 2), -1)),
+        ("partition_count", (-1,)),
     ],
 )
 def test_negative_argument_raises_the_same_error(kernels_c, kernel, args):
@@ -344,6 +355,9 @@ C_MUTANTS = {
     "box chain seed one step late": (
         "(w - 1) / hi : 0", "(w - 1) / hi + 1 : 0", ("box_sum", (1, 2, 4))
     ),
+    "point query drops the part n": (
+        "NULL, n, 1);", "NULL, n - 1, 1);", ("partition_count", (5,))
+    ),
 }
 
 
@@ -369,9 +383,10 @@ def test_cross_backend_checks_catch_a_compiled_mutant(tmp_path, monkeypatch, nam
 # hands to the big-integer route; betti 108 4 tops out at 4 * 104 = 416,
 # betti 142 3 at 3 * 139 = 417.  The gapless bound runs the box chain.
 # 40 parts from {2..13} weigh 80..520, so set-exact 500 runs the table and
-# set-exact 600 is an exact 0 with none.  count total runs the Durfee
-# squares up to SERIES_CUT and the Rademacher series past it, on both
-# backends alike.
+# set-exact 600 is an exact 0 with none.  count total is one point query:
+# on pure the Durfee squares up to SERIES_CUT and the Rademacher series
+# past it, compiled one row of machine words up to 416 and the pure route
+# past it.
 SAME_OUTPUT = [
     "verify all --format json",
     "betti 108 4",
@@ -379,7 +394,8 @@ SAME_OUTPUT = [
     "count set-exact --parts 2,3,5,7,11,13 40 500",
     "count set-exact --parts 2,3,5,7,11,13 40 600",
 ] + [
-    f"count total {weight}" for weight in (SERIES_CUT - 1, SERIES_CUT, SERIES_CUT + 1, 3000)
+    f"count total {weight}"
+    for weight in (SERIES_CUT - 1, SERIES_CUT, SERIES_CUT + 1, 416, 417, 418, 3000)
 ] + [
     command.format(weight)
     for weight in (416, 417)

@@ -28,9 +28,12 @@ over whole rows, the three bounds on their slot width to p(c) and to
 brute force, and the kernel's width to the least of them, and
 ``set_exact_counts`` to building no table out of reach, to pricing its
 column of b + 1 counts and to a memory ceiling.  The Rademacher series is
-held to the pentagonal recurrence, its ball arithmetic to mpmath at a
-higher precision, and its certificate to refusing a sum it cannot bound
-within 1/2 of an integer.
+held to the pentagonal recurrence, under its first remainder budget alone
+to weight 6000, its ball arithmetic to mpmath at a higher precision, the
+fold of its Selberg sum to the congruence it rests on, and its certificate
+to refusing a sum it cannot bound within 1/2 of an integer.  The point
+query ``partition_count`` is held to the pentagonal recurrence on both
+sides of ``SERIES_CUT``.
 """
 
 import tracemalloc
@@ -681,6 +684,40 @@ def test_series_every_weight_to_600():
     assert [_kernels_py.partition_number(n) for n in range(601)] == expected
     with pytest.raises(ValueError):
         _kernels_py.partition_number(-1)
+
+
+def test_series_first_budget_certifies_every_weight_to_6000(monkeypatch):
+    # the remainder bound, not the budget after it, certifies each sum: a
+    # precision guard short of the error growth of _exp fails here first
+    monkeypatch.setattr(_kernels_py, "TAIL_BUDGETS", _kernels_py.TAIL_BUDGETS[:1])
+    expected = pentagonal_partition_table(6000)
+    assert [_kernels_py.partition_number(n) for n in range(6001)] == expected
+
+
+def test_selberg_fold_pairs_l_with_l_plus_k():
+    # the solutions l < 2k of (3l^2 + l)/2 = -n mod k: for odd k, l + k
+    # solves as l does, (3(l+k)^2 + (l+k))/2 adding 3lk + k(3k+1)/2; for
+    # even k that is k/2 mod k, so no two solutions lie k apart
+    for k in range(1, 129):
+        classes = {}
+        for l in range(2 * k):
+            classes.setdefault((3 * l * l + l) // 2 % k, set()).add(l)
+        for n in range(501):
+            solutions = classes.get(-n % k, set())
+            if k % 2:
+                assert {(l + k) % (2 * k) for l in solutions} == solutions, (k, n)
+            else:
+                assert not any(l + k in solutions for l in solutions), (k, n)
+
+
+def test_partition_count_is_the_pentagonal_table():
+    cut = _kernels_py.SERIES_CUT
+    expected = pentagonal_partition_table(max(600, cut + 1, 417))
+    assert [_kernels_py.partition_count(n) for n in range(601)] == expected[:601]
+    for n in (cut - 1, cut, cut + 1, 416, 417):
+        assert _kernels_py.partition_count(n) == expected[n], n
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        _kernels_py.partition_count(-1)
 
 
 @pytest.mark.parametrize("n", [2, 200, 1000, 10**5])

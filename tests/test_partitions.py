@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import partition as sympy_partition
 
-from charrank import _dispatch, _kernels_py, partitions
+from charrank import _kernels_py, partitions
+from charrank._kernels_py import SERIES_CUT
 from charrank.errors import CapExceeded, TableTooLarge
 from charrank.identities import default_grid
 from charrank.oracles import pentagonal_partition_table
 from charrank.partitions import (
     DEFAULT_ENUMERATION_CAP,
-    SERIES_CUT,
     Partition,
     PartsSet,
     _box_parts,
@@ -325,7 +325,8 @@ class TestCountTotal:
         assert count_total(n) == int(sympy_partition(n))
 
     def test_every_weight_to_5000_on_both_routes(self):
-        # the Durfee table up to SERIES_CUT, the Rademacher series past it
+        # on pure the Durfee table up to SERIES_CUT, the Rademacher series
+        # past it; compiled its word row up to 416, the pure route past it
         expected = pentagonal_partition_table(5000)
         assert [count_total(n) for n in range(5001)] == expected
 
@@ -335,13 +336,15 @@ class TestCountTotal:
         assert count_total(n) == int(sympy_partition(n))
 
     def test_routes_by_the_cut(self, monkeypatch):
+        # the pure point query picks its route inside the kernel
         calls = []
 
         def no_series(n):
             calls.append(n)
             return -1
 
-        monkeypatch.setattr(_dispatch, "partition_number", no_series)
+        monkeypatch.setattr(_kernels_py, "partition_number", no_series)
+        serve(monkeypatch, _kernels_py)
         assert count_total(SERIES_CUT) == pentagonal_partition_table(SERIES_CUT)[-1]
         assert (count_total(SERIES_CUT + 1), calls) == (-1, [SERIES_CUT + 1])
 
