@@ -1,12 +1,16 @@
 /* Compiled counting kernels: the same contract as ``_kernels_py``.
  *
- * Counts stay exact: the unsigned 64-bit path only runs when every output
- * provably fits, and uint64 arithmetic is exact mod 2**64, so intermediate
- * entries may wrap.  Each output counts partitions of weight at most the
- * target weight, so it is at most p(weight), and p(416) < 2**64 <= p(417).
- * Every other call (a larger weight, a negative or non-int argument, a wrong
- * number of arguments) goes to the same-named function of ``_kernels_py``,
- * so big results and errors come from one place.
+ * Counts stay exact: the kernels count in one unsigned ``word`` of
+ * WORD_BITS bits, and only at weights up to SAFE_WEIGHT.  Word arithmetic
+ * is exact mod 2**WORD_BITS, so intermediate entries may wrap.  Each output
+ * counts partitions of weight at most the target weight, so it is at most
+ * p(weight), and p(SAFE_WEIGHT) < 2**WORD_BITS <= p(SAFE_WEIGHT + 1): every
+ * output fits, and SAFE_WEIGHT is the largest weight for which that holds.
+ * With 64-bit words that is p(416) < 2**64 <= p(417).  Both constants are
+ * module attributes.  Every other call (a larger weight, a negative or
+ * non-int argument, a wrong number of arguments) goes to the same-named
+ * function of ``_kernels_py``, so big results and errors come from one
+ * place.
  *
  * Two loops serve the seven entry points.  The 2-D ``part_rows`` serves
  * only set-exact counts.  The 1-D ``series`` serves the other six, whose
@@ -20,7 +24,9 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-#define U64_SAFE_WEIGHT 416 /* largest weight whose counts fit in uint64 */
+typedef uint64_t word; /* the unsigned machine word the kernels count in */
+#define WORD_BITS 64     /* its width in bits */
+#define SAFE_WEIGHT 416  /* largest n with p(n) < 2**WORD_BITS */
 
 static PyObject *kernels_py; /* charrank._kernels_py, set once at import */
 
@@ -34,14 +40,14 @@ static PyObject *kernels_py; /* charrank._kernels_py, set once at import */
  * so part v changes row p only on [v + (p-1) * least, p * v], and no row
  * past the first whose window starts at ``width`` or beyond. */
 static void
-part_rows(uint64_t *table, const long *parts, long nparts, long rows,
+part_rows(word *table, const long *parts, long nparts, long rows,
           long width)
 {
     table[0] = 1;
     for (long i = 0; i < nparts; i++) {
         long v = parts[i];
         for (long p = 1, lo = v; p <= rows && lo < width; p++, lo += parts[0]) {
-            uint64_t *row = table + p * width, *below = row - width;
+            word *row = table + p * width, *below = row - width;
             long hi = p * v < width ? p * v : width - 1;
             for (long w = lo; w <= hi; w++)
                 row[w] += below[w - v];
@@ -56,7 +62,7 @@ part_rows(uint64_t *table, const long *parts, long nparts, long rows,
  * v runs dp[w] += dp[w - v] over w ascending, so dp[w - v] already uses v.
  * With from > to there is no numerator: partitions into the parts. */
 static void
-series(uint64_t *dp, long width, long from, long to, const long *parts,
+series(word *dp, long width, long from, long to, const long *parts,
        long nparts)
 {
     dp[0] = 1;
@@ -103,7 +109,7 @@ delegate(const char *name, PyObject *const *args, Py_ssize_t nargs)
  * asks for that, but a parts reader that drops a part then yields a wrong
  * count, a failed check, instead of an IndexError in count_set_exact. */
 static PyObject *
-to_list(uint64_t *table, long at, long step, long n, long len)
+to_list(word *table, long at, long step, long n, long len)
 {
     PyObject *out = PyList_New(len), *item;
 
@@ -124,7 +130,7 @@ static PyObject *
 series_result(long top, long from, long to, const long *parts, long nparts,
               int last)
 {
-    uint64_t *dp = calloc((size_t)top + 1, sizeof *dp), count;
+    word *dp = calloc((size_t)top + 1, sizeof *dp), count;
 
     if (dp == NULL)
         return PyErr_NoMemory();
@@ -165,11 +171,11 @@ box_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     long a = -1, b = -1, c = -1, lo;
 
     if (nargs == 3) {
-        c = clamp(args[2], U64_SAFE_WEIGHT + 1);
+        c = clamp(args[2], SAFE_WEIGHT + 1);
         a = clamp(args[0], c); /* parts are >= 1: bounds beyond c are inert */
         b = clamp(args[1], c);
     }
-    if (c < 0 || c > U64_SAFE_WEIGHT || a < 0 || b < 0)
+    if (c < 0 || c > SAFE_WEIGHT || a < 0 || b < 0)
         return delegate("box_count", args, nargs);
     if (c > a * b)
         return PyLong_FromLong(0);
@@ -184,10 +190,10 @@ box_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     long a = -1, b = -1, lo;
 
     if (nargs == 2) {
-        a = clamp(args[0], U64_SAFE_WEIGHT + 1);
-        b = clamp(args[1], U64_SAFE_WEIGHT + 1);
+        a = clamp(args[0], SAFE_WEIGHT + 1);
+        b = clamp(args[1], SAFE_WEIGHT + 1);
     }
-    if (a < 0 || b < 0 || a * b > U64_SAFE_WEIGHT)
+    if (a < 0 || b < 0 || a * b > SAFE_WEIGHT)
         return delegate("box_table", args, nargs);
     lo = a < b ? a : b;
     return series_result(a * b, a + b - lo + 1, a + b, NULL, lo, 0);
@@ -201,13 +207,13 @@ box_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 box_sum(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long lo = nargs == 3 ? clamp(args[0], U64_SAFE_WEIGHT + 1) : -1,
-         hi = nargs == 3 ? clamp(args[1], U64_SAFE_WEIGHT + 1) : -1,
-         w = nargs == 3 ? clamp(args[2], U64_SAFE_WEIGHT + 1) : -1, m, s0;
-    uint64_t *dp, total = w == 0;
+    long lo = nargs == 3 ? clamp(args[0], SAFE_WEIGHT + 1) : -1,
+         hi = nargs == 3 ? clamp(args[1], SAFE_WEIGHT + 1) : -1,
+         w = nargs == 3 ? clamp(args[2], SAFE_WEIGHT + 1) : -1, m, s0;
+    word *dp, total = w == 0;
 
-    if (lo < 1 || hi < lo || hi > U64_SAFE_WEIGHT
-        || w < 0 || w > U64_SAFE_WEIGHT)
+    if (lo < 1 || hi < lo || hi > SAFE_WEIGHT
+        || w < 0 || w > SAFE_WEIGHT)
         return delegate("box_sum", args, nargs);
     if ((dp = calloc((size_t)w + 1, sizeof *dp)) == NULL)
         return PyErr_NoMemory();
@@ -228,14 +234,14 @@ box_sum(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 set_exact_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long b = -1, c = -1, smax, n, parts[U64_SAFE_WEIGHT];
-    uint64_t *table;
+    long b = -1, c = -1, smax, n, parts[SAFE_WEIGHT];
+    word *table;
 
     if (nargs == 3 && PyTuple_Check(args[0])) {
-        b = clamp(args[1], U64_SAFE_WEIGHT + 1);
-        c = clamp(args[2], U64_SAFE_WEIGHT + 1);
+        b = clamp(args[1], SAFE_WEIGHT + 1);
+        c = clamp(args[2], SAFE_WEIGHT + 1);
     }
-    if (b < 0 || b > U64_SAFE_WEIGHT || c < 0 || c > U64_SAFE_WEIGHT
+    if (b < 0 || b > SAFE_WEIGHT || c < 0 || c > SAFE_WEIGHT
         || (n = read_parts(args[0], c, parts)) < 0)
         return delegate("set_exact_counts", args, nargs);
     /* more than c / least parts outweigh c; with no part only row 0 counts */
@@ -252,11 +258,11 @@ set_exact_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 set_any_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long top = -1, n, parts[U64_SAFE_WEIGHT];
+    long top = -1, n, parts[SAFE_WEIGHT];
 
     if (nargs == 2 && PyTuple_Check(args[0]))
-        top = clamp(args[1], U64_SAFE_WEIGHT + 1);
-    if (top < 0 || top > U64_SAFE_WEIGHT
+        top = clamp(args[1], SAFE_WEIGHT + 1);
+    if (top < 0 || top > SAFE_WEIGHT
         || (n = read_parts(args[0], top, parts)) < 0)
         return delegate("set_any_count", args, nargs);
     return series_result(top, 1, 0, parts, n, 1);
@@ -265,21 +271,21 @@ set_any_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 partition_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long n = nargs == 1 ? clamp(args[0], U64_SAFE_WEIGHT + 1) : -1;
+    long n = nargs == 1 ? clamp(args[0], SAFE_WEIGHT + 1) : -1;
 
-    if (n < 0 || n > U64_SAFE_WEIGHT)
+    if (n < 0 || n > SAFE_WEIGHT)
         return delegate("partition_table", args, nargs);
     return series_result(n, 1, 0, NULL, n, 0); /* parts above n never fit */
 }
 
-/* p(n) alone, from the same row; past 416 the pure ``partition_count``
- * picks its own route. */
+/* p(n) alone, from the same row; past SAFE_WEIGHT the pure
+ * ``partition_count`` picks its own route. */
 static PyObject *
 partition_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long n = nargs == 1 ? clamp(args[0], U64_SAFE_WEIGHT + 1) : -1;
+    long n = nargs == 1 ? clamp(args[0], SAFE_WEIGHT + 1) : -1;
 
-    if (n < 0 || n > U64_SAFE_WEIGHT)
+    if (n < 0 || n > SAFE_WEIGHT)
         return delegate("partition_count", args, nargs);
     return series_result(n, 1, 0, NULL, n, 1);
 }
@@ -313,7 +319,10 @@ PyInit__kernels_c(void)
         && (kernels_py = PyImport_ImportModule("charrank._kernels_py")) == NULL)
         return NULL;
     m = PyModule_Create(&module);
-    if (m != NULL && PyModule_AddStringConstant(m, "BACKEND", "c") < 0)
+    if (m != NULL
+        && (PyModule_AddStringConstant(m, "BACKEND", "c") < 0
+            || PyModule_AddIntConstant(m, "WORD_BITS", WORD_BITS) < 0
+            || PyModule_AddIntConstant(m, "SAFE_WEIGHT", SAFE_WEIGHT) < 0))
         Py_CLEAR(m);
     return m;
 }

@@ -18,7 +18,7 @@ Two dynamic programs serve the six table entry points:
   2**(width * bits), as the compiled twin's run mod 2**64; they are exact
   because every count a slot ever holds fits in it.  ``set_exact_counts``
   proves that before it picks the width; the compiled twin, whose tables
-  stop at 417 x 417, hands it every larger call.
+  stop at weight ``_kernels_c.SAFE_WEIGHT``, hands it every larger call.
 * the 1-D table indexed by weight adds parts with no bound on their
   number.  A box row (``_box_row``: every box, and the chained box sum
   ``box_sum``) and a set-any row (``set_any_count``) are one int in such
@@ -63,8 +63,8 @@ difference is k/2 mod k, and there is nothing to fold.
 
 ``partition_count`` serves one p(n), and so ``count_total``: the Durfee
 squares up to ``SERIES_CUT`` and the series past it, as each is the
-cheaper there.  The compiled twin keeps its own route up to 416 and hands
-larger weights here.
+cheaper there.  The compiled twin keeps its own route up to
+``_kernels_c.SAFE_WEIGHT`` and hands larger weights here.
 
 Every table path adds and subtracts native integers along an exact
 recurrence (the packed ones in slots that provably hold every count), and
@@ -125,7 +125,7 @@ EXP_REDUCE = 5
 #: against series: 0.12 against 0.16 ms at 200, 0.15 against 0.18 at 240,
 #: 0.17 against 0.17 at 260, 0.21 against 0.18 at 300 and 0.33 against
 #: 0.19 at 416 (best of 15, mean over 11 weights, CPython 3.11, x86-64).
-#: The compiled twin keeps its own cut at 416.
+#: The compiled twin keeps its own cut at ``_kernels_c.SAFE_WEIGHT``.
 SERIES_CUT = 260
 
 

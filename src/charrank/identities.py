@@ -20,7 +20,7 @@ kernel backend surfaces as a failed report rather than a wrong answer
 quietly propagating.  The one exception is the partition-function
 sweep's call of the Rademacher series at its top weight: ``count_total``
 takes that route only past ``_kernels_py.SERIES_CUT`` (on the compiled
-backend past 416), above the default grid.
+backend past ``_kernels_c.SAFE_WEIGHT``), above the default grid.
 """
 
 from itertools import combinations, islice

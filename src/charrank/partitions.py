@@ -188,10 +188,11 @@ def count_set_any(parts, weight):
 def count_total(weight):
     """The unrestricted partition number p(weight), one point query of the
     serving backend (``partition_count``).  Each backend picks its own
-    route: the compiled one sums one row of machine words up to weight 416;
-    the pure one reads its Durfee squares up to ``_kernels_py.SERIES_CUT``
-    and sums the Hardy-Ramanujan-Rademacher series past it, which is
-    certified to round to p(weight), and serves the compiled one past 416.
+    route: the compiled one sums one row of machine words up to weight
+    ``_kernels_c.SAFE_WEIGHT``; the pure one reads its Durfee squares up to
+    ``_kernels_py.SERIES_CUT`` and sums the Hardy-Ramanujan-Rademacher
+    series past it, which is certified to round to p(weight), and serves
+    the compiled one past ``SAFE_WEIGHT``.
     """
     check_int(ValueError, 0, "weight", weight)
     return _dispatch.partition_count(weight)

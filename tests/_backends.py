@@ -7,8 +7,27 @@ time, so each mutant is today's kernel with exactly one transition broken.
 from pathlib import Path
 
 from charrank import _dispatch, _kernels_py
+from charrank.oracles import pentagonal_partition_table
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "charrank"
+#: The width of the compiled kernels' word, ``_kernels_c.WORD_BITS``.
+WORD_BITS = 64
+
+
+def _seam(bits):
+    """The largest n with p(n) < 2**bits.  Every count at weight n is at
+    most p(n), so this is the largest weight whose counts all fit in a word
+    of ``bits`` bits; p grows, so a longer table only appends larger p."""
+    limit = 64
+    while (table := pentagonal_partition_table(limit))[-1] < 2**bits:
+        limit *= 2
+    return sum(p < 2**bits for p in table) - 1
+
+
+#: The compiled seam, derived from the proof rather than read from the
+#: module: the compiled kernels serve weights up to SEAM natively and hand
+#: SEAM + 1 on to ``_kernels_py``.  Tests that straddle it name it.
+SEAM = _seam(WORD_BITS)
 #: The entry points both backends have.
 COMPILED = (
     "box_count",

@@ -13,6 +13,8 @@ from charrank.errors import DegreeOutOfRange, NotGapless, PreconditionViolation
 from charrank.grassmannian import gaussian_binomial
 from charrank.partitions import PartsSet, count_set_any, count_total
 
+from _brute import set_exact as brute_set_exact
+
 
 def free_profile(members):
     return BundleProfile(UNBOUNDED, PartsSet(members), UNBOUNDED)
@@ -81,10 +83,11 @@ class TestBettiUpperBound:
         st.integers(1, 30),
     )
     def test_agrees_with_monomial_count(self, members, degree):
+        # both read _dispatch.set_any_count, so the naive recursion summed
+        # over the number of parts is the independent check
         profile = free_profile(members)
-        assert betti_upper_bound(profile, degree) == monomial_count(
-            profile.s_set, degree
-        )
+        brute = sum(brute_set_exact(members, parts, degree) for parts in range(degree + 1))
+        assert betti_upper_bound(profile, degree) == monomial_count(profile.s_set, degree) == brute
 
     @given(
         st.sets(st.integers(1, 9), min_size=1, max_size=4),

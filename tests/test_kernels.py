@@ -29,9 +29,11 @@ from charrank.grassmannian import gaussian_binomial
 from charrank.oracles import gaussian_triangle, pentagonal_partition_table
 from charrank.partitions import count_total
 
-from _backends import COMPILED, KERNELS, SRC, mutate, serve
+from _backends import COMPILED, KERNELS, SEAM, SRC, WORD_BITS, mutate, serve
 
 SOURCE = SRC / "_kernels_c.c"
+#: The weights that straddle the compiled seam: six at or below it, eight past it.
+WINDOW = range(SEAM - 6, SEAM + 9)
 
 
 def _build(directory, source=SOURCE):
@@ -73,6 +75,43 @@ def test_backend_markers(kernels_c):
     assert _kernels_py.BACKEND == "python"
     assert kernels_c.BACKEND == "c"
     assert _dispatch.backend_name() in ("python", "c")
+
+
+def test_seam_constants_state_the_proof(kernels_c):
+    # SEAM is the largest n with p(n) < 2**WORD_BITS, derived in the tests
+    assert kernels_c.WORD_BITS == WORD_BITS
+    assert kernels_c.SAFE_WEIGHT == SEAM
+
+
+#: One call of each compiled entry point at a weight w on the seam's scale.
+SEAM_CALLS = {
+    "box_count": lambda w: (2, w, w),
+    "box_table": lambda w: (1, w),
+    "box_sum": lambda w: (1, 2, w),
+    "set_exact_counts": lambda w: ((1,), 1, w),
+    "set_any_count": lambda w: ((1,), w),
+    "partition_table": lambda w: (w,),
+    "partition_count": lambda w: (w,),
+}
+
+
+@pytest.mark.parametrize("kernel", COMPILED)
+def test_compiled_kernel_serves_the_seam_and_hands_on_past_it(kernels_c, monkeypatch, kernel):
+    # the compiled kernels look their pure twin up by name when they hand a
+    # call on, so a spy in its place sees exactly the calls they delegate
+    twin, handed = getattr(_kernels_py, kernel), []
+
+    def spy(*args):
+        handed.append(args)
+        return twin(*args)
+
+    monkeypatch.setattr(_kernels_py, kernel, spy)
+    compiled = getattr(kernels_c, kernel)
+    at, past = SEAM_CALLS[kernel](SEAM), SEAM_CALLS[kernel](SEAM + 1)
+    assert compiled(*at) == twin(*at)
+    assert handed == []
+    assert compiled(*past) == twin(*past)
+    assert handed == [past]
 
 
 @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 80))
@@ -117,32 +156,33 @@ def test_partition_table_agrees(kernels_c, n):
 
 
 @settings(deadline=None, max_examples=10)
-@given(st.integers(410, 424))
+@given(st.sampled_from(WINDOW))
 def test_partition_table_agrees_across_word_size_boundary(kernels_c, n):
-    # weights 417+ leave the compiled uint64 fast path for the shared
+    # weights past SEAM leave the compiled word path for the shared
     # big-integer route; the seam must be invisible
     assert kernels_c.partition_table(n) == _kernels_py.partition_table(n)
 
 
 def test_partition_count_is_the_pentagonal_table(kernels_c):
-    # every weight to 600 crosses the pure cut and the compiled seam at 416
-    expected = pentagonal_partition_table(600)
-    assert [kernels_c.partition_count(n) for n in range(601)] == expected
-    for n in (SERIES_CUT - 1, SERIES_CUT, SERIES_CUT + 1, 416, 417):
+    # every weight to 600 or past SEAM crosses the pure cut and the seam
+    expected = pentagonal_partition_table(max(600, SEAM + 1))
+    assert [kernels_c.partition_count(n) for n in range(len(expected))] == expected
+    for n in (SERIES_CUT - 1, SERIES_CUT, SERIES_CUT + 1, SEAM, SEAM + 1):
         assert kernels_c.partition_count(n) == _kernels_py.partition_count(n) == expected[n]
 
 
 @pytest.mark.parametrize(
-    "a, b", [(416, 416), (5, 100), (100, 5), (20, 30), (300, 300), (205, 400), (424, 3)]
+    "a, b",
+    [(SEAM, SEAM), (5, 100), (100, 5), (20, 30), (300, 300), (205, 400), (SEAM + 8, 3)],
 )
 def test_box_count_agrees_across_word_size_boundary(kernels_c, a, b):
-    # the compiled numerator entries wrap mod 2**64 up to weight 416, and
-    # from 417 on the call goes to the big-integer route
-    for c in range(410, 425):
+    # the compiled numerator entries wrap mod 2**WORD_BITS up to weight
+    # SEAM, and past it the call goes to the big-integer route
+    for c in WINDOW:
         assert kernels_c.box_count(a, b, c) == _kernels_py.box_count(a, b, c), c
 
 
-@pytest.mark.parametrize("size", range(410, 425))
+@pytest.mark.parametrize("size", WINDOW)
 def test_box_table_agrees_across_word_size_boundary(kernels_c, size):
     for a in range(1, size + 1):
         if size % a == 0:
@@ -152,7 +192,7 @@ def test_box_table_agrees_across_word_size_boundary(kernels_c, size):
 
 
 def test_box_table_is_the_q_pascal_triangle_to_80(kernels_c):
-    # boxes of up to 416 cells on the uint64 path, the larger ones on the
+    # boxes of up to SEAM cells on the word path, the larger ones on the
     # pure kernel's packed rows, in slots past 64 bits from n = 68 on
     triangle = gaussian_triangle(80)
     for n, rows in enumerate(triangle):
@@ -161,13 +201,17 @@ def test_box_table_is_the_q_pascal_triangle_to_80(kernels_c):
 
 
 @pytest.mark.parametrize(
-    "lo, hi", [(1, 1), (1, 8), (1, 30), (2, 5), (3, 20), (1, 416), (1, 417), (7, 424), (300, 416)]
+    "lo, hi",
+    [
+        (1, 1), (1, 8), (1, 30), (2, 5), (3, 20),
+        (1, SEAM), (1, SEAM + 1), (7, SEAM + 8), (300, SEAM),
+    ],
 )
 def test_box_sum_agrees_across_word_size_boundary(kernels_c, lo, hi):
     # every entry of the chained row and the sum count partitions of the
-    # weight, so the compiled path stays exact up to 416; from weight 417
-    # on, and for any hi past 416, the call goes to the big-integer route
-    for weight in range(410, 425):
+    # weight, so the compiled path stays exact up to SEAM; past it, and for
+    # any hi past it, the call goes to the big-integer route
+    for weight in WINDOW:
         assert kernels_c.box_sum(lo, hi, weight) == _kernels_py.box_sum(lo, hi, weight), weight
 
 
@@ -175,9 +219,9 @@ def test_box_sum_agrees_across_word_size_boundary(kernels_c, lo, hi):
 @pytest.mark.parametrize("lo", [1, 3])
 def test_box_sum_agrees_from_each_seed_across_word_size_boundary(kernels_c, lo, seed):
     # hi is picked so the chain starts from the box row of step seed,
-    # ceil(weight/hi) - 1; from weight 417 on, or with hi past 416, the
-    # call goes to the big-integer route
-    for weight in range(410, 425):
+    # ceil(weight/hi) - 1; past weight SEAM, or with hi past it, the call
+    # goes to the big-integer route
+    for weight in WINDOW:
         hi = -(-weight // (seed + 1))
         assert -(-weight // hi) - 1 == seed
         assert kernels_c.box_sum(lo, hi, weight) == _kernels_py.box_sum(lo, hi, weight), weight
@@ -187,32 +231,34 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 @pytest.mark.parametrize("parts", [(1, 4, 9, 16), (3, 5, 8, 13, 21), PRIMES])
-@pytest.mark.parametrize("b", [60, 416])
+@pytest.mark.parametrize("b", [60, SEAM])
 def test_set_exact_counts_agree_across_word_size_boundary(kernels_c, parts, b):
     # b = 60 is below every c // least here, so it caps the rows, yet 60
-    # of the largest part outweigh c; b = 416, the largest the compiled
-    # path takes, is at or above every c // least up to weight 416.  From
-    # weight 417 on the compiled call goes to the big-integer route.
-    for c in range(410, 425):
+    # of the largest part outweigh c; b = SEAM, the largest the compiled
+    # path takes, is at or above every c // least up to weight SEAM.  Past
+    # that weight the compiled call goes to the big-integer route.
+    for c in WINDOW:
         assert kernels_c.set_exact_counts(parts, b, c) == _kernels_py.set_exact_counts(
             parts, b, c
         ), c
 
 
 @pytest.mark.parametrize(
-    "parts", [(), (1,), (3, 5, 7), tuple(range(1, 9)), PRIMES, (2, 400, 416, 417, 500)]
+    "parts",
+    [(), (1,), (3, 5, 7), tuple(range(1, 9)), PRIMES, (2, SEAM - 16, SEAM, SEAM + 1, SEAM + 84)],
 )
 def test_set_any_count_agrees_across_word_size_boundary(kernels_c, parts):
     # every entry counts partitions of its weight, so the compiled path
-    # stays exact up to weight 416 and hands 417 on to the big-integer route
-    for weight in range(410, 425):
+    # stays exact up to weight SEAM and hands SEAM + 1 on to the
+    # big-integer route
+    for weight in WINDOW:
         expected = _kernels_py.set_any_count(parts, weight)
         assert kernels_c.set_any_count(parts, weight) == expected, weight
 
 
-@pytest.mark.parametrize("weight", [0, 416, 417, 3 * 10**7, 2**25 + 1])
+@pytest.mark.parametrize("weight", [0, SEAM, SEAM + 1, 3 * 10**7, 2**25 + 1])
 def test_box_sum_with_no_part_within_the_weight_builds_no_row(kernels_c, monkeypatch, weight):
-    # the compiled backend hands a lo past 416 to the pure kernel, which
+    # the compiled backend hands a lo past SEAM to the pure kernel, which
     # answers before it prices or builds a row
     def no_row(*args):
         raise AssertionError("a row was built")
@@ -224,7 +270,7 @@ def test_box_sum_with_no_part_within_the_weight_builds_no_row(kernels_c, monkeyp
 
 
 def test_series_is_priced_as_a_one_part_row(kernels_c, monkeypatch):
-    # past 416 count_total sums the pure series on both backends (the
+    # past SEAM count_total sums the pure series on both backends (the
     # compiled partition_count hands the weight to the pure one); its
     # n + 1 weights are priced before any term is summed
     def no_series(*args):
@@ -242,9 +288,9 @@ def test_series_is_priced_as_a_one_part_row(kernels_c, monkeypatch):
 
 
 def test_box_count_beyond_fast_path_is_exact(kernels_c):
-    # weight above 416 forces the compiled backend to delegate; the result
-    # is a big integer either way
-    a, b, c = 30, 30, 450
+    # a weight past SEAM forces the compiled backend to delegate; the
+    # result is a big integer either way
+    a, b, c = 30, 30, SEAM + 34
     assert kernels_c.box_count(a, b, c) == _kernels_py.box_count(a, b, c)
 
 
@@ -280,7 +326,8 @@ def test_negative_argument_raises_the_same_error(kernels_c, kernel, args):
 
 
 @pytest.mark.parametrize(
-    "args", [(1, 3, -1), (0, 3, 4), (-2, 3, 4), (4, 3, 5), (10**30 + 1, 10**30, 5), (418, 417, 3)]
+    "args",
+    [(1, 3, -1), (0, 3, 4), (-2, 3, 4), (4, 3, 5), (10**30 + 1, 10**30, 5), (SEAM + 2, SEAM + 1, 3)],
 )
 def test_bad_box_sum_argument_raises_the_same_error(kernels_c, args):
     # a negative weight, lo < 1 and hi < lo, also past what C can hold
@@ -379,26 +426,32 @@ def test_cross_backend_checks_catch_a_compiled_mutant(tmp_path, monkeypatch, nam
     assert cli_main(["verify", "all"]) == 1
 
 
-# Weight 416 is the last the compiled uint64 path takes, 417 the first it
-# hands to the big-integer route; betti 108 4 tops out at 4 * 104 = 416,
-# betti 142 3 at 3 * 139 = 417.  The gapless bound runs the box chain.
-# 40 parts from {2..13} weigh 80..520, so set-exact 500 runs the table and
-# set-exact 600 is an exact 0 with none.  count total is one point query:
-# on pure the Durfee squares up to SERIES_CUT and the Rademacher series
-# past it, compiled one row of machine words up to 416 and the pure route
-# past it.
+def _betti_topping_at(weight):
+    """The command ``betti n k`` whose top degree k * (n - k) is
+    ``weight``, with the largest k <= 4 that divides it."""
+    k = max(k for k in (1, 2, 3, 4) if weight % k == 0)
+    return f"betti {weight // k + k} {k}"
+
+
+# Weight SEAM is the last the compiled word path takes, SEAM + 1 the first
+# it hands to the big-integer route, and the two betti commands top out at
+# them.  The gapless bound runs the box chain.  40 parts from {2..13}
+# weigh 80..520, so set-exact 500 runs the table and set-exact 600 is an
+# exact 0 with none.  count total is one point query: on pure the Durfee
+# squares up to SERIES_CUT and the Rademacher series past it, compiled one
+# row of machine words up to SEAM and the pure route past it.
 SAME_OUTPUT = [
     "verify all --format json",
-    "betti 108 4",
-    "betti 142 3",
+    _betti_topping_at(SEAM),
+    _betti_topping_at(SEAM + 1),
     "count set-exact --parts 2,3,5,7,11,13 40 500",
     "count set-exact --parts 2,3,5,7,11,13 40 600",
 ] + [
     f"count total {weight}"
-    for weight in (SERIES_CUT - 1, SERIES_CUT, SERIES_CUT + 1, 416, 417, 418, 3000)
+    for weight in (SERIES_CUT - 1, SERIES_CUT, SERIES_CUT + 1, SEAM, SEAM + 1, SEAM + 2, 3000)
 ] + [
     command.format(weight)
-    for weight in (416, 417)
+    for weight in (SEAM, SEAM + 1)
     for command in (
         "count box 30 30 {}",
         "count set-exact --parts 2,3,5,7,11,13 40 {}",

@@ -52,6 +52,7 @@ from charrank.grassmannian import gaussian_binomial
 from charrank.oracles import gaussian_triangle, pentagonal_partition_table
 from charrank.partitions import count_set_any
 
+from _backends import SEAM
 from _brute import box as brute_box, set_exact as brute_set_exact
 
 
@@ -414,9 +415,9 @@ def test_part_rows_windows_match_plain_loop(members, rows, width):
 
 
 def test_part_rows_past_the_word_size_boundary():
-    # weights past 416, which the compiled kernels hand to these, and
+    # weights past SEAM, which the compiled kernels hand to these, and
     # counts past 64 bits
-    check_part_rows((1, 2, 3, 5, 8, 13), 40, 430)
+    check_part_rows((1, 2, 3, 5, 8, 13), 40, SEAM + 14)
 
 
 def plain_box_row(a, b, width):
@@ -712,9 +713,9 @@ def test_selberg_fold_pairs_l_with_l_plus_k():
 
 def test_partition_count_is_the_pentagonal_table():
     cut = _kernels_py.SERIES_CUT
-    expected = pentagonal_partition_table(max(600, cut + 1, 417))
+    expected = pentagonal_partition_table(max(600, cut + 1, SEAM + 1))
     assert [_kernels_py.partition_count(n) for n in range(601)] == expected[:601]
-    for n in (cut - 1, cut, cut + 1, 416, 417):
+    for n in (cut - 1, cut, cut + 1, SEAM, SEAM + 1):
         assert _kernels_py.partition_count(n) == expected[n], n
     with pytest.raises(ValueError, match="must be nonnegative"):
         _kernels_py.partition_count(-1)

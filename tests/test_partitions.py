@@ -25,7 +25,7 @@ from charrank.partitions import (
     enumerate_set_exact,
 )
 
-from _backends import serve
+from _backends import SEAM, serve
 from _brute import box as brute_box, set_exact as brute_set_exact
 
 
@@ -317,16 +317,17 @@ class TestCountTotal:
         assert count_total(5) == 7
         assert count_total(100) == 190569292
 
-    @pytest.mark.parametrize("n", [1, 50, 200, 415, 416, 417, 450, 1000, 3000])
+    @pytest.mark.parametrize("n", [1, 50, 200, SEAM - 1, SEAM, SEAM + 1, 450, 1000, 3000])
     def test_matches_sympy_across_word_size_boundary(self, n):
-        # 416 is the largest weight whose counts fit in 64 bits; 417 is the
-        # first that cannot, so this sweep crosses the fast-path boundary.
-        # 1000 and 3000 run the big-integer split far past it.
+        # SEAM is the largest weight whose counts fit in a compiled word;
+        # SEAM + 1 is the first that cannot, so this sweep crosses the
+        # fast-path boundary.  1000 and 3000 run the big-integer split far
+        # past it.
         assert count_total(n) == int(sympy_partition(n))
 
     def test_every_weight_to_5000_on_both_routes(self):
         # on pure the Durfee table up to SERIES_CUT, the Rademacher series
-        # past it; compiled its word row up to 416, the pure route past it
+        # past it; compiled its word row up to SEAM, the pure route past it
         expected = pentagonal_partition_table(5000)
         assert [count_total(n) for n in range(5001)] == expected
 
