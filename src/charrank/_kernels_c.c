@@ -7,10 +7,11 @@
  * p(weight), and p(SAFE_WEIGHT) < 2**WORD_BITS <= p(SAFE_WEIGHT + 1): every
  * output fits, and SAFE_WEIGHT is the largest weight for which that holds.
  * With 64-bit words that is p(416) < 2**64 <= p(417).  Both constants are
- * module attributes.  Every other call (a larger weight, a negative or
- * non-int argument, a wrong number of arguments) goes to the same-named
- * function of ``_kernels_py``, so big results and errors come from one
- * place.
+ * module attributes.  Every weight and box side is read through ``weight``,
+ * which refuses one past SAFE_WEIGHT.  Every other call (a larger weight, a
+ * negative or non-int argument, a wrong number of arguments) goes to the
+ * function of ``_kernels_py`` named ``__func__``, so big results and errors
+ * come from one place.
  *
  * Two loops serve the seven entry points.  The 2-D ``part_rows`` serves
  * only set-exact counts.  The 1-D ``series`` serves the other six, whose
@@ -91,6 +92,16 @@ clamp(PyObject *o, long cap)
     return v < cap ? v : cap;
 }
 
+/* ``o`` as a weight or a box side the word path takes: -1 past SAFE_WEIGHT,
+ * as for anything ``clamp`` refuses, so every such call is handed on. */
+static long
+weight(PyObject *o)
+{
+    long v = clamp(o, SAFE_WEIGHT + 1);
+
+    return v > SAFE_WEIGHT ? -1 : v;
+}
+
 static PyObject *
 delegate(const char *name, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -103,18 +114,15 @@ delegate(const char *name, PyObject *const *args, Py_ssize_t nargs)
     return out;
 }
 
-/* A list of ``len`` ints, table[at], table[at + step], .. for the first n
- * and zeros after them.  Frees ``table``, which the caller owns.  The zeros
- * keep set_exact_counts' column b + 1 long when smax < b: no public call
- * asks for that, but a parts reader that drops a part then yields a wrong
- * count, a failed check, instead of an IndexError in count_set_exact. */
+/* The n ints table[at], table[at + step], .. as a list.  Frees ``table``,
+ * which the caller owns. */
 static PyObject *
-to_list(word *table, long at, long step, long n, long len)
+to_list(word *table, long at, long step, long n)
 {
-    PyObject *out = PyList_New(len), *item;
+    PyObject *out = PyList_New(n), *item;
 
-    for (long i = 0; out != NULL && i < len; i++) {
-        item = PyLong_FromUnsignedLongLong(i < n ? table[at + i * step] : 0);
+    for (long i = 0; out != NULL && i < n; i++) {
+        item = PyLong_FromUnsignedLongLong(table[at + i * step]);
         if (item == NULL)
             Py_CLEAR(out);
         else
@@ -138,7 +146,7 @@ series_result(long top, long from, long to, const long *parts, long nparts,
     series(dp, top + 1, from, to, parts, nparts);
     Py_END_ALLOW_THREADS
     if (!last)
-        return to_list(dp, 0, 1, top + 1, top + 1);
+        return to_list(dp, 0, 1, top + 1);
     count = dp[top];
     free(dp);
     return PyLong_FromUnsignedLongLong(count);
@@ -168,15 +176,13 @@ read_parts(PyObject *tuple, long top, long *parts)
 static PyObject *
 box_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long a = -1, b = -1, c = -1, lo;
+    /* parts are >= 1: bounds beyond c are inert */
+    long c = nargs == 3 ? weight(args[2]) : -1,
+         a = nargs == 3 ? clamp(args[0], c) : -1,
+         b = nargs == 3 ? clamp(args[1], c) : -1, lo;
 
-    if (nargs == 3) {
-        c = clamp(args[2], SAFE_WEIGHT + 1);
-        a = clamp(args[0], c); /* parts are >= 1: bounds beyond c are inert */
-        b = clamp(args[1], c);
-    }
-    if (c < 0 || c > SAFE_WEIGHT || a < 0 || b < 0)
-        return delegate("box_count", args, nargs);
+    if (c < 0 || a < 0 || b < 0)
+        return delegate(__func__, args, nargs);
     if (c > a * b)
         return PyLong_FromLong(0);
     c = c < a * b - c ? c : a * b - c; /* the row is a palindrome */
@@ -187,14 +193,11 @@ box_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 box_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long a = -1, b = -1, lo;
+    long a = nargs == 2 ? weight(args[0]) : -1,
+         b = nargs == 2 ? weight(args[1]) : -1, lo;
 
-    if (nargs == 2) {
-        a = clamp(args[0], SAFE_WEIGHT + 1);
-        b = clamp(args[1], SAFE_WEIGHT + 1);
-    }
     if (a < 0 || b < 0 || a * b > SAFE_WEIGHT)
-        return delegate("box_table", args, nargs);
+        return delegate(__func__, args, nargs);
     lo = a < b ? a : b;
     return series_result(a * b, a + b - lo + 1, a + b, NULL, lo, 0);
 }
@@ -207,14 +210,13 @@ box_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 box_sum(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long lo = nargs == 3 ? clamp(args[0], SAFE_WEIGHT + 1) : -1,
-         hi = nargs == 3 ? clamp(args[1], SAFE_WEIGHT + 1) : -1,
-         w = nargs == 3 ? clamp(args[2], SAFE_WEIGHT + 1) : -1, m, s0;
+    long lo = nargs == 3 ? weight(args[0]) : -1,
+         hi = nargs == 3 ? weight(args[1]) : -1,
+         w = nargs == 3 ? weight(args[2]) : -1, m, s0;
     word *dp, total = w == 0;
 
-    if (lo < 1 || hi < lo || hi > SAFE_WEIGHT
-        || w < 0 || w > SAFE_WEIGHT)
-        return delegate("box_sum", args, nargs);
+    if (lo < 1 || hi < lo || w < 0)
+        return delegate(__func__, args, nargs);
     if ((dp = calloc((size_t)w + 1, sizeof *dp)) == NULL)
         return PyErr_NoMemory();
     m = hi - lo;
@@ -234,47 +236,38 @@ box_sum(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 set_exact_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long b = -1, c = -1, smax, n, parts[SAFE_WEIGHT];
+    long b = nargs == 3 && PyTuple_Check(args[0]) ? weight(args[1]) : -1,
+         c = nargs == 3 ? weight(args[2]) : -1, n, parts[SAFE_WEIGHT];
     word *table;
 
-    if (nargs == 3 && PyTuple_Check(args[0])) {
-        b = clamp(args[1], SAFE_WEIGHT + 1);
-        c = clamp(args[2], SAFE_WEIGHT + 1);
-    }
-    if (b < 0 || b > SAFE_WEIGHT || c < 0 || c > SAFE_WEIGHT
-        || (n = read_parts(args[0], c, parts)) < 0)
-        return delegate("set_exact_counts", args, nargs);
-    /* more than c / least parts outweigh c; with no part only row 0 counts */
-    smax = n == 0 ? 0 : b < c / parts[0] ? b : c / parts[0];
-    table = calloc((size_t)(smax + 1) * (c + 1), sizeof *table);
-    if (table == NULL)
+    if (b < 0 || c < 0 || (n = read_parts(args[0], c, parts)) < 0)
+        return delegate(__func__, args, nargs);
+    if ((table = calloc((size_t)(b + 1) * (c + 1), sizeof *table)) == NULL)
         return PyErr_NoMemory();
     Py_BEGIN_ALLOW_THREADS
-    part_rows(table, parts, n, smax, c + 1);
+    part_rows(table, parts, n, b, c + 1);
     Py_END_ALLOW_THREADS
-    return to_list(table, c, c + 1, smax + 1, b + 1);
+    return to_list(table, c, c + 1, b + 1);
 }
 
 static PyObject *
 set_any_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long top = -1, n, parts[SAFE_WEIGHT];
+    long top = nargs == 2 && PyTuple_Check(args[0]) ? weight(args[1]) : -1, n,
+         parts[SAFE_WEIGHT];
 
-    if (nargs == 2 && PyTuple_Check(args[0]))
-        top = clamp(args[1], SAFE_WEIGHT + 1);
-    if (top < 0 || top > SAFE_WEIGHT
-        || (n = read_parts(args[0], top, parts)) < 0)
-        return delegate("set_any_count", args, nargs);
+    if (top < 0 || (n = read_parts(args[0], top, parts)) < 0)
+        return delegate(__func__, args, nargs);
     return series_result(top, 1, 0, parts, n, 1);
 }
 
 static PyObject *
 partition_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long n = nargs == 1 ? clamp(args[0], SAFE_WEIGHT + 1) : -1;
+    long n = nargs == 1 ? weight(args[0]) : -1;
 
-    if (n < 0 || n > SAFE_WEIGHT)
-        return delegate("partition_table", args, nargs);
+    if (n < 0)
+        return delegate(__func__, args, nargs);
     return series_result(n, 1, 0, NULL, n, 0); /* parts above n never fit */
 }
 
@@ -283,10 +276,10 @@ partition_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 partition_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long n = nargs == 1 ? clamp(args[0], SAFE_WEIGHT + 1) : -1;
+    long n = nargs == 1 ? weight(args[0]) : -1;
 
-    if (n < 0 || n > SAFE_WEIGHT)
-        return delegate("partition_count", args, nargs);
+    if (n < 0)
+        return delegate(__func__, args, nargs);
     return series_result(n, 1, 0, NULL, n, 1);
 }
 

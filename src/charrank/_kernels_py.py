@@ -36,7 +36,7 @@ they build a row or sum a term (``partition_count`` by its route's): its
 weights times the parts it adds, at least one, may not pass
 ``MAX_TABLE_CELLS``.  The series is priced as a row of its n + 1 weights
 and one part, so it serves n up to 2**25 - 1.  ``set_any_count`` and
-``box_sum`` answer a call that no part fits before they price it.
+``box_sum`` answer a call that at most one part fits before they price it.
 
 ``partition_table`` sums Euler's 1/(q;q)_inf by Durfee squares,
 sum_s q^(s^2) / (q;q)_s^2 (Andrews, *The Theory of Partitions*, ch. 2):
@@ -86,8 +86,8 @@ BACKEND = "python"
 
 #: Most row entries times parts a kernel call may price at (2**25); past it
 #: ``_check_row`` refuses the call with TableTooLarge.  The 2-D table of
-#: ``set_exact_counts`` prices its c + 1 weights times its rows, one per
-#: number of parts; ``box_table`` its a*b + 1 weights times min(a, b);
+#: ``set_exact_counts`` prices its c + 1 weights times its b + 1 rows, one
+#: per number of parts; ``box_table`` its a*b + 1 weights times min(a, b);
 #: ``partition_number`` its n + 1 weights times one part.
 #: It bounds entries, not bytes.  A 2-D, box or set-any entry is a slot of
 #: the bits its proved bound needs (``set_exact_counts``, ``_box_bits``,
@@ -282,8 +282,8 @@ def box_sum(lo: int, hi: int, weight: int) -> int:
     """
     if weight < 0 or lo < 1 or hi < lo:
         raise ValueError("box_sum needs 1 <= lo <= hi and a nonnegative weight")
-    if weight < lo:  # no part fits: only the empty partition of 0 counts
-        return int(weight == 0)
+    if weight < lo or lo == hi:  # at most one part fits: its multiples count
+        return int(weight % lo == 0)
     _check_row(weight + 1, weight // lo)
     m = hi - lo
     bits = _box_bits(m, weight // lo, weight)
@@ -306,17 +306,18 @@ def box_sum(lo: int, hi: int, weight: int) -> int:
 
 def set_exact_counts(parts: tuple, b: int, c: int) -> list:
     """Counts of partitions of c into exactly s parts from ``parts``,
-    for every s in 0..b (a list of length b+1).
+    for every s in 0..b (a list of length b+1), one per row of the table.
 
     ``parts`` must be a strictly ascending tuple of positive integers.
 
-    No more than smax = min(b, c // least) parts fit in c, and they weigh
-    at most smax times the greatest part: past that only the empty
-    partition of 0 counts, and no table is built; ``_check_row`` prices
-    the smax + 1 rows of c + 1 weights, and the column of b + 1 counts,
-    before that test.  Otherwise each row of ``_part_rows`` packs its c + 1
-    counts in slots of 1 + X bits, X the least of three bounds, the first
-    from ``_apostol_bits``.  Each slot counts the partitions of some
+    ``_check_row`` prices the b + 1 rows of c + 1 weights before anything
+    is built.  No more than smax = min(b, c // least) parts fit in c, and
+    they weigh at most smax times the greatest part: past that only the
+    empty partition of 0 counts, and no table is built.  Otherwise rows
+    past smax stay 0, as each pass of ``_part_rows`` stops at the first
+    row out of reach, and each row packs its c + 1 counts in slots of
+    1 + X bits, X the least of three bounds, the first from
+    ``_apostol_bits``.  Each slot counts the partitions of some
     w <= c into some p <= smax parts, from the parts added so far, and
     each bound puts every such count below 2**(X + 1):
 
@@ -329,31 +330,23 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
     * a partition into p parts from the k parts <= c is a multiset of p of
       them: at most C(smax + k - 1, k - 1) < 2**X partitions.
 
-    The table then holds (smax + 1) * (c + 1) * (1 + X) bits at most.  The
+    Its nonzero rows hold (smax + 1) * (c + 1) * (1 + X) bits at most.  The
     last two bounds keep that small where p(c) alone would not: one part
     from {1, 2} at weight 10**7 would need slots of some 11,700 bits.
-
-    The column is padded with zeros from smax + 1 to b + 1 counts.  Every
-    call of ``count_set_exact`` has b == smax, so the padding serves a
-    kernel that reads fewer parts than it was given: the compiled mutant
-    "parts reader drops the top part" then answers a wrong 0 at
-    ``[num_parts]``, which ``verify all`` reports as a failed check,
-    instead of raising IndexError on a short column.
     """
     if b < 0 or c < 0:
         raise ValueError("number of parts and weight must be nonnegative")
+    _check_row(c + 1, b + 1)
     # more than c // least parts outweigh c; with no part only row 0 counts
     smax = min(b, c // parts[0]) if parts else 0
-    _check_row(c + 1, smax + 1)
-    _check_row(b + 1, 1)
     if smax == 0 or c > smax * parts[-1]:
         return [int(c == 0)] + [0] * b
     k = bisect_right(parts, c)  # larger parts add nothing
     bits = 1 + min(
         _apostol_bits(c), (smax - 1) * c.bit_length(), comb(smax + k - 1, k - 1).bit_length()
     )
-    table = _part_rows(parts[:k], smax, c + 1, bits)
-    return [row >> c * bits for row in table] + [0] * (b - smax)
+    table = _part_rows(parts[:k], b, c + 1, bits)
+    return [row >> c * bits for row in table]
 
 
 def set_any_count(parts: tuple, weight: int) -> int:
@@ -364,10 +357,10 @@ def set_any_count(parts: tuple, weight: int) -> int:
 
     One packed row of weight + 1 slots, as ``_box_row``'s, is divided by
     1 - q^v on ``_divide`` for each of the k parts v <= weight, and the
-    count is its top slot; with no such part only the empty partition
-    counts, and no row is built.  By the ring map of ``_box_row`` the row
-    is exact when its slots hold every count of partitions of w <= weight
-    into the k parts.  Each is at most p(weight) < 2**(X + 1) (X of
+    count is its top slot.  With one such part only its multiples count,
+    and with none only the empty partition: then no row is built.  By the
+    ring map of ``_box_row`` the row is exact when its slots hold every
+    count of partitions of w <= weight into the k parts.  Each is at most p(weight) < 2**(X + 1) (X of
     ``_apostol_bits``), and at most (weight + 1)**(k - 1)
     <= 2**((k - 1) L), L the bit length of weight + 1, as the
     multiplicities of the k - 1 least parts fix that of the greatest.
@@ -375,8 +368,8 @@ def set_any_count(parts: tuple, weight: int) -> int:
     if weight < 0:
         raise ValueError("weight must be nonnegative")
     k = bisect_right(parts, weight)  # larger parts add nothing
-    if not k:
-        return int(weight == 0)
+    if k < 2:  # with one part only its multiples count, with none only 0
+        return int(weight % parts[0] == 0) if k else int(weight == 0)
     _check_row(weight + 1, k)
     bits = 1 + min(_apostol_bits(weight), (k - 1) * (weight + 1).bit_length())
     row, mask = 1, (1 << (weight + 1) * bits) - 1

@@ -15,12 +15,16 @@ sweep at its default ranges (what the CLI's ``verify all`` does).
 ``SWEEP_ORDER`` and ``RANGE_KEYS`` name the identities and the range
 parameters, and ``default_grid`` gives one identity's default ranges; the
 CLI builds its ``verify`` choices, flags and flag help from them.
-All checks go through the public counting API, so a defect in either
+Checks go through the public counting API, so a defect in either
 kernel backend surfaces as a failed report rather than a wrong answer
-quietly propagating.  The one exception is the partition-function
-sweep's call of the Rademacher series at its top weight: ``count_total``
-takes that route only past ``_kernels_py.SERIES_CUT`` (on the compiled
-backend past ``_kernels_c.SAFE_WEIGHT``), above the default grid.
+quietly propagating.  Two kinds of call read a ``_dispatch`` kernel
+directly.  ``verify_eq3``, ``verify_eq4`` and ``verify_eq5`` read the
+paper's sum of box counts from ``_dispatch.box_sum``, which has no
+public count of its own (``betti_upper_bound_gapless`` serves it).  The
+partition-function sweep calls the Rademacher series at its top weight:
+``count_total`` takes that route only past ``_kernels_py.SERIES_CUT``
+(on the compiled backend past ``_kernels_c.SAFE_WEIGHT``), above the
+default grid.
 """
 
 from itertools import combinations, islice

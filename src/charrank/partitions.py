@@ -161,10 +161,10 @@ def count_set_at_most(parts, max_parts, weight):
     the 1-D ``set_any_count`` reads from one slot of its row.  A bound
     below it binds, and the count sums the rows of the 2-D
     ``set_exact_counts`` table.  Both kernels refuse (``TableTooLarge``) a
-    call whose row of weights times parts (for the 2-D table, its rows)
-    passes ``_kernels_py.MAX_TABLE_CELLS``.  When no part is at most
-    ``weight``, the bound never binds: ``set_any_count`` answers that only
-    the empty partition can count, and builds no row.
+    call whose row of weights times parts (for the 2-D table, its
+    max_parts + 1 rows) passes ``_kernels_py.MAX_TABLE_CELLS``.  When no
+    part is at most ``weight``, the bound never binds: ``set_any_count``
+    answers that only the empty partition can count, and builds no row.
     """
     members = _as_members(parts)
     check_int(ValueError, 0, "max_parts", max_parts)

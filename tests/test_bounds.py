@@ -20,6 +20,17 @@ def free_profile(members):
     return BundleProfile(UNBOUNDED, PartsSet(members), UNBOUNDED)
 
 
+@pytest.mark.parametrize("degree", [7 * 2**25, 7 * 2**25 + 1])
+@pytest.mark.parametrize("member", [1, 7])
+def test_one_degree_profile_bounds_by_its_multiples(member, degree):
+    # one class degree: its powers give one monomial at each multiple, at
+    # degrees far past what the size rule lets a row hold
+    profile = free_profile([member])
+    expected = int(degree % member == 0)
+    assert betti_upper_bound(profile, degree) == expected
+    assert betti_upper_bound_gapless(profile, degree) == expected
+
+
 class TestBundleProfile:
     def test_accepts_unbounded(self):
         profile = free_profile([1, 2])

@@ -269,6 +269,32 @@ def test_box_sum_with_no_part_within_the_weight_builds_no_row(kernels_c, monkeyp
         assert backend.box_sum(10**9, 10**9, weight) == int(weight == 0)
 
 
+#: Counts that one part answers, far past the weights a row of the size
+#: rule may hold: one 10**9 in 10**9, and ones in 10**8 by either route of
+#: the bound.  Each is 1.
+ONE_PART_COMMANDS = [
+    "count set-any --parts 1000000000 1000000000",
+    "bound --set 1 --dim inf --charrank inf --degree 100000000",
+    "bound --set 1 --dim inf --charrank inf --degree 100000000 --gapless",
+]
+
+
+@pytest.mark.parametrize("command", ONE_PART_COMMANDS)
+def test_one_part_counts_answer_at_once(kernels_c, monkeypatch, capsys, command):
+    # the compiled backend hands each weight past SEAM to the pure kernel,
+    # which answers before it prices or builds a row
+    def no_row(*args):
+        raise AssertionError("a row was built")
+
+    for loop in ("_box_row", "_divide"):
+        monkeypatch.setattr(_kernels_py, loop, no_row)
+    for backend in (kernels_c, _kernels_py):
+        with monkeypatch.context() as patch:
+            serve(patch, backend)
+            assert cli_main(command.split()) == 0
+        assert capsys.readouterr().out == "1\n"
+
+
 def test_series_is_priced_as_a_one_part_row(kernels_c, monkeypatch):
     # past SEAM count_total sums the pure series on both backends (the
     # compiled partition_count hands the weight to the pure one); its

@@ -22,18 +22,19 @@ and is held to brute force at every weight of a few part sets, to the
 plain coin-change loop, and its slot width to the largest count of its
 row.  The rest covers the Durfee squares of ``partition_table`` at every
 weight to 600 and around each change of isqrt(n), the one size rule of
-every table kernel, and the calls no part fits, which build no row.
+every table kernel, and the calls at most one part fits, which build no
+row.
 Every slot of the packed rows of ``_part_rows`` is held to the plain loop
 over whole rows, the three bounds on their slot width to p(c) and to
 brute force, and the kernel's width to the least of them, and
 ``set_exact_counts`` to building no table out of reach, to pricing its
-column of b + 1 counts and to a memory ceiling.  The Rademacher series is
-held to the pentagonal recurrence, under its first remainder budget alone
-to weight 6000, its ball arithmetic to mpmath at a higher precision, the
-fold of its Selberg sum to the congruence it rests on, and its certificate
-to refusing a sum it cannot bound within 1/2 of an integer.  The point
-query ``partition_count`` is held to the pentagonal recurrence on both
-sides of ``SERIES_CUT``.
+b + 1 rows of c + 1 weights once and to a memory ceiling.  The
+Rademacher series is held to the pentagonal recurrence, under its first
+remainder budget alone to weight 6000, its ball arithmetic to mpmath at a
+higher precision, the fold of its Selberg sum to the congruence it rests
+on, and its certificate to refusing a sum it cannot bound within 1/2 of
+an integer.  The point query ``partition_count`` is held to the
+pentagonal recurrence on both sides of ``SERIES_CUT``.
 """
 
 import tracemalloc
@@ -184,10 +185,18 @@ def test_1d_work_too_large_is_refused_before_it_runs(monkeypatch, kernel, args):
         ("box_sum", (5, 9, 0), 1),
         ("box_sum", (10**9, 10**9, 3 * 10**7), 0),  # once a 32 MiB row
         ("box_sum", (10**9, 10**9, 2**25 + 1), 0),  # once refused as too large
+        # one part within the weight: its multiples count
+        ("set_any_count", ((7,), 7 * 2**25), 1),
+        ("set_any_count", ((7,), 7 * 2**25 + 1), 0),
+        ("set_any_count", ((5, 10**12), 10**9), 1),  # the second part is out of reach
+        ("box_sum", (7, 7, 7 * 2**25), 1),
+        ("box_sum", (7, 7, 7 * 2**25 + 1), 0),
+        ("box_sum", (1, 1, 10**9), 1),
     ],
 )
 def test_no_part_within_the_weight_builds_no_row(monkeypatch, kernel, args, expected):
-    # only the empty partition of 0 can count, so the call is answered
+    # with no part within the weight only the empty partition of 0 can
+    # count, and with one only its multiples, so the call is answered
     # before it is priced, let alone built
     def no_row(*args):
         raise AssertionError("a row was built")
@@ -361,7 +370,7 @@ def test_set_any_count_is_the_coin_change_count(members, weight):
 )
 def test_set_any_slot_bound_holds_the_largest_count(monkeypatch, parts):
     # the slot width the kernel hands _divide holds every count of its row;
-    # where only the least part fits, its one bit is all the counts need
+    # a row is built only from the weight where a second part fits
     widths = []
 
     def spy(row, v, width, bits, mask):
@@ -371,7 +380,11 @@ def test_set_any_slot_bound_holds_the_largest_count(monkeypatch, parts):
     real = _kernels_py._divide
     monkeypatch.setattr(_kernels_py, "_divide", spy)
     counts = coin_change(parts, 200)
-    for w in range(parts[0], 201):
+    if len(parts) == 1:
+        assert [_kernels_py.set_any_count(parts, w) for w in range(201)] == counts
+        assert widths == []
+        return
+    for w in range(parts[1], 201):
         widths.clear()
         assert _kernels_py.set_any_count(parts, w) == counts[w]
         assert set(widths) == {widths[0]}
@@ -542,15 +555,16 @@ def test_set_exact_counts_out_of_reach_builds_no_table(monkeypatch, parts, b, c)
     assert _kernels_py.set_exact_counts(parts, b, c) == [0] * (b + 1)
 
 
-def test_set_exact_counts_prices_its_column(monkeypatch):
-    # the column of b + 1 counts is priced as a one-part row, with a table
-    # (6 rows of 6 weights) and without one (c = 0 builds none)
+def test_set_exact_counts_prices_its_rows(monkeypatch):
+    # the b + 1 rows of c + 1 weights are priced once, with a table (10
+    # rows of 10 weights) and without one (c = 0 builds none)
     monkeypatch.setattr(_kernels_py, "MAX_TABLE_CELLS", 100)
-    assert _kernels_py.set_exact_counts((1,), 99, 5) == [0] * 5 + [1] + [0] * 94
+    assert _kernels_py.set_exact_counts((1,), 9, 9) == [0] * 9 + [1]
     assert _kernels_py.set_exact_counts((1,), 99, 0) == [1] + [0] * 99
-    for c in (5, 0):
-        with pytest.raises(TableTooLarge, match="a row of 101 weights times 1 parts"):
-            _kernels_py.set_exact_counts((1,), 100, c)
+    with pytest.raises(TableTooLarge, match="a row of 10 weights times 11 parts"):
+        _kernels_py.set_exact_counts((1,), 10, 9)
+    with pytest.raises(TableTooLarge, match="a row of 1 weights times 101 parts"):
+        _kernels_py.set_exact_counts((1,), 100, 0)
 
 
 @pytest.mark.parametrize(
