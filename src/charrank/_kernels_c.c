@@ -9,9 +9,9 @@
  * With 64-bit words that is p(416) < 2**64 <= p(417).  Both constants are
  * module attributes.  Every weight and box side is read through ``weight``,
  * which refuses one past SAFE_WEIGHT.  Every other call (a larger weight, a
- * negative or non-int argument, a wrong number of arguments) goes to the
- * function of ``_kernels_py`` named ``__func__``, so big results and errors
- * come from one place.
+ * negative, bool or non-int argument, a wrong number of arguments) goes to
+ * the function of ``_kernels_py`` named ``__func__``, so big results and
+ * errors come from one place.
  *
  * Two loops serve the seven entry points.  The 2-D ``part_rows`` serves
  * only set-exact counts.  The 1-D ``series`` serves the other six, whose
@@ -75,14 +75,15 @@ series(word *dp, long width, long from, long to, const long *parts,
             dp[w] += dp[w - (parts ? parts[i] : i + 1)];
 }
 
-/* ``o`` clamped to at most ``cap``; -1 if ``o`` is not a nonnegative int. */
+/* ``o`` clamped to at most ``cap``; -1 if ``o`` is not a nonnegative int,
+ * or is a bool, which ``_kernels_py`` refuses. */
 static long
 clamp(PyObject *o, long cap)
 {
     int overflow;
     long v;
 
-    if (!PyLong_Check(o))
+    if (!PyLong_Check(o) || PyBool_Check(o))
         return -1;
     v = PyLong_AsLongAndOverflow(o, &overflow);
     if (overflow > 0)

@@ -31,6 +31,14 @@ Two dynamic programs serve the six table entry points:
   are all of p(0..n), keeps a list of Python ints: each of its Durfee
   squares runs its own loop, below.
 
+Each entry point first checks its integer arguments with
+``errors.check_int``, named as the public counts name them (``max_part``,
+``max_parts``, ``num_parts``, ``weight``, ``lo``, ``hi``; ``box_table``
+its two box sides).  ``count_box``, ``count_set_any`` and
+``count_total`` pass theirs straight on, and the compiled twin hands every
+argument it does not count with, a bool among them, to its twin here: on
+both backends those errors come from this module.
+
 All eight entry points refuse a call by one rule, ``_check_row``, before
 they build a row or sum a term (``partition_count`` by its route's): its
 weights times the parts it adds, at least one, may not pass
@@ -80,7 +88,7 @@ from itertools import accumulate
 from math import ceil, comb, factorial, isqrt, log, log2, pi, sinh, sqrt
 from sys import byteorder
 
-from charrank.errors import TableTooLarge
+from charrank.errors import TableTooLarge, check_int
 
 BACKEND = "python"
 
@@ -229,8 +237,9 @@ def _box_bits(a: int, b: int, c: int) -> int:
 
 def box_count(a: int, b: int, c: int) -> int:
     """Number of partitions of c into at most b parts, each part <= a."""
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("box dimensions and weight must be nonnegative")
+    check_int(ValueError, 0, "max_part", a)
+    check_int(ValueError, 0, "max_parts", b)
+    check_int(ValueError, 0, "weight", c)
     a, b = min(a, c), min(b, c)  # parts are >= 1: bounds beyond c are inert
     if c > a * b:
         return 0
@@ -246,8 +255,7 @@ def box_table(a: int, b: int) -> list:
     Slots of up to 64 bits are widened to 8, 16, 32 or 64 bits, so the
     lower half unpacks in one ``memoryview`` cast; wider ones are read
     from the row's binary digits."""
-    if a < 0 or b < 0:
-        raise ValueError("box dimensions must be nonnegative")
+    check_int(ValueError, 0, "each box side", a, b)
     _check_row(a * b + 1, min(a, b))
     top = a * b // 2  # the lower half ends at weight top
     bits = _box_bits(a, b, top)
@@ -280,8 +288,9 @@ def box_sum(lo: int, hi: int, weight: int) -> int:
     are zero: the chain is seeded with the row after step
     ceil(weight/hi) - 1, the box row ``_box_row`` builds in one pass.
     """
-    if weight < 0 or lo < 1 or hi < lo:
-        raise ValueError("box_sum needs 1 <= lo <= hi and a nonnegative weight")
+    check_int(ValueError, 1, "lo", lo)
+    check_int(ValueError, lo, "hi", hi)
+    check_int(ValueError, 0, "weight", weight)
     if weight < lo or lo == hi:  # at most one part fits: its multiples count
         return int(weight % lo == 0)
     _check_row(weight + 1, weight // lo)
@@ -334,8 +343,8 @@ def set_exact_counts(parts: tuple, b: int, c: int) -> list:
     last two bounds keep that small where p(c) alone would not: one part
     from {1, 2} at weight 10**7 would need slots of some 11,700 bits.
     """
-    if b < 0 or c < 0:
-        raise ValueError("number of parts and weight must be nonnegative")
+    check_int(ValueError, 0, "num_parts", b)
+    check_int(ValueError, 0, "weight", c)
     _check_row(c + 1, b + 1)
     # more than c // least parts outweigh c; with no part only row 0 counts
     smax = min(b, c // parts[0]) if parts else 0
@@ -365,8 +374,7 @@ def set_any_count(parts: tuple, weight: int) -> int:
     <= 2**((k - 1) L), L the bit length of weight + 1, as the
     multiplicities of the k - 1 least parts fix that of the greatest.
     """
-    if weight < 0:
-        raise ValueError("weight must be nonnegative")
+    check_int(ValueError, 0, "weight", weight)
     k = bisect_right(parts, weight)  # larger parts add nothing
     if k < 2:  # with one part only its multiples count, with none only 0
         return int(weight % parts[0] == 0) if k else int(weight == 0)
@@ -392,8 +400,7 @@ def partition_table(n: int) -> list:
     Deliberately not the pentagonal-number recurrence: that one lives in
     ``oracles`` and serves as the independent cross-check.
     """
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
+    check_int(ValueError, 0, "weight", n)
     _check_row(n + 1, 2 * isqrt(n))  # each square adds part s twice
     table = [1] + [0] * n
     for s in range(isqrt(n), 0, -1):
@@ -559,8 +566,7 @@ def partition_number(n: int) -> int:
     one-part row of the n + 1 weights, as the table kernels are priced, and
     refuses it past n = 2**25 - 1 before any term is summed.
     """
-    if n < 0:
-        raise ValueError("weight must be nonnegative")
+    check_int(ValueError, 0, "weight", n)
     if n < 2:
         return 1  # the remainder bound needs n >= 2
     _check_row(n + 1, 1)
@@ -624,6 +630,7 @@ def partition_count(n: int) -> int:
     """The partition number p(n): the last entry of the Durfee squares of
     ``partition_table`` up to ``SERIES_CUT``, and the certified series of
     ``partition_number`` past it."""
+    check_int(ValueError, 0, "weight", n)  # before n meets SERIES_CUT
     if n > SERIES_CUT:
         return partition_number(n)
     return partition_table(n)[n]

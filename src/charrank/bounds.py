@@ -10,12 +10,12 @@ the i-th Stiefel-Whitney class of the bundle may be nonzero, and a degree
 In any degree j <= t, every cohomology class is a polynomial in the
 nonzero Stiefel-Whitney classes, so the mod-2 Betti number b_j is at most
 the number of degree-j monomials in generators of those degrees — a
-restricted partition count.  ``betti_upper_bound`` evaluates that count
-directly; ``betti_upper_bound_gapless`` evaluates the equivalent sum of
-Betti numbers of real Grassmannians when the truncated degree set has no
-gaps.  That sum runs on the ``box_sum`` kernel, which the identity checks
-call too; it walks one Gaussian-binomial row up in s instead of building
-a new box row for every term.
+restricted partition count.  ``betti_upper_bound`` evaluates that count,
+``monomial_count``, directly; ``betti_upper_bound_gapless`` evaluates the
+equivalent sum of Betti numbers of real Grassmannians when the truncated
+degree set has no gaps.  That sum runs on the ``box_sum`` kernel, which
+the identity checks call too; it walks one Gaussian-binomial row up in s
+instead of building a new box row for every term.
 """
 
 from charrank import _dispatch
@@ -61,11 +61,12 @@ def _check_degree(profile, degree):
 
 def betti_upper_bound(profile, degree):
     """Upper bound for the mod-2 Betti number of the base in ``degree``:
-    the number of partitions of ``degree`` into parts from the profile's
-    degree set (the kernels drop the values above ``degree``, which can
-    never occur)."""
+    the number of degree-``degree`` monomials in generators of the
+    profile's degrees, ``monomial_count``: partitions of ``degree`` into
+    parts from that set (the kernels drop the values above ``degree``,
+    which can never occur)."""
     _check_degree(profile, degree)
-    return count_set_any(profile.s_set, degree)
+    return monomial_count(profile.s_set, degree)
 
 
 def betti_upper_bound_gapless(profile, degree):

@@ -17,7 +17,11 @@ parameters, and ``default_grid`` gives one identity's default ranges; the
 CLI builds its ``verify`` choices, flags and flag help from them.
 Checks go through the public counting API, so a defect in either
 kernel backend surfaces as a failed report rather than a wrong answer
-quietly propagating.  Two kinds of call read a ``_dispatch`` kernel
+quietly propagating.  Every public count and bound is called by some
+sweep of ``run_all``: the Grassmannian sweep reads ``betti`` degree by
+degree for n <= 6 beside the ``poincare`` tables, and the sharpness sweep
+also asks both bounds of a profile whose one degree is above the degree
+asked, which must be 0.  Two kinds of call read a ``_dispatch`` kernel
 directly.  ``verify_eq3``, ``verify_eq4`` and ``verify_eq5`` read the
 paper's sum of box counts from ``_dispatch.box_sum``, which has no
 public count of its own (``betti_upper_bound_gapless`` serves it).  The
@@ -39,7 +43,7 @@ from charrank.bounds import (
 )
 from charrank.bijection import _verify_weights
 from charrank.errors import PreconditionViolation, check_int
-from charrank.grassmannian import poincare
+from charrank.grassmannian import betti, poincare
 from charrank.oracles import gaussian_triangle, multiset_weights, pentagonal_partition_table
 from charrank.partitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -183,6 +187,12 @@ def _sweep_grassmannian(report, max_n):
                 list(table),
                 list(expected[k]),
             )
+            if n <= 6:  # betti degree by degree too: 97 calls in all
+                report.compare(
+                    params + (("check", "betti by degree"),),
+                    [betti(n, k, j) for j in range(len(expected[k]))],
+                    list(expected[k]),
+                )
             report.compare(
                 params + (("check", "palindrome"),), list(table), list(table[::-1])
             )
@@ -211,6 +221,13 @@ def _sweep_sharpness(report, max_k, max_j):
                 bound,
                 betti_upper_bound_gapless(profile, j),
             )
+            if k == 1:
+                # the one degree j + 1 fits no partition of j, and the
+                # gapless form has no degree to run on
+                above = BundleProfile(UNBOUNDED, PartsSet((j + 1,)), UNBOUNDED)
+                empty = params + (("check", "no usable degree"),)
+                report.compare(empty, betti_upper_bound(above, j), 0)
+                report.compare(empty, betti_upper_bound_gapless(above, j), 0)
 
 
 def _sweep_partition_crosscheck(report, max_weight):

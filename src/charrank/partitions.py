@@ -17,7 +17,16 @@ bijection sweep runs them, once per grid cell on part tuples (the oracle
 sweep counts multisets with ``oracles.multiset_weights`` instead);
 ``enumerate_box`` and ``enumerate_set_exact`` run them over the window of
 one weight and wrap each tuple in a ``Partition``.
+
+Each integer argument is checked once.  ``count_box``, ``count_set_any``
+and ``count_total`` pass theirs straight to the kernel, which checks them
+under the names used here (``_kernels_py``; the compiled kernels hand a
+bad argument to it).  ``count_set_exact`` and ``count_set_at_most`` check
+theirs first, as they compute with them before any kernel call, and
+``_as_members`` checks the parts, which no kernel does.
 """
+
+from bisect import bisect_right
 
 from charrank import _dispatch
 from charrank._record import Frozen
@@ -127,9 +136,6 @@ def count_box(max_part, max_parts, weight):
     """Partitions of ``weight`` into at most ``max_parts`` parts, each at
     most ``max_part``.  Equivalently: partitions fitting in a
     max_part x max_parts box."""
-    check_int(ValueError, 0, "max_part", max_part)
-    check_int(ValueError, 0, "max_parts", max_parts)
-    check_int(ValueError, 0, "weight", weight)
     return _dispatch.box_count(max_part, max_parts, weight)
 
 
@@ -139,13 +145,16 @@ def count_set_exact(parts, num_parts, weight):
 
     Such a partition weighs from num_parts * least to num_parts * greatest
     of ``parts``; outside that window the count is 0 and no kernel runs.
-    With no parts only the empty partition counts.
+    Nor does one run when at most one part is at most ``weight``, as
+    ``set_any_count`` does: with none, only the empty partition counts,
+    and with the least part alone, only num_parts copies of it.
     """
     members = _as_members(parts)
     check_int(ValueError, 0, "num_parts", num_parts)
     check_int(ValueError, 0, "weight", weight)
-    if not members:
-        return int(num_parts == weight == 0)
+    usable = bisect_right(members, weight)
+    if usable < 2:  # only the least part fits, or none does
+        return int(weight == num_parts * members[0]) if usable else int(num_parts == weight == 0)
     if not num_parts * members[0] <= weight <= num_parts * members[-1]:
         return 0
     return _dispatch.set_exact_counts(members, num_parts, weight)[num_parts]
@@ -180,9 +189,7 @@ def count_set_any(parts, weight):
     takes it for a bound that never binds.  When no part is at most
     ``weight``, the kernel answers that only the empty partition can count,
     and builds no row."""
-    members = _as_members(parts)
-    check_int(ValueError, 0, "weight", weight)
-    return _dispatch.set_any_count(members, weight)
+    return _dispatch.set_any_count(_as_members(parts), weight)
 
 
 def count_total(weight):
@@ -194,7 +201,6 @@ def count_total(weight):
     series past it, which is certified to round to p(weight), and serves
     the compiled one past ``SAFE_WEIGHT``.
     """
-    check_int(ValueError, 0, "weight", weight)
     return _dispatch.partition_count(weight)
 
 

@@ -1,4 +1,4 @@
-"""Acceptance criteria, one test per criterion, and a guard on the reach of
+"""Acceptance criteria, one test per criterion, and guards on the reach of
 criterion 9's mutants.
 
 Each criterion test prints a single pass/fail line (written past pytest's
@@ -7,17 +7,24 @@ condition.
 """
 
 import ast
+import os
+import shutil
+import subprocess
+import sys
 import time
 import types
+from importlib import import_module
 from math import comb
 
 import pytest
 
+import charrank
 from charrank import _kernels_py
 from charrank.bounds import UNBOUNDED, BundleProfile, betti_upper_bound
 from charrank.cli import main as cli_main
 from charrank.grassmannian import gaussian_binomial, poincare
-from charrank.identities import verify_sweep
+from charrank.errors import DegreeOutOfRange
+from charrank.identities import run_all, verify_sweep
 from charrank.oracles import pentagonal_partition_table
 from charrank.partitions import PartsSet, count_box, count_total
 from charrank.report import Identity
@@ -331,3 +338,150 @@ def test_criterion_9_mutants_cover_every_kernel_and_branch():
     ]
     assert stranded == []
     assert {kernel for _, _, (kernel, _) in PY_MUTANTS.values()} == set(KERNELS)
+
+
+# Each public-layer mutant: the module of the package it edits, the text it
+# replaces, the replacement, and a witness, an expression evaluated in that
+# module, on which it must disagree with the clean package.  The route of
+# ``count_set_at_most`` that sums the 2-D rows has an equivalent mutant, which
+# drops row 0: that row counts only at weight 0, where the route never runs,
+# as it needs max_parts < 0 // least.  So it is left out.
+API_MUTANTS = {
+    "set-exact count with no usable part ignores num_parts": (
+        "partitions.py", "int(num_parts == weight == 0)", "int(weight == 0)",
+        "count_set_exact((), 2, 0)",
+    ),
+    "betti box one part too large": (
+        "grassmannian.py", "box_count(n - k, k,", "box_count(n - k + 1, k,", "betti(4, 2, 3)"
+    ),
+    "betti box one part too many": (
+        "grassmannian.py", "box_count(n - k, k,", "box_count(n - k, k + 1,", "betti(4, 2, 3)"
+    ),
+    "betti one degree up": (
+        "grassmannian.py", "box_count(n - k, k, degree)", "box_count(n - k, k, degree + 1)",
+        "betti(4, 2, 2)",
+    ),
+    "monomial count one degree up": (
+        "bounds.py", "count_set_any(parts, degree)", "count_set_any(parts, degree + 1)",
+        "monomial_count((1, 2), 3)",
+    ),
+    "gapless bound counts 1 with no usable degree": (
+        "bounds.py", "if not usable:\n        return 0", "if not usable:\n        return 1",
+        "betti_upper_bound_gapless(BundleProfile(UNBOUNDED, (3,), UNBOUNDED), 2)",
+    ),
+}
+
+# A mutant of validation alone, in the form of ``API_MUTANTS``: every sweep
+# asks a bound only where t is UNBOUNDED, so ``verify all`` cannot see it.
+# Its witness must raise the typed error in the clean package, and must not
+# in the mutant.
+API_VALIDATION_MUTANTS = {
+    "_check_degree admits t + 1": (
+        "bounds.py", "if degree > profile.t:", "if degree > profile.t + 1:",
+        "betti_upper_bound(BundleProfile(5, (1, 2), 3), 4)",
+    ),
+}
+
+#: The child: prints the witness (its value, or the name of the package
+#: error it raised), then exits with the code of ``verify all`` if asked.
+_CHILD = """
+import sys
+from importlib import import_module
+from charrank.cli import main
+from charrank.errors import CharrankError
+
+try:
+    print(repr(eval(sys.argv[2], vars(import_module(sys.argv[1])))))
+except CharrankError as exc:
+    print(type(exc).__name__)
+sys.exit(main(["verify", "all"]) if sys.argv[3:] else 0)
+"""
+
+
+def _run_api_mutant(directory, module, original, replacement, witness, verify):
+    """Run ``_CHILD`` on a copy of the package in ``directory`` with one
+    edit of ``module``: the witness line it printed and its exit code."""
+    package = directory / "charrank"
+    shutil.copytree(SRC, package, ignore=shutil.ignore_patterns("__pycache__"))
+    path = package / module
+    path.write_text(mutate(path.read_text(), original, replacement))
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, f"charrank.{path.stem}", witness] + ["verify"] * verify,
+        env={**os.environ, "PYTHONPATH": str(directory)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    return child.stdout.partition("\n")[0], child.returncode
+
+
+def _witness(module, witness):
+    return repr(eval(witness, vars(import_module(f"charrank.{module[:-3]}"))))
+
+
+def test_criterion_9_public_layer_mutants(tmp_path):
+    codes, silent = {}, []
+    for i, (name, (module, original, replacement, witness)) in enumerate(API_MUTANTS.items()):
+        (tmp_path / str(i)).mkdir()
+        seen, codes[name] = _run_api_mutant(
+            tmp_path / str(i), module, original, replacement, witness, verify=True
+        )
+        if seen == _witness(module, witness):
+            silent.append(name)
+    ok = not silent and all(code == 1 for code in codes.values())
+    _conclude(
+        9,
+        f"each text mutant of the public layer makes verify all exit 1 (exit codes: {codes})",
+        ok,
+        f"mutants={codes}, witnesses unchanged={silent}",
+    )
+
+
+@pytest.mark.parametrize("name", API_VALIDATION_MUTANTS)
+def test_validation_mutant_passes_its_witness(tmp_path, name):
+    module, original, replacement, witness = API_VALIDATION_MUTANTS[name]
+    with pytest.raises(DegreeOutOfRange):
+        _witness(module, witness)
+    seen, code = _run_api_mutant(tmp_path, module, original, replacement, witness, verify=False)
+    assert code == 0 and seen != "DegreeOutOfRange"
+
+
+#: The counting and bound functions of the public layer.
+PUBLIC_COUNTS = {
+    "partitions": (
+        "count_box", "count_set_exact", "count_set_at_most", "count_set_any", "count_total"
+    ),
+    "bounds": ("betti_upper_bound", "betti_upper_bound_gapless", "monomial_count"),
+    "grassmannian": ("betti", "poincare"),
+}
+
+
+def test_criterion_9_sweeps_call_every_public_count(monkeypatch):
+    # a count or bound that no sweep calls is outside the mutation gate;
+    # each is rebound wherever a module of the package binds it
+    called = set()
+    modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "charrank"]
+    for owner, names in PUBLIC_COUNTS.items():
+        for name in names:
+            original = getattr(import_module(f"charrank.{owner}"), name)
+
+            def spy(*args, _name=name, _original=original):
+                called.add(_name)
+                return _original(*args)
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, spy)
+    run_all()
+    everything = {name for names in PUBLIC_COUNTS.values() for name in names}
+    assert sorted(everything - called) == []
+    # every function those modules export, but the enumerators and the
+    # q-binomial oracle, which are what counts are checked against
+    exported = {
+        name
+        for owner in PUBLIC_COUNTS
+        for name in charrank._EXPORTS[owner]
+        if isinstance(getattr(import_module(f"charrank.{owner}"), name), types.FunctionType)
+    }
+    assert exported - {"enumerate_box", "enumerate_set_exact", "gaussian_binomial"} == everything

@@ -270,23 +270,26 @@ def test_box_sum_with_no_part_within_the_weight_builds_no_row(kernels_c, monkeyp
 
 
 #: Counts that one part answers, far past the weights a row of the size
-#: rule may hold: one 10**9 in 10**9, and ones in 10**8 by either route of
-#: the bound.  Each is 1.
+#: rule may hold: one 10**9 in 10**9, as any number of parts and as exactly
+#: one part from {1, 10**9}, and ones in 10**8 by either route of the
+#: bound.  Each is 1.
 ONE_PART_COMMANDS = [
     "count set-any --parts 1000000000 1000000000",
     "bound --set 1 --dim inf --charrank inf --degree 100000000",
     "bound --set 1 --dim inf --charrank inf --degree 100000000 --gapless",
+    "count set-exact --parts 1000000000 1 1000000000",
 ]
 
 
 @pytest.mark.parametrize("command", ONE_PART_COMMANDS)
 def test_one_part_counts_answer_at_once(kernels_c, monkeypatch, capsys, command):
     # the compiled backend hands each weight past SEAM to the pure kernel,
-    # which answers before it prices or builds a row
+    # which answers before it prices or builds a row; count_set_exact
+    # answers before it calls a kernel
     def no_row(*args):
         raise AssertionError("a row was built")
 
-    for loop in ("_box_row", "_divide"):
+    for loop in ("_box_row", "_divide", "_part_rows"):
         monkeypatch.setattr(_kernels_py, loop, no_row)
     for backend in (kernels_c, _kernels_py):
         with monkeypatch.context() as patch:
@@ -339,13 +342,27 @@ def test_huge_bounds_are_clamped_not_overflowed(kernels_c):
         ("partition_table", (-1,)),
         ("set_any_count", ((1, 2), -1)),
         ("partition_count", (-1,)),
+        ("box_count", (True, 4, 3)),
+        ("box_count", (3, True, 3)),
+        ("box_count", (3, 4, True)),
+        ("box_table", (True, 3)),
+        ("box_table", (3, True)),
+        ("set_exact_counts", ((1, 2), True, 3)),
+        ("set_exact_counts", ((1, 2), 3, True)),
+        ("partition_table", (True,)),
+        ("set_any_count", ((1, 2), True)),
+        ("partition_count", (True,)),
     ],
 )
 def test_negative_argument_raises_the_same_error(kernels_c, kernel, args):
     # the compiled backend hands these to the pure one, so both raise alike
     errors = []
     for backend in (kernels_c, _kernels_py):
-        with pytest.raises(ValueError, match="must be nonnegative") as caught:
+        with pytest.raises(
+            ValueError,
+            match=r"^(max_part|max_parts|each box side|num_parts|weight) must be an integer >= 0"
+            r", got (-1|True)$",
+        ) as caught:
             getattr(backend, kernel)(*args)
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
@@ -353,13 +370,20 @@ def test_negative_argument_raises_the_same_error(kernels_c, kernel, args):
 
 @pytest.mark.parametrize(
     "args",
-    [(1, 3, -1), (0, 3, 4), (-2, 3, 4), (4, 3, 5), (10**30 + 1, 10**30, 5), (SEAM + 2, SEAM + 1, 3)],
+    [
+        (1, 3, -1), (0, 3, 4), (-2, 3, 4), (4, 3, 5), (10**30 + 1, 10**30, 5), (SEAM + 2, SEAM + 1, 3),
+        (True, 3, 4), (1, True, 4), (1, 3, True),
+    ],
 )
 def test_bad_box_sum_argument_raises_the_same_error(kernels_c, args):
     # a negative weight, lo < 1 and hi < lo, also past what C can hold
     errors = []
     for backend in (kernels_c, _kernels_py):
-        with pytest.raises(ValueError, match="1 <= lo <= hi and a nonnegative weight") as caught:
+        with pytest.raises(
+            ValueError,
+            match=r"^(lo must be an integer >= 1|hi must be an integer >= \d+|weight must be an integer >= 0)"
+            r", got (-?\d+|True)$",
+        ) as caught:
             backend.box_sum(*args)
         errors.append(str(caught.value))
     assert errors[0] == errors[1]

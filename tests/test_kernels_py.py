@@ -280,9 +280,15 @@ def test_box_sum_weight_zero_and_small(lo, hi):
         assert _kernels_py.box_sum(lo, hi, weight) == expected, weight
 
 
-@pytest.mark.parametrize("args", [(1, 3, -1), (0, 3, 4), (-2, 3, 4), (4, 3, 5)])
+@pytest.mark.parametrize(
+    "args", [(1, 3, -1), (0, 3, 4), (-2, 3, 4), (4, 3, 5), (True, 3, 4), (1, True, 4), (1, 3, True)]
+)
 def test_box_sum_refuses_a_bad_argument(args):
-    with pytest.raises(ValueError, match="1 <= lo <= hi and a nonnegative weight"):
+    with pytest.raises(
+        ValueError,
+        match=r"^(lo must be an integer >= 1|hi must be an integer >= \d+|weight must be an integer >= 0)"
+        r", got (-?\d+|True)$",
+    ):
         _kernels_py.box_sum(*args)
 
 
@@ -303,10 +309,24 @@ def test_box_count_empty_cases():
         ("set_exact_counts", ((1, 2), -1, 3)),
         ("set_exact_counts", ((1, 2), 3, -1)),
         ("set_any_count", ((1, 2), -1)),
+        ("box_count", (True, 4, 3)),
+        ("box_count", (3, True, 3)),
+        ("box_count", (3, 4, True)),
+        ("box_table", (True, 3)),
+        ("box_table", (3, True)),
+        ("set_exact_counts", ((1, 2), True, 3)),
+        ("set_exact_counts", ((1, 2), 3, True)),
+        ("set_any_count", ((1, 2), True)),
+        ("partition_table", (True,)),
+        ("partition_number", (True,)),
+        ("partition_count", (True,)),
     ],
 )
 def test_negative_argument_is_refused(kernel, args):
-    with pytest.raises(ValueError, match="must be nonnegative"):
+    with pytest.raises(
+        ValueError,
+        match=r"^(max_part|max_parts|each box side|num_parts|weight) must be an integer >= 0, got (-1|True)$",
+    ):
         getattr(_kernels_py, kernel)(*args)
 
 
@@ -731,7 +751,7 @@ def test_partition_count_is_the_pentagonal_table():
     assert [_kernels_py.partition_count(n) for n in range(601)] == expected[:601]
     for n in (cut - 1, cut, cut + 1, SEAM, SEAM + 1):
         assert _kernels_py.partition_count(n) == expected[n], n
-    with pytest.raises(ValueError, match="must be nonnegative"):
+    with pytest.raises(ValueError, match="^weight must be an integer >= 0, got -1$"):
         _kernels_py.partition_count(-1)
 
 

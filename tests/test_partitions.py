@@ -274,6 +274,7 @@ class TestCountSet:
         assert count_set_exact((), 0, 0) == 1
         assert count_set_exact((), 0, 4) == 0
         assert count_set_exact((), 1, 3) == 0
+        assert count_set_exact((), 2, 0) == 0
         assert count_set_at_most((), 4, 0) == 1
         assert count_set_at_most((), 4, 3) == 0
         assert count_set_any((), 0) == 1
@@ -297,6 +298,20 @@ class TestCountSet:
             assert count_set_any(members, 0) == 1
             assert count_set_at_most(members, 0, 0) == 1
         assert count_set_exact((), 0, 0) == 1
+
+    def test_one_part_within_the_weight_builds_no_row(self, monkeypatch):
+        # only num_parts copies of the least part can count, so no row is
+        # priced or built; 10**8 threes were once refused as too large
+        def no_row(*args):
+            raise AssertionError("a row was priced or built")
+
+        for name in ("_check_row", "_divide", "_part_rows", "_box_row"):
+            monkeypatch.setattr(_kernels_py, name, no_row)
+        for members in ((3,), (3, 3 * 10**8 + 1)):
+            assert count_set_exact(members, 10**8, 3 * 10**8) == 1
+            assert count_set_exact(members, 10**8, 3 * 10**8 - 1) == 0
+            assert count_set_exact(members, 10**8 - 1, 3 * 10**8) == 0
+            assert count_set_exact(members, 0, 3) == 0
 
     def test_accepts_parts_set_and_iterables(self):
         expected = count_set_exact((2, 3), 2, 5)
