@@ -67,7 +67,9 @@ otherwise.  Its terms are cheaper than they look: for odd k, l and l + k
 both solve Selberg's congruence, as their difference adds 3lk + k(3k+1)/2,
 a multiple of k, and their summands are equal, as both the sign and the
 cosine flip; so an odd k scans l < k and doubles the ball.  For even k the
-difference is k/2 mod k, and there is nothing to fold.
+difference is k/2 mod k, and there is nothing to fold.  As x_2k = x_k / 2,
+one ``_exp`` serves the chain k, 2k, 4k, ... of each odd k, and pi comes
+from Chudnovsky's series.
 
 ``partition_count`` serves one p(n), and so ``count_total``: the Durfee
 squares up to ``SERIES_CUT`` and the series past it, as each is the
@@ -109,7 +111,7 @@ BACKEND = "python"
 MAX_TABLE_CELLS = 2**25
 
 #: ``partition_number`` rounds its sum at this many fractional bits plus
-#: the bit length of its number of terms.
+#: the bit length of four times the terms of its first budget.
 SERIES_BITS = 10
 
 #: Bounds on the remainder of the series, in 64ths, that
@@ -117,8 +119,9 @@ SERIES_BITS = 10
 #: certified.  The actual remainder is far below the bound: past the first
 #: (7/16) every weight from 2 to 6,000 and 60 random weights up to 10**6
 #: were certified, with at least 0.048 to spare (rounding took at most
-#: 0.0013).  The last (15/64) certifies every correct sum with less than
-#: 1/64 of rounding error, which then lies within 1/4 of p(n).
+#: 0.0005).  The last (15/64) certifies every correct sum with less than
+#: 1/64 of rounding error (at most 0.001 from 2 to 3,000), which then lies
+#: within 1/4 of p(n).
 TAIL_BUDGETS = (28, 15)
 
 #: ``_exp`` halves its argument below 2**-EXP_REDUCE before the Taylor
@@ -129,12 +132,13 @@ TAIL_BUDGETS = (28, 15)
 EXP_REDUCE = 5
 
 #: ``partition_count`` reads the Durfee squares up to this weight and sums
-#: the Rademacher series past it.  The two cost the same near 260, Durfee
-#: against series: 0.12 against 0.16 ms at 200, 0.15 against 0.18 at 240,
-#: 0.17 against 0.17 at 260, 0.21 against 0.18 at 300 and 0.33 against
-#: 0.19 at 416 (best of 15, mean over 11 weights, CPython 3.11, x86-64).
+#: the Rademacher series past it.  The two cost the same near 240, Durfee
+#: against series: 0.13 against 0.15 ms at 200, 0.15 against 0.17 at 220,
+#: 0.17 against 0.17 at 235, 0.17 against 0.16 at 240, 0.18 against 0.16 at
+#: 260 and 0.37 against 0.19 at 416 (best of 15, mean over 11 weights,
+#: CPython 3.11, x86-64).
 #: The compiled twin keeps its own cut at ``_kernels_c.SAFE_WEIGHT``.
-SERIES_CUT = 260
+SERIES_CUT = 240
 
 
 def _part_rows(parts, rows: int, width: int, bits: int) -> list:
@@ -444,24 +448,34 @@ def _sqrt(num, den, prec):
 
 
 def _pi(prec):
-    """pi = 16 atan(1/5) - 4 atan(1/239) (Machin).  Each of the two series
-    is summed with ``guard`` extra bits; a term is off by less than 2 * 16 + 1
-    of those units, and the first term left out is below 2 * 16."""
-    guard = prec.bit_length() + 8
-    total = terms = 0
-    for m, c in ((5, 16), (239, -4)):
-        power, i = (1 << prec + guard) // m, 1
-        while power:  # power = (-1)**j / m**(2j+1) at the guarded scale
-            total += c * power // i
-            power //= -m * m
-            i += 2
-            terms += 1
-    return total >> guard, (33 * (terms + 2) >> guard) + 2
+    """pi by Chudnovsky's series,
+
+        pi = 426880 sqrt(10005) / sum_j (-1)^j a_j (13591409 + 545140134 j),
+        a_j = (6j)! / ((3j)! (j!)^3 640320^(3j)),
+
+    summed 32 bits finer than ``prec``.  a_j / a_(j-1) =
+    24 (6j-5)(2j-1)(6j-1) / (j^3 640320^3) < 2**-47, so each floored a_j is
+    less than 2 units off, and the terms alternate and shrink: those from
+    the first whose a_j floors to 0 on sum to less than twice its linear
+    factor.  The sum is off by less than twice the linear factors it took,
+    the quotient by less than 2**25 units up to the precision of
+    p(2**25 - 1)."""
+    fine = prec + 32
+    a, total, rad, j = 1 << fine, 13591409 << fine, 0, 0
+    while a:
+        j += 1
+        a = a * ((6 * j - 5) * (2 * j - 1) * (6 * j - 1)) // (j**3 * (640320**3 // 24))
+        linear = 13591409 + 545140134 * j
+        total, rad = total - linear * a if j & 1 else total + linear * a, rad + 2 * linear
+    root = _sqrt(10005, 1, fine)
+    return _coarser(_div((426880 * root[0], 426880 * root[1]), (total, rad), fine), 32)
 
 
-def _exp(a, prec):
-    """e**a for a ball ``a`` >= 0: halve a below 2**-EXP_REDUCE, sum the
-    Taylor series, and square back.  Each computed term is short of the
+def _exp(a, prec, roots=0):
+    """The balls of e**a, e**(a/2), ..., e**(a / 2**roots), for a ball
+    ``a`` >= 0: halve a below 2**-EXP_REDUCE, and at least ``roots`` times,
+    sum the Taylor series, and square back, each square the ball of twice
+    the exponent of the one before it.  Each computed term is short of the
     true one by less than 2 units and the terms left out sum to less than
     4, so i terms lose less than 2i + 4.  A term is shifted down before it
     is divided by the small i: faster than one division by i << prec, and
@@ -469,7 +483,7 @@ def _exp(a, prec):
     delta of the halved argument scales the result by at most
     e**delta - 1 <= 2 delta."""
     m, r = a
-    halvings = max(0, m.bit_length() - prec + EXP_REDUCE)
+    halvings = max(roots, m.bit_length() - prec + EXP_REDUCE)
     y = m >> halvings
     delta = (r >> halvings) + 2
     if delta > 1 << prec:
@@ -482,9 +496,12 @@ def _exp(a, prec):
         total += term
     m, r = total + i + 2, i + 2
     r += (2 * (m + r) * delta >> prec) + 1
-    for _ in range(halvings):
+    powers = []
+    for i in range(halvings, 0, -1):  # from e**(a / 2**i) to e**(a / 2**(i-1))
+        if i <= roots:
+            powers.append((m, r))
         m, r = m * m >> prec, ((2 * m + r) * r >> prec) + 2
-    return m, r
+    return [(m, r)] + powers[::-1]
 
 
 def _cos(num, den, pi_ball, prec):
@@ -521,7 +538,7 @@ def _tail(n, terms, pi_ball, prec):
     """
     first = _div(_mul(pi_ball, pi_ball, prec), _sqrt(3 * terms, 1, prec), prec)
     y = _mul(pi_ball, _sqrt(6 * n, 1, prec), prec)
-    e = _exp((y[0] // (3 * terms), y[1] // (3 * terms) + 2), prec)
+    [e] = _exp((y[0] // (3 * terms), y[1] // (3 * terms) + 2), prec)
     inv = _div((1 << prec, 0), e, prec)
     root = _mul(pi_ball, _sqrt(2 * terms, n - 1, prec), prec)
     second = _mul(root, (e[0] - inv[0], e[1] + inv[1]), prec)  # twice sinh
@@ -555,9 +572,12 @@ def partition_number(n: int) -> int:
     (3l^2 + l)/2 = -n mod k (Rademacher 1937; Johansson, arXiv:1205.5991).
 
     Term k is computed with the fractional bits its largest part,
-    2 |S_k| (1 + 1/x) e^x / (24n - 1), needs, plus bits for the error growth
-    of ``_exp`` and 12 guard bits, but no more than term 1 gets; balls
-    carry every rounding error.
+    2 |S_k| (1 + 1/x) e^x / (24n - 1), needs, plus 12 guard bits, but no
+    more than term 1 gets; balls carry every rounding error.  As
+    x_2k = x_k / 2, the terms k, 2k, 4k, ... of one odd part form a chain,
+    and one ``_exp`` of x at the chain's least k gives every e^x of it as
+    it squares back, with a guard bit for each squaring, since each doubles
+    the error.
     Terms are added until Rademacher's remainder bound is at most the first
     of ``TAIL_BUDGETS``, and then the next, until the sum lies within
     1/2 - E of an integer, E the remainder bound plus the rounding error.
@@ -571,54 +591,74 @@ def partition_number(n: int) -> int:
         return 1  # the remainder bound needs n >= 2
     _check_row(n + 1, 1)
     d = 24 * n - 1
-    bits = SERIES_BITS + _terms_for(n, TAIL_BUDGETS[-1] / 64).bit_length()
+    terms = _terms_for(n, TAIL_BUDGETS[0] / 64)
+    bits = SERIES_BITS + (4 * terms).bit_length()
+    per_bit, lead = 1 / log(2), log2(2 / d)
 
     def precision(x, count):  # fractional bits for term k at x = x_k
-        parts = x / log(2) + log2(2 * count * (1 + 1 / x) / d)
-        return bits + max(0, ceil(parts)) + int(x).bit_length() + EXP_REDUCE + 12
+        parts = x * per_bit + log2(count * (1 + 1 / x)) + lead
+        return bits + max(0, ceil(parts)) + 12
 
     size = pi * sqrt(d) / 6  # x_1
     top = precision(size, 2)  # term 1's (l = 0, 1), the most any term gets
-    pi_top = _pi(top)
+    # the most any e^x gets: term 1's and a guard bit for each of _exp's
+    # squarings of x_1, as each doubles its error
+    fine = top + int(size).bit_length() + EXP_REDUCE
+    pi_fine = _pi(fine)
     # the remainder bound at 20 more bits than the sum: _exp's squarings
     # multiply its rounding error
-    pi_tail = _coarser(pi_top, top - bits - 20)
-    mu = _mul(pi_top, _sqrt(d, 1, top), top)
+    pi_tail = _coarser(pi_fine, fine - bits - 20)
+    mu = _mul(pi_fine, _sqrt(d, 1, fine), fine)
     mu = mu[0] // 6, mu[1] // 6 + 2
     total = error = done = 0
     for budget in TAIL_BUDGETS:
-        terms = _terms_for(n, budget / 64)
+        if done:  # a later budget: the first one's guess was made above
+            terms = _terms_for(n, budget / 64)
         budget <<= bits - 6
         while (tail := (_tail(n, terms, pi_tail, bits + 20) >> 20) + 1) > budget:
             terms += 1
         pent = [(3 * l * l + l) // 2 + n for l in range(2 * terms)]  # k | pent[l]
+        chains = {}  # the nonzero terms k by odd part: fold, Selberg's l, precision
         for k in range(done + 1, terms + 1):
             # for odd k, l + k solves as l does, with an equal summand
             fold = 1 + k % 2
             ls = [l for l in range(2 * k // fold) if not pent[l] % k]
-            if not ls:
-                continue
-            prec = min(precision(size / k, fold * len(ls)), top)
-            pi_k = _coarser(pi_top, top - prec)
-            sm = sr = 0
-            for l in ls:
-                cm, cr = _cos(6 * l + 1, 6 * k, pi_k, prec)
-                sm, sr = sm - cm if l & 1 else sm + cm, sr + cr
-            sm, sr = fold * sm, fold * sr
-            xm, xr = _coarser(mu, top - prec)
-            xm, xr = xm // k, xr // k + 2
-            # the balls of e^x, e^-x (im) and (e^x - e^-x) / x (qm), as _div
-            # forms them; hm, hr is twice cosh x - sinh(x) / x
-            em, er = _exp((xm, xr), prec)
-            if em <= er or xm <= xr:
-                raise ArithmeticError("a divisor's ball holds 0")
-            im, ir = (1 << 2 * prec) // em, (er << 2 * prec) // (em * (em - er)) + 2
-            qm = (em - im << prec) // xm
-            qr = ((er + ir) * xm + abs(em - im) * xr << prec) // (xm * (xm - xr)) + 2
-            hm, hr = em + im - qm, er + ir + qr
-            tm, tr = sm * hm >> prec, (abs(sm) * hr + abs(hm) * sr + sr * hr >> prec) + 2
-            tm, tr = _coarser((2 * tm // d, 2 * tr // d + 2), prec - bits)
-            total, error = total + tm, error + tr
+            if ls:
+                p = min(precision(size / k, fold * len(ls)), top)
+                chains.setdefault(k // (k & -k), []).append((k, fold, ls, p))
+        for chain in chains.values():
+            # one _exp of x at the chain's least k, at that term's precision
+            # and a guard bit for each squaring back, which the terms up the
+            # chain read: e^x_2k squared is e^x_k
+            low, p = chain[0][0], chain[0][3]
+            roots = (chain[-1][0] // low).bit_length() - 1
+            halvings = max(roots, int(size / low).bit_length() + EXP_REDUCE)
+            prec = min(p + halvings, fine)
+            xm, xr = _coarser(mu, fine - prec)
+            powers = _exp((xm // low, xr // low + 2), prec, roots)
+            for k, fold, ls, p in chain:
+                pi_k = _coarser(pi_fine, fine - p)
+                sm = sr = 0
+                for l in ls:
+                    cm, cr = _cos(6 * l + 1, 6 * k, pi_k, p)
+                    sm, sr = sm - cm if l & 1 else sm + cm, sr + cr
+                sm, sr = fold * sm, fold * sr
+                xm, xr = _coarser(mu, fine - p)
+                xm, xr = xm // k, xr // k + 2
+                # the balls of e^x, e^-x (im) and (e^x - e^-x) / x (qm),
+                # with 1 / (b (b - r)) <= 4**(1 - bit length of b - r) for a
+                # divisor ball b, r; hm, hr is twice cosh x - sinh(x) / x
+                gm, gr = _coarser(powers[(k // low).bit_length() - 1], prec - p)
+                if gm <= gr or xm <= xr:
+                    raise ArithmeticError("a divisor's ball holds 0")
+                im, ir = (1 << 2 * p) // gm, (gr << 2 * p + 2 >> 2 * (gm - gr).bit_length()) + 2
+                qm = (gm - im << p) // xm
+                qr = (gr + ir) * xm + abs(gm - im) * xr << p + 2
+                qr = (qr >> 2 * (xm - xr).bit_length()) + 2
+                hm, hr = gm + im - qm, gr + ir + qr
+                tm, tr = sm * hm >> p, (abs(sm) * hr + abs(hm) * sr + sr * hr >> p) + 2
+                tm, tr = _coarser((2 * tm // d, 2 * tr // d + 2), p - bits)
+                total, error = total + tm, error + tr
         done = max(done, terms)
         nearest = total + (1 << bits - 1) >> bits
         if abs(total - (nearest << bits)) + error + tail < 1 << bits - 1:

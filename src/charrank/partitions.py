@@ -171,14 +171,21 @@ def count_set_at_most(parts, max_parts, weight):
     below it binds, and the count sums the rows of the 2-D
     ``set_exact_counts`` table.  Both kernels refuse (``TableTooLarge``) a
     call whose row of weights times parts (for the 2-D table, its
-    max_parts + 1 rows) passes ``_kernels_py.MAX_TABLE_CELLS``.  When no
-    part is at most ``weight``, the bound never binds: ``set_any_count``
-    answers that only the empty partition can count, and builds no row.
+    max_parts + 1 rows) passes ``_kernels_py.MAX_TABLE_CELLS``.  Neither
+    runs when at most one part is at most ``weight``, as in
+    ``count_set_exact``: with none, only the empty partition counts, and
+    with the least part alone, only weight // least copies of it, if they
+    make up ``weight`` and the bound admits that many.
     """
     members = _as_members(parts)
     check_int(ValueError, 0, "max_parts", max_parts)
     check_int(ValueError, 0, "weight", weight)
-    if not members or max_parts >= weight // members[0]:
+    usable = bisect_right(members, weight)
+    if usable < 2:  # only the least part fits, or none does
+        if not usable:
+            return int(weight == 0)
+        return int(weight % members[0] == 0 and weight // members[0] <= max_parts)
+    if max_parts >= weight // members[0]:
         return _dispatch.set_any_count(members, weight)
     return sum(_dispatch.set_exact_counts(members, max_parts, weight))
 

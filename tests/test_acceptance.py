@@ -286,6 +286,13 @@ PY_MUTANTS = {
     "Selberg fold drops its doubling": (  # each odd k sums only l < k
         "sm, sr = fold * sm, fold * sr", "sm, sr = sm, sr", ("partition_number", (200,))
     ),
+    # Each ratio a_j / a_(j-1) of Chudnovsky's series takes 6j + 1 for
+    # 6j - 1: pi moves by some 2**-47 of itself, and p(200) by 1.
+    "Chudnovsky ratio": ("(6 * j - 1)) //", "(6 * j + 1)) //", ("partition_number", (200,))),
+    "chain skips a squaring": (  # each ball of an _exp chain is e^(x/2) for e^x
+        "for i in range(halvings, 0, -1):", "for i in range(halvings - 1, 0, -1):",
+        ("partition_number", (200,)),
+    ),
 }
 
 
@@ -318,7 +325,9 @@ def test_criterion_9_mutants_cover_every_kernel_and_branch():
     # a rename or rewrite that strands a mutant fails here, not silently
     text = PY_SOURCE.read_text()
     defs = {n.name: n for n in ast.parse(text).body if isinstance(n, ast.FunctionDef)}
-    series = {n.target.id: n for n in ast.walk(defs["partition_number"]) if isinstance(n, ast.For)}
+    series = {
+        ast.unparse(n.iter): n for n in ast.walk(defs["partition_number"]) if isinstance(n, ast.For)
+    }
     regions = {
         "_box_row": defs["_box_row"],
         "box_sum chain": next(n for n in ast.walk(defs["box_sum"]) if isinstance(n, ast.For)),
@@ -327,8 +336,10 @@ def test_criterion_9_mutants_cover_every_kernel_and_branch():
         ),
         "_part_rows": defs["_part_rows"],
         "Durfee loop": next(n for n in ast.walk(defs["partition_table"]) if isinstance(n, ast.For)),
-        "series terms": series["k"],
-        "Selberg sum": series["l"],
+        "series terms": series["chain"],
+        "Selberg sum": series["ls"],
+        "Chudnovsky sum": next(n for n in ast.walk(defs["_pi"]) if isinstance(n, ast.While)),
+        "exp squarings": next(n for n in ast.walk(defs["_exp"]) if isinstance(n, ast.For)),
     }
     edited = {text.count("\n", 0, text.index(edit[0])) + 1 for edit in PY_MUTANTS.values()}
     stranded = [
@@ -364,6 +375,10 @@ API_MUTANTS = {
     "monomial count one degree up": (
         "bounds.py", "count_set_any(parts, degree)", "count_set_any(parts, degree + 1)",
         "monomial_count((1, 2), 3)",
+    ),
+    "set-at-most count with one usable part ignores max_parts": (
+        "partitions.py", " and weight // members[0] <= max_parts)", ")",
+        "count_set_at_most((3,), 1, 6)",
     ),
     "gapless bound counts 1 with no usable degree": (
         "bounds.py", "if not usable:\n        return 0", "if not usable:\n        return 1",

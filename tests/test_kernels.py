@@ -27,7 +27,7 @@ from charrank.cli import main as cli_main
 from charrank.errors import TableTooLarge
 from charrank.grassmannian import gaussian_binomial
 from charrank.oracles import gaussian_triangle, pentagonal_partition_table
-from charrank.partitions import count_total
+from charrank.partitions import count_set_at_most, count_total
 
 from _backends import COMPILED, KERNELS, SEAM, SRC, WORD_BITS, mutate, serve
 
@@ -296,6 +296,21 @@ def test_one_part_counts_answer_at_once(kernels_c, monkeypatch, capsys, command)
             serve(patch, backend)
             assert cli_main(command.split()) == 0
         assert capsys.readouterr().out == "1\n"
+
+
+@pytest.mark.parametrize("max_parts, expected", [(10**8 - 1, 0), (10**8, 1)])
+def test_one_part_bound_answers_at_once(kernels_c, monkeypatch, max_parts, expected):
+    # only 10**8 threes make up 3 * 10**8: a bound one short of them binds
+    # and counts none, and neither route prices a row or the 2-D table
+    def no_row(*args):
+        raise AssertionError("a row was priced")
+
+    for loop in ("_check_row", "_divide", "_part_rows"):
+        monkeypatch.setattr(_kernels_py, loop, no_row)
+    for backend in (kernels_c, _kernels_py):
+        with monkeypatch.context() as patch:
+            serve(patch, backend)
+            assert count_set_at_most((3,), max_parts, 3 * 10**8) == expected
 
 
 def test_series_is_priced_as_a_one_part_row(kernels_c, monkeypatch):

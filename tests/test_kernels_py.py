@@ -32,9 +32,10 @@ b + 1 rows of c + 1 weights once and to a memory ceiling.  The
 Rademacher series is held to the pentagonal recurrence, under its first
 remainder budget alone to weight 6000, its ball arithmetic to mpmath at a
 higher precision, the fold of its Selberg sum to the congruence it rests
-on, and its certificate to refusing a sum it cannot bound within 1/2 of
-an integer.  The point query ``partition_count`` is held to the
-pentagonal recurrence on both sides of ``SERIES_CUT``.
+on, its squaring chains to one ``_exp`` each, and its certificate to
+refusing a sum it cannot bound within 1/2 of an integer.  The point query
+``partition_count`` is held to the pentagonal recurrence on both sides of
+``SERIES_CUT``.
 """
 
 import tracemalloc
@@ -688,20 +689,45 @@ def _holds(ball, value, prec):
     return mid - rad <= value * 2**prec <= mid + rad
 
 
-@pytest.mark.parametrize("prec", [1, 8, 40, 300, 2000])
-def test_pi_ball_holds_pi(prec):
+class _Precision(Exception):
+    pass
+
+
+@pytest.mark.parametrize("prec", [1, 8, 40, 300, 2000, 8000, "top"])
+def test_pi_ball_holds_pi(monkeypatch, prec):
+    # "top": the most the series asks for, at the largest weight it serves
+    if prec == "top":
+
+        def seen(prec):
+            raise _Precision(prec)
+
+        monkeypatch.setattr(_kernels_py, "_pi", seen)
+        with pytest.raises(_Precision) as top:
+            _kernels_py.partition_number(2**25 - 1)
+        monkeypatch.undo()
+        prec = top.value.args[0]
+    ball = _kernels_py._pi(prec)
     with mpmath.workprec(prec + 100):
-        assert _holds(_kernels_py._pi(prec), mpmath.pi, prec)
+        assert _holds(ball, mpmath.pi, prec)
+    assert ball[1] == 2  # the rounding of the sum is below one unit
 
 
-@given(st.integers(0, 150 * 2**8), st.integers(0, 3), st.sampled_from([8, 40, 200]))
-def test_exp_ball_holds_exp_at_both_ends(x, rad, prec):
-    # x, drawn at scale 2**-8, is at most 150
+@given(
+    st.integers(0, 150 * 2**8),
+    st.integers(0, 3),
+    st.integers(0, 6),
+    st.sampled_from([8, 40, 200]),
+)
+def test_exp_ball_holds_exp_at_both_ends(x, rad, roots, prec):
+    # x, drawn at scale 2**-8, is at most 150; ball i of its squaring chain
+    # holds e**(x / 2**i), as e**x_k for x = x_(k / 2**i) in the series
     mid = x << prec >> 8
-    ball = _kernels_py._exp((mid, rad), prec)
+    chain = _kernels_py._exp((mid, rad), prec, roots)
+    assert len(chain) == roots + 1
     with mpmath.workprec(prec + 400):
-        for end in (max(mid - rad, 0), mid + rad):
-            assert _holds(ball, mpmath.exp(mpmath.mpf(end) / 2**prec), prec)
+        for i, ball in enumerate(chain):
+            for end in (max(mid - rad, 0), mid + rad):
+                assert _holds(ball, mpmath.exp(mpmath.mpf(end) / 2 ** (prec + i)), prec)
 
 
 @given(st.integers(-100, 100), st.integers(1, 60), st.sampled_from([8, 40, 200]))
@@ -727,6 +753,35 @@ def test_series_first_budget_certifies_every_weight_to_6000(monkeypatch):
     monkeypatch.setattr(_kernels_py, "TAIL_BUDGETS", _kernels_py.TAIL_BUDGETS[:1])
     expected = pentagonal_partition_table(6000)
     assert [_kernels_py.partition_number(n) for n in range(6001)] == expected
+
+
+@pytest.mark.parametrize("n", [813, 2903])
+def test_series_runs_one_exp_per_chain(monkeypatch, n):
+    # x_2k = x_k / 2: one _exp for each odd j whose chain j, 2j, 4j, ...
+    # holds a nonzero term, one in the remainder bound, and no more
+    calls, tails = [], []
+    exp, tail = _kernels_py._exp, _kernels_py._tail
+
+    def exp_spy(*args):
+        calls.append(args)
+        return exp(*args)
+
+    def tail_spy(n, terms, pi_ball, prec):
+        tails.append(terms)
+        return tail(n, terms, pi_ball, prec)
+
+    monkeypatch.setattr(_kernels_py, "_exp", exp_spy)
+    monkeypatch.setattr(_kernels_py, "_tail", tail_spy)
+    assert _kernels_py.partition_number(n) == pentagonal_partition_table(n)[n]
+    [terms] = tails  # the first guess certifies
+    live = [
+        k
+        for k in range(1, terms + 1)
+        if any(((3 * l * l + l) // 2 + n) % k == 0 for l in range(2 * k))
+    ]
+    odd = {k // (k & -k) for k in live}
+    assert len(odd) < len(live)
+    assert len(calls) == len(odd) + 1
 
 
 def test_selberg_fold_pairs_l_with_l_plus_k():
