@@ -8,7 +8,7 @@ on big integers from its first term, so ``_dispatch`` serves it from here
 on both backends.  Everything here works with native Python integers, so
 results are exact at any size.
 
-Two dynamic programs serve the six table entry points:
+Two dynamic programs and the Durfee loop serve the six table entry points:
 
 * ``_part_rows``, the 2-D table indexed by (parts used, weight), serves
   only ``set_exact_counts``.  Each row is one int, the count for weight w
@@ -27,9 +27,10 @@ Two dynamic programs serve the six table entry points:
   shift-add-masks, as prod_j (1 + q^(2^j v)) = 1 / (1 - q^v) mod q^width.
   A box slot needs only the bits of the box total or less (``_box_bits``),
   a set-any slot those of p(w) or of its k - 1 least multiplicities, and
-  a point query reads one slot.  Only ``partition_table``, whose counts
-  are all of p(0..n), keeps a list of Python ints: each of its Durfee
-  squares runs its own loop, below.
+  a point query reads one slot.
+* the Durfee loop of ``partition_table``, whose counts are all of
+  p(0..n), keeps a list of Python ints and sums each Durfee square on
+  ``accumulate``, below.
 
 Each entry point first checks its integer arguments with
 ``errors.check_int``, named as the public counts name them (``max_part``,

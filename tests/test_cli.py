@@ -9,10 +9,12 @@ import time
 import pytest
 from sympy.functions.combinatorial.numbers import partition as sympy_partition
 
-from charrank import _dispatch, _kernels_py, bijection
+from charrank import _dispatch, bijection
 from charrank.cli import main
 from charrank.identities import RANGE_KEYS, SWEEP_ORDER, default_grid, verify_sweep
 from charrank.report import Identity
+
+from _backends import ROWS, SERIES, forbid
 
 
 def run_cli(capsys, *argv):
@@ -109,11 +111,8 @@ class TestCount:
     def test_total_of_a_million_without_a_table(self, capsys, monkeypatch):
         # the Rademacher series, where the Durfee table would hold 10**6
         # big integers
-        def no_row(*args):
-            raise AssertionError("a table was built")
-
-        monkeypatch.setattr(_dispatch, "partition_table", no_row)
-        monkeypatch.setattr(_kernels_py, "partition_table", no_row)
+        forbid(monkeypatch, "partition_table", module=_dispatch)
+        forbid(monkeypatch, "partition_table", *ROWS)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "count", "total", "1000000")
         elapsed = time.perf_counter() - start
@@ -135,10 +134,7 @@ class TestCount:
     def test_oversized_table_is_a_usage_error(self, capsys, monkeypatch):
         # 100000 parts from {1, 2, 3} reach weight 200000, on a table of
         # 100001 x 200001 cells
-        def no_table(*args):
-            raise AssertionError("the table was built")
-
-        monkeypatch.setattr(_kernels_py, "_part_rows", no_table)
+        forbid(monkeypatch, *ROWS)
         args = ("count", "set-exact", "--parts", "1,2,3", "100000", "200000")
         code, _, err = run_cli(capsys, *args)
         assert code == 2
@@ -153,10 +149,7 @@ class TestCount:
 
     def test_unreachable_set_exact_weight_is_zero_without_a_table(self, capsys, monkeypatch):
         # 100000 parts of at most 3 weigh at most 300000
-        def no_table(*args):
-            raise AssertionError("the table was built")
-
-        monkeypatch.setattr(_kernels_py, "_part_rows", no_table)
+        forbid(monkeypatch, *ROWS)
         args = ("count", "set-exact", "--parts", "1,2,3", "100000", "1000000")
         assert run_cli(capsys, *args) == (0, "0\n", "")
 
@@ -174,21 +167,14 @@ class TestCount:
     )
     def test_oversized_1d_work_is_a_usage_error(self, capsys, monkeypatch, args):
         # each adds 3 or more parts to a row of 10**6 or more weights
-        def no_row(*args):
-            raise AssertionError("the 1-D loop ran")
-
-        for loop in ("_box_row", "_divide"):
-            monkeypatch.setattr(_kernels_py, loop, no_row)
+        forbid(monkeypatch, *ROWS)
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (2, "")
         assert "exceeds the limit" in err
 
     def test_oversized_series_is_a_usage_error(self, capsys, monkeypatch):
         # the series for p(10**8) is priced as a row of 10**8 + 1 weights
-        def no_series(*args):
-            raise AssertionError("the series ran")
-
-        monkeypatch.setattr(_kernels_py, "_pi", no_series)
+        forbid(monkeypatch, *ROWS, *SERIES)
         code, out, err = run_cli(capsys, "count", "total", "100000000")
         assert (code, out) == (2, "")
         assert "exceeds the limit" in err
@@ -197,10 +183,7 @@ class TestCount:
 class TestBetti:
     def test_oversized_table_is_a_usage_error(self, capsys, monkeypatch):
         # 50000 x 50000 box counts, past MAX_TABLE_CELLS
-        def no_row(*args):
-            raise AssertionError("the box row was built")
-
-        monkeypatch.setattr(_kernels_py, "_box_row", no_row)
+        forbid(monkeypatch, *ROWS)
         code, out, err = run_cli(capsys, "betti", "100000", "50000")
         assert (code, out) == (2, "")
         assert "exceeds the limit" in err
@@ -208,10 +191,7 @@ class TestBetti:
     def test_half_row_past_the_limit_is_a_usage_error(self, capsys, monkeypatch):
         # 250001 weights times 500 parts: the whole table is refused by the
         # rule that refuses its middle degree, betti 1000 500 125000
-        def no_row(*args):
-            raise AssertionError("the box row was built")
-
-        monkeypatch.setattr(_kernels_py, "_box_row", no_row)
+        forbid(monkeypatch, *ROWS)
         for argv in (("betti", "1000", "500"), ("betti", "1000", "500", "125000")):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")

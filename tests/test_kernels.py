@@ -29,7 +29,20 @@ from charrank.grassmannian import gaussian_binomial
 from charrank.oracles import gaussian_triangle, pentagonal_partition_table
 from charrank.partitions import count_set_at_most, count_total
 
-from _backends import COMPILED, KERNELS, SEAM, SRC, WORD_BITS, mutate, serve
+from _backends import (
+    COMPILED,
+    KERNELS,
+    PRICE,
+    ROWS,
+    SEAM,
+    SEAM_CALLS,
+    SERIES,
+    SRC,
+    WORD_BITS,
+    forbid,
+    mutate,
+    serve,
+)
 
 SOURCE = SRC / "_kernels_c.c"
 #: The weights that straddle the compiled seam: six at or below it, eight past it.
@@ -81,18 +94,6 @@ def test_seam_constants_state_the_proof(kernels_c):
     # SEAM is the largest n with p(n) < 2**WORD_BITS, derived in the tests
     assert kernels_c.WORD_BITS == WORD_BITS
     assert kernels_c.SAFE_WEIGHT == SEAM
-
-
-#: One call of each compiled entry point at a weight w on the seam's scale.
-SEAM_CALLS = {
-    "box_count": lambda w: (2, w, w),
-    "box_table": lambda w: (1, w),
-    "box_sum": lambda w: (1, 2, w),
-    "set_exact_counts": lambda w: ((1,), 1, w),
-    "set_any_count": lambda w: ((1,), w),
-    "partition_table": lambda w: (w,),
-    "partition_count": lambda w: (w,),
-}
 
 
 @pytest.mark.parametrize("kernel", COMPILED)
@@ -260,11 +261,7 @@ def test_set_any_count_agrees_across_word_size_boundary(kernels_c, parts):
 def test_box_sum_with_no_part_within_the_weight_builds_no_row(kernels_c, monkeypatch, weight):
     # the compiled backend hands a lo past SEAM to the pure kernel, which
     # answers before it prices or builds a row
-    def no_row(*args):
-        raise AssertionError("a row was built")
-
-    for loop in ("_box_row", "_divide"):
-        monkeypatch.setattr(_kernels_py, loop, no_row)
+    forbid(monkeypatch, *ROWS, *PRICE)
     for backend in (kernels_c, _kernels_py):
         assert backend.box_sum(10**9, 10**9, weight) == int(weight == 0)
 
@@ -286,11 +283,7 @@ def test_one_part_counts_answer_at_once(kernels_c, monkeypatch, capsys, command)
     # the compiled backend hands each weight past SEAM to the pure kernel,
     # which answers before it prices or builds a row; count_set_exact
     # answers before it calls a kernel
-    def no_row(*args):
-        raise AssertionError("a row was built")
-
-    for loop in ("_box_row", "_divide", "_part_rows"):
-        monkeypatch.setattr(_kernels_py, loop, no_row)
+    forbid(monkeypatch, *ROWS, *PRICE)
     for backend in (kernels_c, _kernels_py):
         with monkeypatch.context() as patch:
             serve(patch, backend)
@@ -302,11 +295,7 @@ def test_one_part_counts_answer_at_once(kernels_c, monkeypatch, capsys, command)
 def test_one_part_bound_answers_at_once(kernels_c, monkeypatch, max_parts, expected):
     # only 10**8 threes make up 3 * 10**8: a bound one short of them binds
     # and counts none, and neither route prices a row or the 2-D table
-    def no_row(*args):
-        raise AssertionError("a row was priced")
-
-    for loop in ("_check_row", "_divide", "_part_rows"):
-        monkeypatch.setattr(_kernels_py, loop, no_row)
+    forbid(monkeypatch, *ROWS, *PRICE)
     for backend in (kernels_c, _kernels_py):
         with monkeypatch.context() as patch:
             serve(patch, backend)
@@ -317,16 +306,13 @@ def test_series_is_priced_as_a_one_part_row(kernels_c, monkeypatch):
     # past SEAM count_total sums the pure series on both backends (the
     # compiled partition_count hands the weight to the pure one); its
     # n + 1 weights are priced before any term is summed
-    def no_series(*args):
-        raise AssertionError("the series ran")
-
     expected = pentagonal_partition_table(999)[999]
     monkeypatch.setattr(_kernels_py, "MAX_TABLE_CELLS", 1000)
     for backend in (kernels_c, _kernels_py):
         with monkeypatch.context() as patch:
             serve(patch, backend)
             assert count_total(999) == expected
-            patch.setattr(_kernels_py, "_pi", no_series)
+            forbid(patch, *ROWS, *SERIES)
             with pytest.raises(TableTooLarge, match="a row of 1001 weights times 1 parts"):
                 count_total(1000)
 

@@ -38,6 +38,7 @@ refusing a sum it cannot bound within 1/2 of an integer.  The point query
 ``SERIES_CUT``.
 """
 
+import ast
 import tracemalloc
 from itertools import combinations_with_replacement
 from math import comb
@@ -54,7 +55,7 @@ from charrank.grassmannian import gaussian_binomial
 from charrank.oracles import gaussian_triangle, pentagonal_partition_table
 from charrank.partitions import count_set_any
 
-from _backends import SEAM
+from _backends import PRICE, ROWS, SEAM, SERIES, SLOT_BITS, SRC, forbid
 from _brute import box as brute_box, set_exact as brute_set_exact
 
 
@@ -114,11 +115,17 @@ def test_box_table_is_the_q_binomial_for_every_small_box():
             assert _kernels_py.box_table(a, b) == expected, (a, b)
 
 
-def test_box_table_too_large_is_refused_before_it_is_built(monkeypatch):
-    def no_row(*args):
-        raise AssertionError("the box row was built")
+def test_guard_groups_name_every_private_function_once():
+    # a new row builder, price or series helper must join a group, so the
+    # guards that forbid the group cover it
+    tree = ast.parse((SRC / "_kernels_py.py").read_text())
+    private = [n.name for n in tree.body if isinstance(n, ast.FunctionDef) and n.name[0] == "_"]
+    grouped = [name for name in ROWS + PRICE + SLOT_BITS + SERIES if name != "accumulate"]
+    assert sorted(grouped) == sorted(private)
 
-    monkeypatch.setattr(_kernels_py, "_box_row", no_row)
+
+def test_box_table_too_large_is_refused_before_it_is_built(monkeypatch):
+    forbid(monkeypatch, *ROWS)
     with pytest.raises(TableTooLarge):
         _kernels_py.box_table(5 * 10**4, 10**5)
 
@@ -168,11 +175,7 @@ def test_box_table_is_refused_wherever_box_count_is_at_its_middle(a, b, limit):
     ],
 )
 def test_1d_work_too_large_is_refused_before_it_runs(monkeypatch, kernel, args):
-    def no_row(*args):
-        raise AssertionError("the 1-D loop ran")
-
-    for loop in ("_box_row", "_divide", "accumulate"):
-        monkeypatch.setattr(_kernels_py, loop, no_row)
+    forbid(monkeypatch, *ROWS)
     with pytest.raises(TableTooLarge):
         getattr(_kernels_py, kernel)(*args)
 
@@ -199,12 +202,7 @@ def test_no_part_within_the_weight_builds_no_row(monkeypatch, kernel, args, expe
     # with no part within the weight only the empty partition of 0 can
     # count, and with one only its multiples, so the call is answered
     # before it is priced, let alone built
-    def no_row(*args):
-        raise AssertionError("a row was built")
-
-    monkeypatch.setattr(_kernels_py, "MAX_TABLE_CELLS", 0)
-    for loop in ("_box_row", "_divide"):
-        monkeypatch.setattr(_kernels_py, loop, no_row)
+    forbid(monkeypatch, *ROWS, *PRICE)
     assert getattr(_kernels_py, kernel)(*args) == expected
 
 
@@ -321,6 +319,10 @@ def test_box_count_empty_cases():
         ("partition_table", (True,)),
         ("partition_number", (True,)),
         ("partition_count", (True,)),
+        ("box_table", (-1, 3)),
+        ("partition_table", (-1,)),
+        ("partition_count", (-1,)),
+        ("partition_number", (-1,)),
     ],
 )
 def test_negative_argument_is_refused(kernel, args):
@@ -559,10 +561,6 @@ def test_composition_and_multiset_slot_bounds_hold_every_count(monkeypatch, memb
                 assert widths[-1] == 1 + min(bounds), (smax, c)
 
 
-def no_table(*args):
-    raise AssertionError("the table was built")
-
-
 @pytest.mark.parametrize(
     "parts, b, c",
     [
@@ -572,7 +570,7 @@ def no_table(*args):
     ],
 )
 def test_set_exact_counts_out_of_reach_builds_no_table(monkeypatch, parts, b, c):
-    monkeypatch.setattr(_kernels_py, "_part_rows", no_table)
+    forbid(monkeypatch, *ROWS)
     assert _kernels_py.set_exact_counts(parts, b, c) == [0] * (b + 1)
 
 
@@ -736,15 +734,6 @@ def test_cos_ball_holds_cos(num, den, prec):
     with mpmath.workprec(prec + 100):
         ball = _kernels_py._cos(num, den, _kernels_py._pi(prec), prec)
         assert _holds(ball, mpmath.cos(mpmath.pi * num / den), prec)
-
-
-def test_series_every_weight_to_600():
-    # count_total takes the series only past SERIES_CUT; the sweeps call
-    # it directly below that
-    expected = pentagonal_partition_table(600)
-    assert [_kernels_py.partition_number(n) for n in range(601)] == expected
-    with pytest.raises(ValueError):
-        _kernels_py.partition_number(-1)
 
 
 def test_series_first_budget_certifies_every_weight_to_6000(monkeypatch):

@@ -25,7 +25,7 @@ from charrank.partitions import (
     enumerate_set_exact,
 )
 
-from _backends import SEAM, serve
+from _backends import PRICE, ROWS, SEAM, forbid, serve
 from _brute import box as brute_box, set_exact as brute_set_exact
 
 
@@ -179,11 +179,7 @@ class TestCountSet:
             for w in range(31)
         ]
         expected = [count_set_at_most(members, w, w) for members, w in cases]
-
-        def no_route(*args):
-            raise AssertionError("count_set_at_most was called")
-
-        monkeypatch.setattr(partitions, "count_set_at_most", no_route)
+        forbid(monkeypatch, "count_set_at_most", module=partitions)
         assert [count_set_any(members, w) for members, w in cases] == expected
 
     def test_exact_matches_brute_force(self):
@@ -240,10 +236,7 @@ class TestCountSet:
 
     def test_table_too_large_is_refused_before_it_is_built(self, monkeypatch):
         # the compiled kernels hand these weights to the pure ones, which guard
-        def no_table(*args):
-            raise AssertionError("the table was built")
-
-        monkeypatch.setattr(_kernels_py, "_part_rows", no_table)
+        forbid(monkeypatch, *ROWS)
         with pytest.raises(TableTooLarge):
             count_set_exact(range(1, 10**5), 10**5, 10**6)
         with pytest.raises(TableTooLarge):
@@ -286,11 +279,7 @@ class TestCountSet:
         # set_any_count, which the compiled backend hands every weight past
         # its word size; the set-exact call with no parts was once refused
         # as too large
-        def no_row(*args):
-            raise AssertionError("a row was priced or built")
-
-        for name in ("_check_row", "_divide", "_part_rows", "_box_row"):
-            monkeypatch.setattr(_kernels_py, name, no_row)
+        forbid(monkeypatch, *ROWS, *PRICE)
         for members in ((), (10**9,), (10**8 + 1, 10**9)):
             assert count_set_any(members, 10**8) == 0
             assert count_set_at_most(members, 5, 10**8) == 0
@@ -302,11 +291,7 @@ class TestCountSet:
     def test_one_part_within_the_weight_builds_no_row(self, monkeypatch):
         # only num_parts copies of the least part can count, so no row is
         # priced or built; 10**8 threes were once refused as too large
-        def no_row(*args):
-            raise AssertionError("a row was priced or built")
-
-        for name in ("_check_row", "_divide", "_part_rows", "_box_row"):
-            monkeypatch.setattr(_kernels_py, name, no_row)
+        forbid(monkeypatch, *ROWS, *PRICE)
         for members in ((3,), (3, 3 * 10**8 + 1)):
             assert count_set_exact(members, 10**8, 3 * 10**8) == 1
             assert count_set_exact(members, 10**8, 3 * 10**8 - 1) == 0
