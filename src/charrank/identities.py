@@ -21,10 +21,12 @@ quietly propagating.  Every public count and bound is called by some
 sweep of ``run_all``: the Grassmannian sweep reads ``betti`` degree by
 degree for n <= 6 beside the ``poincare`` tables, and the sharpness sweep
 also asks both bounds of a profile whose one degree is above the degree
-asked, which must be 0.  Two kinds of call read a ``_dispatch`` kernel
-directly.  ``verify_eq3``, ``verify_eq4`` and ``verify_eq5`` read the
-paper's sum of box counts from ``_dispatch.box_sum``, which has no
-public count of its own (``betti_upper_bound_gapless`` serves it).  The
+asked, which must be 0, and counts partitions into twos alone both with
+and without a bound on their number.  Two kinds of call read a
+``_dispatch`` kernel directly.  ``verify_eq3``, ``verify_eq4`` and
+``verify_eq5`` read the paper's sum of box counts from
+``_dispatch.box_sum``, which has no public count of its own
+(``betti_upper_bound_gapless`` serves it).  The
 partition-function sweep calls the Rademacher series at its top weight:
 ``count_total`` takes that route only past ``_kernels_py.SERIES_CUT``
 (on the compiled backend past ``_kernels_c.SAFE_WEIGHT``), above the
@@ -228,6 +230,14 @@ def _sweep_sharpness(report, max_k, max_j):
                 empty = params + (("check", "no usable degree"),)
                 report.compare(empty, betti_upper_bound(above, j), 0)
                 report.compare(empty, betti_upper_bound_gapless(above, j), 0)
+                # count_set_at_most answers twos alone without a kernel: no
+                # part fits at j = 1, and one part does at j >= 2.  A bound
+                # of j parts cannot bind, so it must match the set-any row
+                report.compare(
+                    params + (("check", "twos alone"),),
+                    count_set_at_most((2,), j, j),
+                    count_set_any((2,), j),
+                )
 
 
 def _sweep_partition_crosscheck(report, max_weight):

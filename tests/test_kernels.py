@@ -8,17 +8,12 @@ never leave a build product in the source tree.
 
 import importlib
 import importlib.util
-import shutil
 import sys
-import sysconfig
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from setuptools import Distribution, Extension
-from setuptools.command.build_ext import build_ext
 
 import charrank
 from charrank import _dispatch, _kernels_py
@@ -30,6 +25,7 @@ from charrank.oracles import gaussian_triangle, pentagonal_partition_table
 from charrank.partitions import count_set_at_most, count_total
 
 from _backends import (
+    BAD_CALLS,
     COMPILED,
     KERNELS,
     PRICE,
@@ -39,45 +35,24 @@ from _backends import (
     SERIES,
     SRC,
     WORD_BITS,
+    build,
+    call,
     forbid,
-    mutate,
     serve,
 )
 
-SOURCE = SRC / "_kernels_c.c"
 #: The weights that straddle the compiled seam: six at or below it, eight past it.
 WINDOW = range(SEAM - 6, SEAM + 9)
-
-
-def _build(directory, source=SOURCE):
-    """Compile ``source`` into ``directory`` and load it as
-    ``charrank._kernels_c``; skip when there is nothing to compile with.
-    Warnings are errors, as in CI, except under MSVC, which spells them
-    differently."""
-    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    header = Path(sysconfig.get_paths()["include"], "Python.h")
-    if shutil.which(compiler) is None or not header.is_file():
-        pytest.skip(f"no C compiler ({compiler}) or no {header}")
-    flags = [] if sys.platform == "win32" else ["-Wall", "-Werror"]
-    extension = Extension("charrank._kernels_c", [str(source)], extra_compile_args=flags)
-    dist = Distribution({"ext_modules": [extension]})
-    command = build_ext(dist)
-    command.build_lib = str(directory)
-    command.build_temp = str(directory / "temp")
-    command.ensure_finalized()
-    command.run()
-    path = command.get_ext_fullpath("charrank._kernels_c")
-    spec = importlib.util.spec_from_file_location("charrank._kernels_c", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")
 def kernels_c(tmp_path_factory):
     """The freshly built compiled backend, importable as
     ``charrank._kernels_c`` while this module's tests run."""
-    module = _build(tmp_path_factory.mktemp("kernels_c"))
+    path = build(tmp_path_factory.mktemp("kernels_c"), SRC / "_kernels_c.c")
+    spec = importlib.util.spec_from_file_location("charrank._kernels_c", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(sys.modules, "charrank._kernels_c", module)
         patch.delattr(charrank, "_kernels_c", raising=False)
@@ -331,63 +306,13 @@ def test_huge_bounds_are_clamped_not_overflowed(kernels_c):
     assert kernels_c.box_count(big, big, 40) == _kernels_py.box_count(40, 40, 40)
 
 
-@pytest.mark.parametrize(
-    "kernel, args",
-    [
-        ("box_count", (3, 4, -1)),
-        ("box_count", (-1, 4, 3)),
-        ("box_count", (3, -1, 3)),
-        ("box_table", (-1, 3)),
-        ("set_exact_counts", ((1, 2), -1, 3)),
-        ("set_exact_counts", ((1, 2), 3, -1)),
-        ("partition_table", (-1,)),
-        ("set_any_count", ((1, 2), -1)),
-        ("partition_count", (-1,)),
-        ("box_count", (True, 4, 3)),
-        ("box_count", (3, True, 3)),
-        ("box_count", (3, 4, True)),
-        ("box_table", (True, 3)),
-        ("box_table", (3, True)),
-        ("set_exact_counts", ((1, 2), True, 3)),
-        ("set_exact_counts", ((1, 2), 3, True)),
-        ("partition_table", (True,)),
-        ("set_any_count", ((1, 2), True)),
-        ("partition_count", (True,)),
-    ],
-)
-def test_negative_argument_raises_the_same_error(kernels_c, kernel, args):
+@pytest.mark.parametrize("text", [text for text in BAD_CALLS if text.partition("(")[0] in COMPILED])
+def test_bad_call_raises_the_same_error(kernels_c, text):
     # the compiled backend hands these to the pure one, so both raise alike
-    errors = []
     for backend in (kernels_c, _kernels_py):
-        with pytest.raises(
-            ValueError,
-            match=r"^(max_part|max_parts|each box side|num_parts|weight) must be an integer >= 0"
-            r", got (-1|True)$",
-        ) as caught:
-            getattr(backend, kernel)(*args)
-        errors.append(str(caught.value))
-    assert errors[0] == errors[1]
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        (1, 3, -1), (0, 3, 4), (-2, 3, 4), (4, 3, 5), (10**30 + 1, 10**30, 5), (SEAM + 2, SEAM + 1, 3),
-        (True, 3, 4), (1, True, 4), (1, 3, True),
-    ],
-)
-def test_bad_box_sum_argument_raises_the_same_error(kernels_c, args):
-    # a negative weight, lo < 1 and hi < lo, also past what C can hold
-    errors = []
-    for backend in (kernels_c, _kernels_py):
-        with pytest.raises(
-            ValueError,
-            match=r"^(lo must be an integer >= 1|hi must be an integer >= \d+|weight must be an integer >= 0)"
-            r", got (-?\d+|True)$",
-        ) as caught:
-            backend.box_sum(*args)
-        errors.append(str(caught.value))
-    assert errors[0] == errors[1]
+        with pytest.raises(ValueError) as caught:
+            call(backend, text)
+        assert str(caught.value) == BAD_CALLS[text]
 
 
 def test_table_row_zero_weight(kernels_c):
@@ -419,62 +344,6 @@ def test_dispatch_serves_compiled_when_it_imports(kernels_c, monkeypatch):
     importlib.reload(_dispatch)
     assert _dispatch.backend_name() == "python"
     assert all(getattr(_dispatch, k) is getattr(_kernels_py, k) for k in KERNELS)
-
-
-# Each compiled mutant: the text it replaces, the replacement, and a call on
-# which it must disagree with the pure-Python kernels.
-C_MUTANTS = {
-    "numerator skips its last factor": (
-        "g <= to && g < width",
-        "g < to && g < width",
-        ("box_table", (3, 4)),
-    ),
-    "parts loop starts one weight late": (
-        "long w = parts ? parts[i] : i + 1;",
-        "long w = (parts ? parts[i] : i + 1) + 1;",
-        ("partition_table", (5,)),
-    ),
-    "2-D row window stops one short of p * v": (
-        "long hi = p * v < width ? p * v : width - 1;",
-        "long hi = p * v < width ? p * v - 1 : width - 1;",
-        ("set_exact_counts", ((1, 2), 2, 4)),
-    ),
-    "box zero shortcut takes the full box": (
-        "if (c > a * b)", "if (c >= a * b)", ("box_count", (2, 2, 4))
-    ),
-    "parts reader drops the top part": (
-        "if (v > top)", "if (v >= top)", ("set_any_count", ((1, 2), 2))
-    ),
-    "box chain takes the next numerator factor": (
-        "hi - lo + s, hi - lo + s, &s",
-        "hi - lo + s + 1, hi - lo + s + 1, &s",
-        ("box_sum", (1, 3, 6)),
-    ),
-    "box chain seed one step late": (
-        "(w - 1) / hi : 0", "(w - 1) / hi + 1 : 0", ("box_sum", (1, 2, 4))
-    ),
-    "point query drops the part n": (
-        "NULL, n, 1);", "NULL, n - 1, 1);", ("partition_count", (5,))
-    ),
-}
-
-
-def test_compiled_mutants_cover_every_kernel():
-    # a new compiled entry point needs a compiled mutant whose witness calls it
-    assert {kernel for _, _, (kernel, _) in C_MUTANTS.values()} == set(COMPILED)
-
-
-@pytest.mark.parametrize("name", C_MUTANTS)
-def test_cross_backend_checks_catch_a_compiled_mutant(tmp_path, monkeypatch, name):
-    # the compiled loops are corrupted in their source text, so this shows
-    # that a defect in C, not only in Python, fails the checks
-    original, mutated, (kernel, args) = C_MUTANTS[name]
-    source = tmp_path / "_kernels_c.c"
-    source.write_text(mutate(SOURCE.read_text(), original, mutated))
-    mutant = _build(tmp_path, source)
-    assert getattr(mutant, kernel)(*args) != getattr(_kernels_py, kernel)(*args)
-    serve(monkeypatch, mutant)
-    assert cli_main(["verify", "all"]) == 1
 
 
 def _betti_topping_at(weight):
