@@ -40,6 +40,7 @@ from _backends import (
     forbid,
     serve,
 )
+from test_acceptance import C, MUTANTS, _called
 
 #: The weights that straddle the compiled seam: six at or below it, eight past it.
 WINDOW = range(SEAM - 6, SEAM + 9)
@@ -69,6 +70,11 @@ def test_seam_constants_state_the_proof(kernels_c):
     # SEAM is the largest n with p(n) < 2**WORD_BITS, derived in the tests
     assert kernels_c.WORD_BITS == WORD_BITS
     assert kernels_c.SAFE_WEIGHT == SEAM
+
+
+def test_compiled_mutants_cover_every_kernel():
+    # a new compiled entry point needs a compiled mutant whose witness calls it
+    assert {_called(row[3]) for row in MUTANTS.values() if row[0] == C} == set(COMPILED)
 
 
 @pytest.mark.parametrize("kernel", COMPILED)
